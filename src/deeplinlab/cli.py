@@ -11,7 +11,7 @@ oracle     print the global optimum's loss and Frobenius norm
 verify     audit a trajectory CSV against its recorded rate bounds
 batch      run several config files in sequence
 
-Exit codes: 0 success, 1 audit violation, 2 configuration error.
+Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error.
 
 Config files are flat ``key = value`` lines mirroring the long flags
 (with underscores); command-line flags override file values.  The same
@@ -33,7 +33,7 @@ from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
 from .initializers import InitScheme, initialize
 from .network import Network, save_network, width_ok
-from .optim import LrPolicy, Trajectory, run_bcgd, run_gd
+from .optim import LrPolicy, SweepState, Trajectory, reference_gd_rate, run_bcgd, run_gd
 from .oracle import optimal_loss, rank_constrained_solution
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
@@ -87,6 +87,8 @@ class RunConfig:
         return (self.d_in,) + (width,) * (self.depth - 1) + (self.d_out,)
 
     def validate(self) -> None:
+        if self.dims is None and self.depth < 1:
+            raise ConfigError(f"depth must be >= 1, got {self.depth}")
         chain = self.dimension_chain()
         if len(chain) < 2 or any(d < 1 for d in chain):
             raise ConfigError(f"bad dimension chain {chain}")
@@ -162,8 +164,13 @@ def build_network(cfg: RunConfig) -> Network:
     return initialize(scheme, cfg.dimension_chain(), cfg.seed)
 
 
-def run_experiment(cfg: RunConfig) -> Trajectory:
-    """Validate, run, and write the trajectory CSV (plus snapshots)."""
+def _oracle_rank(cfg: RunConfig) -> int:
+    """Rank of the reference optimum: ``rank``, else the chain's narrowest width."""
+    return cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
+
+
+def _prepare(cfg: RunConfig) -> tuple[Dataset, losses.LossFunction, float]:
+    """Validate *cfg*; return its dataset, loss and reference optimum."""
     cfg.validate()
     data = build_dataset(cfg)
     if data.d_in != cfg.d_in or data.d_out != cfg.d_out:
@@ -171,12 +178,16 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
             f"dataset is {data.d_in} -> {data.d_out}, config says "
             f"{cfg.d_in} -> {cfg.d_out}"
         )
-    net = build_network(cfg)
     lf = parse_loss(cfg.loss)
+    return data, lf, reference_objective(data, lf, _oracle_rank(cfg))
+
+
+def run_experiment(cfg: RunConfig) -> Trajectory:
+    """Validate, run, and write the trajectory CSV (plus snapshots)."""
+    data, lf, oracle_obj = _prepare(cfg)
+    net = build_network(cfg)
     policy = parse_policy(cfg.policy)
     chain = cfg.dimension_chain()
-    n_star = cfg.rank if cfg.rank is not None else min(chain)
-    oracle_obj = reference_objective(data, lf, n_star)
     ordering = "ascending" if cfg.order == "asc" else "descending"
 
     snapshot_dir = None
@@ -322,16 +333,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_gd(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate()
-    data = build_dataset(cfg)
+    data, lf, oracle_obj = _prepare(cfg)
     net = build_network(cfg)
-    lf = parse_loss(cfg.loss)
-    n_star = cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
-    oracle_obj = reference_objective(data, lf, n_star)
     eta = args.eta
     if eta is None:
-        from .optim import reference_gd_rate
-
         eta = reference_gd_rate(net, data)
     start = time.perf_counter()
     traj = run_gd(
@@ -350,13 +355,9 @@ def _cmd_gd(args) -> int:
 
 def _cmd_bcsgd(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate()
-    lf = parse_loss(cfg.loss)
+    data, lf, oracle_obj = _prepare(cfg)
     if lf.power != 2:
         raise ConfigError("bcsgd requires the l2 loss")
-    data = build_dataset(cfg)
-    n_star = cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
-    oracle_obj = optimal_loss(data.x, data.y, n_star)
     ordering = "ascending" if cfg.order == "asc" else "descending"
     aggregate = sgd.BoundsTracker()
     tails = []
@@ -376,8 +377,6 @@ def _cmd_bcsgd(args) -> int:
         tails.append(float(sq_dists[len(sq_dists) // 2 :].mean()))
         print(f"seed {run_seed}: tail_mean_sq_dist={tails[-1]!r} -> {path}")
     net = build_network(cfg)
-    from .optim import SweepState
-
     bracket = sgd.floor_brackets(
         net, data, SweepState(depth=net.depth, ordering=ordering),
         args.eta, oracle_obj, tracker=aggregate,
@@ -395,9 +394,9 @@ def _cmd_bcsgd(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
+    cfg.validate()
     data = build_dataset(cfg)
-    n_star = cfg.rank if cfg.rank is not None else min(data.x.shape[0], data.y.shape[0])
-    sol = rank_constrained_solution(data.x, data.y, n_star)
+    sol = rank_constrained_solution(data.x, data.y, _oracle_rank(cfg))
     print(
         f"optimal_loss={sol.optimal_loss!r} w_star_frobenius="
         f"{float(np.linalg.norm(sol.w_star, 'fro'))!r} effective_rank={sol.effective_rank}"

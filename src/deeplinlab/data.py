@@ -73,16 +73,13 @@ def gen_output_uniform(d_out: int, m: int, seed: int) -> np.ndarray:
     return rng.uniform(-1.0, 2.0, size=(d_out, m))
 
 
-def reshape_spectrum(a, new_singulars, seed: int = 0) -> np.ndarray:
+def reshape_spectrum(a, new_singulars) -> np.ndarray:
     """Replace the singular values of *a* with *new_singulars*.
 
     Targets are sorted nonincreasing before assignment (the condition
     number does not depend on the order).  The singular vectors of *a*
-    are kept, so only the spectrum changes.  *seed* is accepted for
-    interface uniformity with the generators; the operation itself is
-    deterministic in *a* and the targets.
+    are kept, so only the spectrum changes.
     """
-    del seed
     m = as_matrix(a)
     targets = np.asarray(new_singulars, dtype=np.float64)
     if targets.ndim != 1 or targets.size != min(m.shape):

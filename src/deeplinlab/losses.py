@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset
-from .network import Network, end_to_end, partial_product
+from .network import Network, _factors, end_to_end
 
 __all__ = [
     "DISPLAY_FLOOR",
@@ -127,8 +127,7 @@ def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> n
     _check_dims(net, data)
     if not 1 <= ell <= net.depth:
         raise ValueError(f"layer {ell} out of range 1..{net.depth}")
-    a = partial_product(net, net.depth, ell + 1)
-    bx = partial_product(net, ell - 1, 1) @ data.x
+    a, bx = _factors(net, data.x, ell)
     d = lf.deriv(a @ net.layers[ell - 1] @ bx, data.y)
     return gradient_from_parts(a, bx, d)
 

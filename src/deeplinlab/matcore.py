@@ -128,14 +128,21 @@ def cond_numbers(a, r: int) -> tuple[float, float]:
     Either ratio is ``inf`` when its denominator is numerically zero.
     """
     m = as_matrix(a)
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"r={r} out of range for shape {m.shape}")
     s = singular_values(m)
-    smax = float(s[0])
-    tol = rank_tolerance(m.shape, smax)
-    sr = float(s[r - 1])
+    kappa_r = _kappa_r_from_svals(s, m.shape, r)
     smin = float(s[-1])
-    kappa_r = math.inf if sr <= tol else smax / sr
     fro = float(np.linalg.norm(m, "fro"))
-    kappa_scaled = math.inf if smin <= tol else fro / smin
+    kappa_scaled = math.inf if smin <= rank_tolerance(m.shape, float(s[0])) else fro / smin
     return kappa_r, kappa_scaled
+
+
+def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int) -> float:
+    """sigma_max / sigma_r of a *shape* matrix whose spectrum *s* is given.
+
+    ``inf`` when sigma_r is numerically zero; *r* must lie in 1..min(shape).
+    """
+    if not 1 <= r <= min(shape):
+        raise ValueError(f"r={r} out of range for shape {shape}")
+    smax = float(s[0])
+    sr = float(s[r - 1])
+    return math.inf if sr <= rank_tolerance(shape, smax) else smax / sr

@@ -68,6 +68,11 @@ def partial_product(net: Network, i: int, j: int) -> np.ndarray:
     return prod
 
 
+def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, B X)`` around layer *ell*: ``W_{L:(ell+1)}`` and ``W_{(ell-1):1} X``."""
+    return partial_product(net, net.depth, ell + 1), partial_product(net, ell - 1, 1) @ x
+
+
 def end_to_end(net: Network) -> np.ndarray:
     """The full product ``W_L @ ... @ W_1`` (shape n_L x n_0)."""
     return partial_product(net, net.depth, 1)

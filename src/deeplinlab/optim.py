@@ -23,13 +23,14 @@ optimum, the rate used, and the contraction bound when one applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, gradient_from_parts
-from .network import Network, end_to_end, partial_product
+from .matcore import spectral_summary
+from .network import Network, _factors, end_to_end
 from .oracle import optimal_loss
 from . import theory
 
@@ -57,6 +58,7 @@ POLICY_KINDS = (
     "constant",
 )
 _DENOM_FLOOR = 1e-300
+_SPECTRAL_KINDS = ("theory_l2", "convex_safe")  # rate needs ||A||_2 and ||B X||_2
 
 
 @dataclass
@@ -161,15 +163,23 @@ def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
     return lf.power * total if lf.power is not None else total
 
 
-def _spectral(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+def _svals(a: np.ndarray) -> np.ndarray:
+    """Singular values of *a*, nonincreasing; ``[0.0]`` for an empty matrix."""
+    return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
+
+
+def _spectra(policy: LrPolicy, a: np.ndarray, bx: np.ndarray):
+    """One step's spectra cache: the singular values of A and B X, or None
+    when the policy does not need them."""
+    if policy.kind not in _SPECTRAL_KINDS:
+        return None
+    return _svals(a), _svals(bx)
 
 
 def _lr_from_parts(
     policy: LrPolicy,
     lf: LossFunction,
+    spectra,
     a: np.ndarray,
     bx: np.ndarray,
     pred: np.ndarray,
@@ -178,15 +188,17 @@ def _lr_from_parts(
 ) -> float:
     """Learning rate for one step from the factored quantities.
 
-    *pred* holds the current predictions (the point the curvature bound
-    is evaluated at); a denominator below 1e-300 yields rate 0, the
-    skip-step convention for degenerate states.
+    *spectra* is the step's ``_spectra`` cache; *pred* holds the current
+    predictions (the point the curvature bound is evaluated at); a
+    denominator below 1e-300 yields rate 0, the skip-step convention for
+    degenerate states.
     """
     kind = policy.kind
     if kind == "constant":
         return float(policy.eta)
-    if kind in ("theory_l2", "convex_safe"):
-        denom = _spectral(a) ** 2 * _spectral(bx) ** 2
+    if kind in _SPECTRAL_KINDS:
+        a_svals, bx_svals = spectra
+        denom = float(a_svals[0]) ** 2 * float(bx_svals[0]) ** 2
         if kind == "convex_safe":
             denom *= float(np.max(lf.curvature(pred, y))) if pred.size else 0.0
         if denom < _DENOM_FLOOR:
@@ -215,11 +227,10 @@ def compute_lr(
 ) -> float:
     """Learning rate the policy would use for the state's next update."""
     ell = state.layer_to_update()
-    a = partial_product(net, net.depth, ell + 1)
-    bx = partial_product(net, ell - 1, 1) @ data.x
+    a, bx = _factors(net, data.x, ell)
     pred = a @ net.layers[ell - 1] @ bx
     g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
-    return _lr_from_parts(policy, lf, a, bx, pred, data.y, g)
+    return _lr_from_parts(policy, lf, _spectra(policy, a, bx), a, bx, pred, data.y, g)
 
 
 def _resolve_oracle(net: Network, data: Dataset, oracle_objective) -> float:
@@ -237,8 +248,10 @@ def _step_core(
     a: np.ndarray,
     bx: np.ndarray,
     oracle_obj: float,
-    gamma: float | None,
+    ranks: tuple[int, int] | None,
 ) -> StepRecord:
+    """Update the state's layer from its factors; *ranks* = (r, r_x) records
+    the theory_l2 gamma bound, built from the same spectra as the rate."""
     ell = state.layer_to_update()
     w = net.layers[ell - 1]
     pred = a @ w @ bx
@@ -249,7 +262,14 @@ def _step_core(
             f"non-finite gradient at iteration {state.iteration + 1}, "
             f"layer {ell} (loss so far {_objective(pred, data.y, lf):.6g})"
         )
-    lr = _lr_from_parts(policy, lf, a, bx, pred, data.y, g)
+    spectra = _spectra(policy, a, bx)
+    lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
+    gamma = None
+    if ranks is not None:
+        (a_svals, bx_svals), (r, r_x) = spectra, ranks
+        gamma = theory._gamma_from_spectra(
+            a_svals, a.shape, bx_svals, bx.shape, policy.eta, r, r_x
+        )
     loss_before = _objective(pred, data.y, lf)
     new_w = w - lr * g
     if not np.isfinite(new_w).all():
@@ -290,26 +310,59 @@ def bcgd_step(
     the updated layer's unit vector.  The contraction bound is recorded
     for the theory_l2 policy (its rate guarantee applies there).
     """
-    ell = state.layer_to_update()
-    a = partial_product(net, net.depth, ell + 1)
-    bx = partial_product(net, ell - 1, 1) @ data.x
+    a, bx = _factors(net, data.x, state.layer_to_update())
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    gamma = None
-    if policy.kind == "theory_l2":
-        r = _top_layer_rank(net)
-        r_x = _matrix_rank(data.x)
-        gamma = theory.gamma_factor(net, data, state, policy.eta, r, r_x)
-    return _step_core(net, data, lf, state, policy, a, bx, oracle_obj, gamma)
+    return _step_core(
+        net, data, lf, state, policy, a, bx, oracle_obj, _gamma_ranks(net, data, policy)
+    )
 
 
-def _matrix_rank(a: np.ndarray) -> int:
-    from .matcore import spectral_summary
+def _gamma_ranks(net: Network, data: Dataset, policy: LrPolicy) -> tuple[int, int] | None:
+    """``(r, r_x)`` for the theory_l2 gamma bound, the numeric ranks of the
+    top layer (at most n_L) and of X; None for the other policies."""
+    if policy.kind != "theory_l2":
+        return None
+    r = min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1])
+    return r, spectral_summary(data.x).numeric_rank
 
-    return spectral_summary(a).numeric_rank
+
+def _suffixes(net: Network) -> list:
+    """``s[l] = W_{L:(l+1)}`` for l = 1..L, ``s[L]`` the identity (``s[0]`` unused)."""
+    L = net.depth
+    s = [None] * (L + 1)
+    s[L] = np.eye(net.dims[-1])
+    for l in range(L - 1, 0, -1):
+        s[l] = s[l + 1] @ net.layers[l]
+    return s
 
 
-def _top_layer_rank(net: Network) -> int:
-    return min(_matrix_rank(net.layers[-1]), net.dims[-1])
+def _prefixes(net: Network, x: np.ndarray) -> list:
+    """``p[l] = W_{(l-1):1} X`` for l = 1..L, ``p[1] = X`` (``p[0]`` unused)."""
+    L = net.depth
+    p = [None] * (L + 1)
+    p[1] = x
+    for l in range(2, L + 1):
+        p[l] = net.layers[l - 2] @ p[l - 1]
+    return p
+
+
+def _sweep(net: Network, x: np.ndarray, ordering: str):
+    """One sweep's factors: yields ``(ell, A, B X)`` before each layer update.
+
+    The side not visited yet is built from the layers at the sweep start
+    (they do not change before their turn); the visited side is advanced
+    through ``net.layers[ell - 1]`` after the caller has replaced it.
+    """
+    if ordering == "ascending":
+        stale, running = _suffixes(net), x
+        for ell in range(1, net.depth + 1):
+            yield ell, stale[ell], running
+            running = net.layers[ell - 1] @ running
+    else:
+        stale, running = _prefixes(net, x), np.eye(net.dims[-1])
+        for ell in range(net.depth, 0, -1):
+            yield ell, running, stale[ell]
+            running = running @ net.layers[ell - 1]
 
 
 def run_bcgd(
@@ -326,12 +379,13 @@ def run_bcgd(
 ) -> Trajectory:
     """Run BCGD sweeps until ``max_sweeps`` or the target distance.
 
-    The network is updated in place.  Within a sweep the partial products
-    on the already-visited side are maintained incrementally and the
-    stale side is precomputed at the sweep start, so a sweep costs O(L)
-    matrix products.  Stop conditions are evaluated at sweep boundaries;
-    ``on_sweep_end(completed_sweeps, net)`` runs there when given (the
-    snapshot hook).
+    The network is updated in place.  Each sweep takes its factors
+    ``(A, B X)`` from ``_sweep``, so it costs O(L) matrix products; each
+    step computes the singular values of A and B X at most once, and only
+    for the policies that need them (theory_l2 shares them between its
+    rate and its gamma bound).  Stop conditions are evaluated at sweep
+    boundaries; ``on_sweep_end(completed_sweeps, net)`` runs there when
+    given (the snapshot hook).
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
@@ -347,45 +401,12 @@ def run_bcgd(
             **(meta or {}),
         }
     )
-    want_gamma = policy.kind == "theory_l2"
-    r = _top_layer_rank(net) if want_gamma else 0
-    r_x = _matrix_rank(data.x) if want_gamma else 0
-    L = net.depth
+    ranks = _gamma_ranks(net, data, policy)
     for _ in range(max_sweeps):
-        if ordering == "ascending":
-            stale = [None] * (L + 1)  # stale[l] = W_{L:(l+1)} at sweep start
-            stale[L] = np.eye(net.dims[-1])
-            for l in range(L - 1, 0, -1):
-                stale[l] = stale[l + 1] @ net.layers[l]
-            running = data.x  # W_{(l-1):1} X with updated layers
-            for ell in range(1, L + 1):
-                a, bx = stale[ell], running
-                gamma = (
-                    theory.gamma_factor(net, data, state, policy.eta, r, r_x)
-                    if want_gamma
-                    else None
-                )
-                traj.records.append(
-                    _step_core(net, data, lf, state, policy, a, bx, oracle_obj, gamma)
-                )
-                running = net.layers[ell - 1] @ running
-        else:
-            stale = [None] * (L + 1)  # stale[l] = W_{(l-1):1} X at sweep start
-            stale[1] = data.x
-            for l in range(2, L + 1):
-                stale[l] = net.layers[l - 2] @ stale[l - 1]
-            running = np.eye(net.dims[-1])  # W_{L:(l+1)} with updated layers
-            for ell in range(L, 0, -1):
-                a, bx = running, stale[ell]
-                gamma = (
-                    theory.gamma_factor(net, data, state, policy.eta, r, r_x)
-                    if want_gamma
-                    else None
-                )
-                traj.records.append(
-                    _step_core(net, data, lf, state, policy, a, bx, oracle_obj, gamma)
-                )
-                running = running @ net.layers[ell - 1]
+        for _ell, a, bx in _sweep(net, data.x, ordering):
+            traj.records.append(
+                _step_core(net, data, lf, state, policy, a, bx, oracle_obj, ranks)
+            )
         if on_sweep_end is not None:
             on_sweep_end(state.sweep, net)
         if traj.records[-1].dist_after <= target_dist:
@@ -404,36 +425,38 @@ def gd_step(
     """One plain gradient-descent step: every layer moves simultaneously.
 
     All gradients are evaluated at the pre-step weights before any layer
-    changes, so the result does not depend on layer order.
+    changes, so the result does not depend on layer order.  A non-finite
+    gradient, update or loss raises RuntimeError naming the GD iteration.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     L = net.depth
-    suffix = [None] * (L + 1)
-    suffix[L] = np.eye(net.dims[-1])
-    for l in range(L - 1, 0, -1):
-        suffix[l] = suffix[l + 1] @ net.layers[l]
-    prefix = [None] * (L + 1)
-    prefix[1] = data.x
-    for l in range(2, L + 1):
-        prefix[l] = net.layers[l - 2] @ prefix[l - 1]
+    step = state.sweep + 1 if state else 1
+    suffix = _suffixes(net)
+    prefix = _prefixes(net, data.x)
     pred = suffix[1] @ net.layers[0] @ prefix[1]
     d = lf.deriv(pred, data.y)
     grads = [gradient_from_parts(suffix[l], prefix[l], d) for l in range(1, L + 1)]
+    for l, g in enumerate(grads, start=1):
+        if not np.isfinite(g).all():
+            raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
     total_g2 = sum(float(np.sum(g * g)) for g in grads)
     loss_before = _objective(pred, data.y, lf)
     for l in range(1, L + 1):
         new_w = net.layers[l - 1] - eta * grads[l - 1]
         if not np.isfinite(new_w).all():
-            raise RuntimeError(f"non-finite GD update at layer {l} (eta {eta:.6g})")
+            raise RuntimeError(
+                f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
+            )
         net.layers[l - 1] = new_w
     pred_after = end_to_end(net) @ data.x
     loss_after = _objective(pred_after, data.y, lf)
-    iteration = state.iteration + 1 if state else 1
+    if not math.isfinite(loss_after):
+        raise RuntimeError(f"non-finite loss after GD iteration {step} (eta {eta:.6g})")
     record = StepRecord(
-        iteration=iteration,
-        sweep=iteration,
+        iteration=step,
+        sweep=step,
         layer=0,
         lr=float(eta),
         loss_before=loss_before,
@@ -472,7 +495,6 @@ def run_gd(
     state = SweepState(depth=net.depth)
     for _ in range(max_iters):
         record = gd_step(net, data, lf, eta, oracle_obj, state)
-        record = replace(record, iteration=len(traj.records) + 1, sweep=len(traj.records) + 1)
         traj.records.append(record)
         if record.dist_after <= target_dist:
             break
@@ -481,4 +503,4 @@ def run_gd(
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:
     """The literature reference rate n_L / (3 L ||X||^2) for plain GD."""
-    return net.dims[-1] / (3.0 * net.depth * _spectral(data.x) ** 2)
+    return net.dims[-1] / (3.0 * net.depth * float(_svals(data.x)[0]) ** 2)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
-from .network import Network, partial_product
-from .optim import StepRecord, SweepState, Trajectory, _objective, _resolve_oracle
+from .network import Network, _factors
+from .optim import StepRecord, SweepState, Trajectory, _objective, _resolve_oracle, _sweep
 
 __all__ = [
     "BoundsTracker",
@@ -73,7 +73,7 @@ def _bx_column_weights(bx: np.ndarray) -> np.ndarray:
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
     """The importance distribution over examples for the state's next update."""
     ell = state.layer_to_update()
-    bx = partial_product(net, ell - 1, 1) @ data.x
+    _, bx = _factors(net, data.x, ell)
     weights = _bx_column_weights(bx)
     total = float(weights.sum())
     if total <= 0.0:
@@ -89,9 +89,7 @@ def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float)
         raise ValueError("eta must lie in (0, 2)")
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
-    ell = state.layer_to_update()
-    a = partial_product(net, net.depth, ell + 1)
-    bx = partial_product(net, ell - 1, 1) @ data.x
+    a, bx = _factors(net, data.x, state.layer_to_update())
     sa = np.linalg.svd(a, compute_uv=False)
     sb = np.linalg.svd(bx, compute_uv=False)
     weight = float(_bx_column_weights(bx)[i])
@@ -108,7 +106,6 @@ class BoundsTracker:
     m_low: float = math.inf
     gamma_upp: float = 0.0
     gamma_low: float = math.inf
-    sup_condition_product: float = 0.0
     iterations: int = 0
 
     def update(self, a_svals: np.ndarray, bx_svals: np.ndarray, bx_fro: float, eta: float) -> None:
@@ -116,7 +113,6 @@ class BoundsTracker:
         kb2 = _ratio_sq(bx_svals[0], bx_svals[-1])
         kt4 = _ratio_sq(bx_fro, bx_svals[-1]) ** 2
         product = (ka2**2) * kt4
-        self.sup_condition_product = max(self.sup_condition_product, product)
         self.m_upp = max(self.m_upp, product)
         self.m_low = min(self.m_low, kt4)
         self.gamma_upp = max(self.gamma_upp, _gamma_upp(eta, ka2, kt4))
@@ -128,9 +124,6 @@ class BoundsTracker:
         self.m_low = min(self.m_low, other.m_low)
         self.gamma_upp = max(self.gamma_upp, other.gamma_upp)
         self.gamma_low = min(self.gamma_low, other.gamma_low)
-        self.sup_condition_product = max(
-            self.sup_condition_product, other.sup_condition_product
-        )
         self.iterations += other.iterations
 
 
@@ -189,9 +182,7 @@ def floor_brackets(
         raise ValueError("eta must lie in (0, 2)")
     if tracker is None:
         tracker = BoundsTracker()
-        ell = state.layer_to_update()
-        a = partial_product(net, net.depth, ell + 1)
-        bx = partial_product(net, ell - 1, 1) @ data.x
+        a, bx = _factors(net, data.x, state.layer_to_update())
         tracker.update(
             np.linalg.svd(a, compute_uv=False),
             np.linalg.svd(bx, compute_uv=False),
@@ -238,10 +229,7 @@ def bcsgd_step(
     Square loss only (the sampling scheme and rate are derived for it).
     """
     _require_l2(lf)
-    ell = state.layer_to_update()
-    a = partial_product(net, net.depth, ell + 1)
-    b = partial_product(net, ell - 1, 1)
-    bx = b @ data.x
+    a, bx = _factors(net, data.x, state.layer_to_update())
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     return _bcsgd_step_core(
         net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker
@@ -310,8 +298,8 @@ def run_bcsgd(
     """Run BCSGD for a fixed number of sweeps with its own RNG stream.
 
     Returns the trajectory and the tracker holding the run's sup/inf of
-    the bracket constants.  Within a sweep the stale-side partial
-    products are reused exactly as in the deterministic runner.
+    the bracket constants.  The factors ``(A, B X)`` of every step come
+    from the same sweep engine as ``optim.run_bcgd`` (``optim._sweep``).
     """
     _require_l2(lf)
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
@@ -329,34 +317,11 @@ def run_bcsgd(
             **(meta or {}),
         }
     )
-    L = net.depth
     for _ in range(sweeps):
-        if ordering == "ascending":
-            stale = [None] * (L + 1)
-            stale[L] = np.eye(net.dims[-1])
-            for l in range(L - 1, 0, -1):
-                stale[l] = stale[l + 1] @ net.layers[l]
-            running = data.x
-            for ell in range(1, L + 1):
-                traj.records.append(
-                    _bcsgd_step_core(
-                        net, data, lf, state, eta, rng, stale[ell], running,
-                        oracle_obj, tracker,
-                    )
+        for _ell, a, bx in _sweep(net, data.x, ordering):
+            traj.records.append(
+                _bcsgd_step_core(
+                    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker
                 )
-                running = net.layers[ell - 1] @ running
-        else:
-            stale = [None] * (L + 1)
-            stale[1] = data.x
-            for l in range(2, L + 1):
-                stale[l] = net.layers[l - 2] @ stale[l - 1]
-            running = np.eye(net.dims[-1])
-            for ell in range(L, 0, -1):
-                traj.records.append(
-                    _bcsgd_step_core(
-                        net, data, lf, state, eta, rng, running, stale[ell],
-                        oracle_obj, tracker,
-                    )
-                )
-                running = running @ net.layers[ell - 1]
+            )
     return traj, tracker

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .matcore import cond_numbers, singular_values, spectral_summary
-from .network import Network, partial_product
+from .matcore import _kappa_r_from_svals, singular_values, spectral_summary
+from .network import Network, _factors
 
 __all__ = [
     "AuditReport",
@@ -118,20 +118,21 @@ def gamma_factor(
     rank r (resp. r_x) the corresponding condition number is infinite
     and the factor degenerates to 1: no contraction through that layer.
     """
-    ell = state.layer_to_update()
-    a = partial_product(net, net.depth, ell + 1)
-    bx = partial_product(net, ell - 1, 1) @ data.x
-    ka = _kappa_r(a, r)
-    kb = _kappa_r(bx, r_x)
+    a, bx = _factors(net, data.x, state.layer_to_update())
+    return _gamma_from_spectra(
+        singular_values(a), a.shape, singular_values(bx), bx.shape, eta, r, r_x
+    )
+
+
+def _gamma_from_spectra(
+    a_svals, a_shape, bx_svals, bx_shape, eta: float, r: int, r_x: int
+) -> float:
+    """``gamma_factor`` from the singular values of A and B X (and their shapes)."""
+    ka = math.inf if r > min(a_shape) else _kappa_r_from_svals(a_svals, a_shape, r)
+    kb = math.inf if r_x > min(bx_shape) else _kappa_r_from_svals(bx_svals, bx_shape, r_x)
     denom = ka * ka * kb * kb
     branch = 1.0 - eta / denom if math.isfinite(denom) else 1.0
     return max(branch, eta - 1.0)
-
-
-def _kappa_r(a: np.ndarray, r: int) -> float:
-    if r > min(a.shape):
-        return math.inf
-    return cond_numbers(a, r)[0]
 
 
 def min_depth_one_sweep(x, w_star, initial_dist: float, eta: float) -> int:

@@ -260,7 +260,7 @@ def test_criterion_08_bcsgd_floor_bracketing():
         traj, tracker = run_bcsgd(
             net, data, l2(), eta, sweeps, seed=run_seed, oracle_objective=ref
         )
-        if tracker.sup_condition_product > cap:
+        if tracker.m_upp > cap:
             continue
         sq_dist = np.array([r.loss_after - ref for r in traj.records])
         tails.append(float(sq_dist[len(sq_dist) // 2 :].mean()))

@@ -281,3 +281,43 @@ def test_long_trajectory_row_count(tmp_path):
         if l and not l.startswith("#")
     ]
     assert len(rows) == 1000 + 1  # steps + header
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_gd_divergence_exits_one_with_iteration(tmp_path, capsys):
+    # the reference rate overshoots on this chain: the loss overflows at step 3
+    code = main([
+        "gd", "--d-in", "128", "--d-out", "10", "--m", "600", "--depth", "50",
+        "--iters", "3", "--out", str(tmp_path / "gd.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run aborted" in err and "GD iteration 3" in err
+    assert not (tmp_path / "gd.csv").exists()
+
+
+def test_depth_below_one_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="depth"):
+        RunConfig(depth=0).validate()
+    RunConfig(depth=0, dims=(4, 3, 2), d_in=4, d_out=2).validate()  # dims win
+    args, out = base_args(tmp_path)
+    args[args.index("--depth") + 1] = "0"
+    assert main(args) == 2
+    assert "depth must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_and_train_agree_at_narrow_width(tmp_path, capsys):
+    # a width-2 chain can only reach the rank-2 optimum; both commands use it
+    common = ["--d-in", "6", "--d-out", "4", "--m", "30", "--data-seed", "7", "--width", "2"]
+    assert main(["oracle", *common]) == 0
+    printed = capsys.readouterr().out
+    oracle_value = float(printed.split("optimal_loss=")[1].split()[0])
+    assert "effective_rank=2" in printed
+    out = tmp_path / "w2.csv"
+    assert main(["train", *common, "--sweeps", "1", "--out", str(out)]) == 0
+    meta = read_trajectory_csv(out).meta
+    assert float(meta["oracle_objective"]) == oracle_value
+    assert oracle_value > optimal_loss(
+        gen_input_gaussian(6, 30, 7), gen_output_uniform(4, 30, 8), 4
+    )

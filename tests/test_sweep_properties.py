@@ -1,0 +1,150 @@
+"""Property tests for the invariants the sweep engine's fast path relies on.
+
+The runners never rebuild A = W_{L:(ell+1)} or B X = W_{(ell-1):1} X from
+scratch: ``optim._sweep`` builds one side at the sweep start and carries
+the other through each new layer.  These tests pin that the factors it
+hands out always equal the live network's partial products, and that the
+theory_l2 gamma bound taken from the step's cached spectra equals
+``theory.gamma_factor`` on the pre-step state.
+
+Factors are compared normwise relative to the product of the norms of the
+matrices they multiply (the scale their rounding error is bounded by):
+chains of width 1 can cancel to a product far smaller than its factors.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deeplinlab import optim, sgd, theory
+from deeplinlab.data import Dataset
+from deeplinlab.losses import l2, lp
+from deeplinlab.network import Network, partial_product
+from deeplinlab.optim import LrPolicy, run_bcgd
+
+RTOL = 1e-12
+POLICIES = {
+    "theory:1": (l2, LrPolicy("theory_l2", eta=1.0)),
+    "theory:1.5": (l2, LrPolicy("theory_l2", eta=1.5)),
+    "optimal": (l2, LrPolicy("optimal_l2")),
+    "convex": (l2, LrPolicy("convex_safe")),
+    "general": (l2, LrPolicy("near_optimal_general")),
+    "lp:4": (lambda: lp(4), LrPolicy("near_optimal_lp", p=4)),
+    "const": (l2, LrPolicy("constant", eta=1e-3)),
+}
+
+chains = st.lists(st.integers(1, 7), min_size=2, max_size=7)  # depth 1..6
+
+
+def _problem(dims, m, seed):
+    rng = np.random.default_rng(seed)
+    layers = [
+        rng.normal(0.0, 1.0 / np.sqrt(dims[l - 1]), size=(dims[l], dims[l - 1]))
+        for l in range(1, len(dims))
+    ]
+    data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
+    return Network(layers), data
+
+
+def _norm_product(mats) -> float:
+    return float(np.prod([np.linalg.norm(w) for w in mats]))
+
+
+def _assert_live_factors(net, data, ell, a, bx):
+    L = net.depth
+    a_ref = partial_product(net, L, ell + 1)
+    bx_ref = partial_product(net, ell - 1, 1) @ data.x
+    a_scale = _norm_product(net.layers[ell:]) if ell < L else 1.0
+    bx_scale = _norm_product(net.layers[: ell - 1] + [data.x])
+    assert a.shape == a_ref.shape and bx.shape == bx_ref.shape
+    assert np.linalg.norm(a - a_ref) <= RTOL * a_scale
+    assert np.linalg.norm(bx - bx_ref) <= RTOL * bx_scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=chains,
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ordering=st.sampled_from(optim.ORDERINGS),
+    sweeps=st.integers(1, 3),
+)
+def test_sweep_yields_live_factors_under_any_update(dims, m, seed, ordering, sweeps):
+    net, data = _problem(dims, m, seed)
+    rng = np.random.default_rng(seed + 1)
+    L = net.depth
+    for _ in range(sweeps):
+        visited = []
+        for ell, a, bx in optim._sweep(net, data.x, ordering):
+            _assert_live_factors(net, data, ell, a, bx)
+            visited.append(ell)
+            w = net.layers[ell - 1]
+            net.layers[ell - 1] = w + rng.normal(0.0, 0.5, size=w.shape)
+        expected = list(range(1, L + 1))
+        assert visited == (expected if ordering == "ascending" else expected[::-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=chains,
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ordering=st.sampled_from(optim.ORDERINGS),
+    policy_name=st.sampled_from(sorted(POLICIES)),
+)
+def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
+    net, data = _problem(dims, m, seed)
+    make_loss, policy = POLICIES[policy_name]
+    ranks = optim._gamma_ranks(net, data, policy)  # fixed at the run start
+    core = optim._step_core
+    checked = []
+
+    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_):
+        ell = state.layer_to_update()
+        _assert_live_factors(net_, data_, ell, a, bx)
+        expected = (
+            theory.gamma_factor(net_, data_, state, policy_.eta, *ranks)
+            if ranks is not None
+            else None
+        )
+        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_)
+        if expected is None:
+            assert record.gamma_bound is None
+        else:
+            assert 0.0 <= expected <= 1.0
+            assert record.gamma_bound == pytest.approx(expected, rel=0, abs=RTOL)
+        checked.append(ell)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_step_core", step)
+        traj = run_bcgd(
+            net, data, make_loss(), policy, ordering=ordering, max_sweeps=2,
+            target_dist=float("-inf"), oracle_objective=0.0,
+        )
+    assert len(checked) == len(traj) == 2 * net.depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=chains,
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    ordering=st.sampled_from(optim.ORDERINGS),
+)
+def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
+    net, data = _problem(dims, m, seed)
+    core = sgd._bcsgd_step_core
+    checked = []
+
+    def step(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker):
+        _assert_live_factors(net_, data_, state.layer_to_update(), a, bx)
+        checked.append(state.layer_to_update())
+        return core(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgd, "_bcsgd_step_core", step)
+        traj, _ = sgd.run_bcsgd(
+            net, data, l2(), 0.5, 2, seed=seed, ordering=ordering, oracle_objective=0.0
+        )
+    assert len(checked) == len(traj) == 2 * net.depth
