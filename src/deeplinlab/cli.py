@@ -355,6 +355,10 @@ def _cmd_gd(args) -> int:
 
 def _cmd_bcsgd(args) -> int:
     cfg = _config_from_args(args)
+    if args.seeds < 1:
+        raise ConfigError(f"bcsgd needs seeds >= 1, got {args.seeds}")
+    if cfg.sweeps < 1:
+        raise ConfigError(f"bcsgd needs sweeps >= 1, got {cfg.sweeps}")
     data, lf, oracle_obj = _prepare(cfg)
     if lf.power != 2:
         raise ConfigError("bcsgd requires the l2 loss")

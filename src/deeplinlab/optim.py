@@ -163,6 +163,20 @@ def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
     return lf.power * total if lf.power is not None else total
 
 
+def _finite_loss(loss: float, runner: str, iteration: int, layer: int, lr: float) -> float:
+    """*loss*, or RuntimeError naming the step when it is not finite.
+
+    The one divergence rule of every runner; *layer* 0 means all layers.
+    """
+    if math.isfinite(loss):
+        return loss
+    where = f"layer {layer}" if layer else "all layers"
+    raise RuntimeError(
+        f"non-finite loss ({loss!r}) after {runner} iteration {iteration}, "
+        f"{where} (lr {lr:.6g})"
+    )
+
+
 def _svals(a: np.ndarray) -> np.ndarray:
     """Singular values of *a*, nonincreasing; ``[0.0]`` for an empty matrix."""
     return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
@@ -278,8 +292,9 @@ def _step_core(
             f"(lr {lr:.6g}, |G|_F {float(np.linalg.norm(g)):.6g})"
         )
     net.layers[ell - 1] = new_w
-    pred_after = a @ new_w @ bx
-    loss_after = _objective(pred_after, data.y, lf)
+    loss_after = _finite_loss(
+        _objective(a @ new_w @ bx, data.y, lf), "BCGD", state.iteration + 1, ell, lr
+    )
     record = StepRecord(
         iteration=state.iteration + 1,
         sweep=state.sweep + 1,
@@ -450,10 +465,9 @@ def gd_step(
                 f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
             )
         net.layers[l - 1] = new_w
-    pred_after = end_to_end(net) @ data.x
-    loss_after = _objective(pred_after, data.y, lf)
-    if not math.isfinite(loss_after):
-        raise RuntimeError(f"non-finite loss after GD iteration {step} (eta {eta:.6g})")
+    loss_after = _finite_loss(
+        _objective(end_to_end(net) @ data.x, data.y, lf), "GD", step, 0, eta
+    )
     record = StepRecord(
         iteration=step,
         sweep=step,

@@ -5,7 +5,9 @@ distribution pi(i) proportional to ||(B x_i)^T B X||^2 (B the product of
 the layers below the target layer), applies a rank-one update with the
 scaled rate eta * sigma_min^2(B X) / (sigma_max^2(A) ||(B x_i)^T B X||^2),
 and tracks the condition-number quantities the error-floor brackets are
-built from.
+built from.  The weights of all m examples come from the n x n Gram
+B X (B X)^T (n the width of the target layer's input), so a step costs
+O(n^2 m) plus the SVDs of A and B X, never an m x m array.
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -32,7 +34,15 @@ import numpy as np
 from .data import Dataset
 from .losses import LossFunction
 from .network import Network, _factors
-from .optim import StepRecord, SweepState, Trajectory, _objective, _resolve_oracle, _sweep
+from .optim import (
+    StepRecord,
+    SweepState,
+    Trajectory,
+    _finite_loss,
+    _objective,
+    _resolve_oracle,
+    _sweep,
+)
 
 __all__ = [
     "BoundsTracker",
@@ -65,9 +75,16 @@ class SampleDist:
 
 
 def _bx_column_weights(bx: np.ndarray) -> np.ndarray:
-    """||(B x_i)^T B X||^2 for every column i (rows of the Gram squared)."""
-    gram = bx.T @ bx
-    return np.sum(gram * gram, axis=1)
+    """||(B x_i)^T B X||^2 for every column i of the n x m matrix B X.
+
+    Uses ||(B x_i)^T B X||^2 = (B x_i)^T (B X (B X)^T) (B x_i): the column
+    sums of B X * (G B X) with the n x n Gram G, O(n^2 m) time and no
+    m x m array.  Rounding can push the weight of a column nearly
+    orthogonal to the rest of B X a hair below 0 (its exact value is at
+    least ||B x_i||^4); such weights are clipped to 0.
+    """
+    weights = np.sum(bx * ((bx @ bx.T) @ bx), axis=0)
+    return np.maximum(weights, 0.0, out=weights)
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -176,7 +193,8 @@ def floor_brackets(
 
     ``oracle_loss`` is ||W* X - Y||_F^2.  With no tracker the bracket is
     evaluated from the current state's condition numbers alone.  An
-    infinite condition number marks the bracket unavailable.
+    infinite condition number, or a tracker that saw no iteration, marks
+    the bracket unavailable.
     """
     if not 0 < eta < 2:
         raise ValueError("eta must lie in (0, 2)")
@@ -192,7 +210,8 @@ def floor_brackets(
     L = net.depth
     oracle_loss = float(oracle_loss)
     available = (
-        math.isfinite(tracker.m_upp)
+        tracker.iterations > 0
+        and math.isfinite(tracker.m_upp)
         and tracker.m_low > 0
         and tracker.gamma_upp < 1.0
         and 0.0 < tracker.gamma_low
@@ -267,7 +286,9 @@ def _bcsgd_step_core(net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker)
             f"non-finite BCSGD update at iteration {state.iteration + 1}, layer {ell}"
         )
     net.layers[ell - 1] = new_w
-    loss_after = _objective(a @ new_w @ bx, data.y, lf)
+    loss_after = _finite_loss(
+        _objective(a @ new_w @ bx, data.y, lf), "BCSGD", state.iteration + 1, ell, lr
+    )
     record = StepRecord(
         iteration=state.iteration + 1,
         sweep=state.sweep + 1,

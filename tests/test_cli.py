@@ -321,3 +321,31 @@ def test_oracle_and_train_agree_at_narrow_width(tmp_path, capsys):
     assert oracle_value > optimal_loss(
         gen_input_gaussian(6, 30, 7), gen_output_uniform(4, 30, 8), 4
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rate", ["1e60", "1e80"])  # the loss overflows to inf / nan
+def test_train_divergence_exits_one_with_iteration_and_layer(tmp_path, capsys, rate):
+    out = tmp_path / "t.csv"
+    code = main([
+        "train", "--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2",
+        "--policy", f"const:{rate}", "--sweeps", "1", "--target", "0",
+        "--out", str(out),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run aborted" in err and "BCGD iteration 2, layer 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("seeds", "0"), ("seeds", "-1"), ("sweeps", "0")])
+def test_bcsgd_rejects_empty_runs(tmp_path, capsys, flag, value):
+    args = [
+        "bcsgd", "--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2",
+        "--eta", "0.5", "--sweeps", "3", "--seeds", "2",
+        "--out", str(tmp_path / "sgd.csv"),
+    ]
+    args[args.index(f"--{flag}") + 1] = value
+    assert main(args) == 2
+    assert f"{flag} >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from deeplinlab import sgd
 from deeplinlab.data import Dataset, gen_input_gaussian
 from deeplinlab.initializers import InitScheme, initialize, random_orthogonal
 from deeplinlab.losses import l2, lp
@@ -10,6 +12,7 @@ from deeplinlab.network import Network, end_to_end, partial_product
 from deeplinlab.optim import SweepState
 from deeplinlab.oracle import optimal_loss
 from deeplinlab.sgd import (
+    BoundsTracker,
     FloorBracket,
     SampleDist,
     bcsgd_lr,
@@ -212,3 +215,75 @@ def test_run_bcsgd_error_does_not_collapse_with_noise():
     )
     assert tail.mean() > 0.5 * bracket.floor_lower
     assert tail.mean() > 1e-8  # genuinely floored away from zero
+
+
+def test_floor_brackets_empty_tracker_unavailable():
+    net, data = make_instance(seed=19)
+    bracket = floor_brackets(
+        net, data, SweepState(depth=2), 0.5, 1.0, tracker=BoundsTracker()
+    )
+    assert not bracket.available
+    assert bracket.floor_lower == 0.0 and bracket.floor_upper == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_bcsgd_step_non_finite_loss_raises():
+    net, data = make_instance(seed=20)
+    huge = Dataset(x=data.x, y=np.full_like(data.y, 1e160))  # residual^2 overflows
+    with pytest.raises(RuntimeError, match="BCSGD iteration 1, layer 1"):
+        bcsgd_step(net, huge, l2(), SweepState(depth=2), 0.5, np.random.default_rng(0))
+
+
+# The sampling weights ||(B x_i)^T B X||^2 come from the n x n Gram of B X.
+# The reference below is the m x m Gram formula they replaced; the two are
+# compared within 1e-12 * ||B X||_2^2 * ||B x_i||^2, the scale of the
+# rounding error of either (measured worst: about 1e-15 of it).
+def _reference_weights(bx):
+    gram = bx.T @ bx
+    return np.sum(gram * gram, axis=1)
+
+
+@st.composite
+def _bx_matrices(draw):
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bx = rng.normal(size=(n, m))
+    if n > 1 and draw(st.booleans()):
+        # columns in a complement of the others' span: exact weight ~ ||B x_i||^4
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        r = draw(st.integers(1, n - 1))
+        bx = q[:, :r] @ rng.normal(size=(r, m))
+        bx[:, 0] = q[:, r:] @ rng.normal(size=n - r)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        bx[:, i] *= 10.0 ** -draw(st.floats(4, 12))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        bx[:, i] = 0.0
+    return bx
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bx_matrices())
+def test_column_weights_match_example_gram(bx):
+    weights = sgd._bx_column_weights(bx)
+    scale = np.linalg.norm(bx, 2) ** 2 * np.sum(bx * bx, axis=0)
+    assert weights.shape == (bx.shape[1],)
+    assert np.all(weights >= 0.0)
+    assert np.all(np.abs(weights - _reference_weights(bx)) <= 1e-12 * scale)
+
+
+def test_bcsgd_trajectory_matches_example_gram_kernel(monkeypatch):
+    # Same seed, same samples; the tolerances absorb the rounding difference
+    # of the two kernels as it propagates through 300 sweeps.
+    net, data = make_instance(d_in=8, m=40, seed=21, noise=0.1)
+    ref = optimal_loss(data.x, data.y, min(net.dims))
+    runs = []
+    for kernel in (sgd._bx_column_weights, _reference_weights):
+        monkeypatch.setattr(sgd, "_bx_column_weights", kernel)
+        fresh, _ = make_instance(d_in=8, m=40, seed=21, noise=0.1)
+        traj, _ = run_bcsgd(fresh, data, l2(), 0.5, 300, seed=22, oracle_objective=ref)
+        runs.append(traj.records)
+    new, old = runs
+    assert [r.sample_index for r in new] == [r.sample_index for r in old]
+    for a, b in zip(new, old):
+        assert a.loss_after == pytest.approx(b.loss_after, rel=1e-12)
+        assert a.lr == pytest.approx(b.lr, rel=1e-9)
