@@ -8,7 +8,7 @@ train      run BCGD on synthetic or CSV data, emit a trajectory CSV
 gd         plain gradient-descent baseline
 bcsgd      stochastic runs over several seeds plus a floor-bracket report
 oracle     print the global optimum's loss and Frobenius norm
-verify     audit a trajectory CSV against its recorded rate bounds
+verify     audit a trajectory CSV against its rate policy's guarantee
 batch      run several config files in sequence
 
 Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error.
@@ -21,6 +21,7 @@ RunConfig (seed included) always produces byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import ast
 import math
 import sys
 import time
@@ -391,6 +392,9 @@ def _cmd_bcsgd(args) -> int:
         f"floor_upper={bracket.floor_upper!r} gamma_upp={bracket.gamma_upp!r} "
         f"gamma_low={bracket.gamma_low!r} available={bracket.available}"
     )
+    if not bracket.available:  # floor_upper may be inf: no tail could fail
+        print("bracket_check=unavailable")
+        return 1
     in_bracket = 0.5 * bracket.floor_lower <= tail <= 2.0 * bracket.floor_upper
     print(f"bracket_check={'pass' if in_bracket else 'FAIL'}")
     return 0 if in_bracket else 1
@@ -408,10 +412,22 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _meta_value(meta: dict, key: str):
+    """A ``# key=value`` line's value as written (``repr``), or None when absent."""
+    if key not in meta:
+        return None
+    try:
+        return ast.literal_eval(meta[key])
+    except (ValueError, SyntaxError):
+        return meta[key]
+
+
 def _cmd_verify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
     try:
-        report = theory.verify_trajectory(traj)
+        report = theory.audit_trajectory(
+            traj, _meta_value(traj.meta, "policy"), _meta_value(traj.meta, "loss")
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(report.summary())

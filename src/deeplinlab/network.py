@@ -73,6 +73,34 @@ def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndar
     return partial_product(net, net.depth, ell + 1), partial_product(net, ell - 1, 1) @ x
 
 
+def _head_blocks(net: Network) -> list | None:
+    """Contiguous copies of the head blocks ``W_l[:k_l, :k_(l-1)]``, or None.
+
+    The head size of dimension l is ``k_l = min(n_l, max(n_0, n_L))``.
+    The blocks are returned only when some ``k_l < n_l``, every layer's
+    off-diagonal blocks ``W_l[k_l:, :k_(l-1)]`` and ``W_l[:k_l, k_(l-1):]``
+    are exactly zero, every tail block ``W_l[k_l:, k_(l-1):]`` is finite
+    and every layer is writeable (the trained blocks are written back in
+    place).  Then the inputs reach only head rows and ``W_L`` reads only
+    head columns, so every layer gradient lives in the head block: BCGD
+    on the head chain is BCGD on the full chain, and the tails never move.
+    """
+    dims = net.dims
+    cap = max(dims[0], dims[-1])
+    heads = [min(n, cap) for n in dims]
+    if heads == list(dims):
+        return None
+    blocks = []
+    for l, w in enumerate(net.layers, start=1):
+        k, kp = heads[l], heads[l - 1]
+        if w[k:, :kp].any() or w[:k, kp:].any() or not np.isfinite(w[k:, kp:]).all():
+            return None
+        if not w.flags.writeable:
+            return None
+        blocks.append(w[:k, :kp].copy())
+    return blocks
+
+
 def end_to_end(net: Network) -> np.ndarray:
     """The full product ``W_L @ ... @ W_1`` (shape n_L x n_0)."""
     return partial_product(net, net.depth, 1)

@@ -30,7 +30,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossFunction, gradient_from_parts
 from .matcore import spectral_summary
-from .network import Network, _factors, end_to_end
+from .network import Network, _factors, _head_blocks, end_to_end
 from .oracle import optimal_loss
 from . import theory
 
@@ -263,9 +263,14 @@ def _step_core(
     bx: np.ndarray,
     oracle_obj: float,
     ranks: tuple[int, int] | None,
+    dims: tuple[int, ...],
 ) -> StepRecord:
     """Update the state's layer from its factors; *ranks* = (r, r_x) records
-    the theory_l2 gamma bound, built from the same spectra as the rate."""
+    the theory_l2 gamma bound, built from the same spectra as the rate.
+
+    *dims* is the chain the bound is stated for: A is taken as
+    ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` in its rank tolerance,
+    also when *net* holds only the head blocks of that chain."""
     ell = state.layer_to_update()
     w = net.layers[ell - 1]
     pred = a @ w @ bx
@@ -282,7 +287,8 @@ def _step_core(
     if ranks is not None:
         (a_svals, bx_svals), (r, r_x) = spectra, ranks
         gamma = theory._gamma_from_spectra(
-            a_svals, a.shape, bx_svals, bx.shape, policy.eta, r, r_x
+            a_svals, (dims[-1], dims[ell]), bx_svals, (dims[ell - 1], data.m),
+            policy.eta, r, r_x,
         )
     loss_before = _objective(pred, data.y, lf)
     new_w = w - lr * g
@@ -328,7 +334,8 @@ def bcgd_step(
     a, bx = _factors(net, data.x, state.layer_to_update())
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     return _step_core(
-        net, data, lf, state, policy, a, bx, oracle_obj, _gamma_ranks(net, data, policy)
+        net, data, lf, state, policy, a, bx, oracle_obj,
+        _gamma_ranks(net, data, policy), net.dims,
     )
 
 
@@ -401,6 +408,19 @@ def run_bcgd(
     rate and its gamma bound).  Stop conditions are evaluated at sweep
     boundaries; ``on_sweep_end(completed_sweeps, net)`` runs there when
     given (the snapshot hook).
+
+    Width fast path: when every layer is block-diagonal around its head
+    block ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with
+    some ``k_l < n_l`` (``network._head_blocks``; the orth-identity,
+    identity and balanced inits at widths above ``max(n_0, n_L)``), the
+    sweeps run on the head blocks alone.  No gradient reaches the other
+    blocks, so the steps are those of the full-width run up to rounding
+    and the other blocks stay bitwise as they were.  The trained head
+    blocks are written into ``net.layers`` in place (``W[:k, :k'] =
+    block``) before each ``on_sweep_end`` call and when the run returns
+    or raises.  The trajectory's ``dims``, the default oracle rank and
+    the theory_l2 gamma bound's ranks and rank tolerances still come from
+    the full chain.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
@@ -417,16 +437,31 @@ def run_bcgd(
         }
     )
     ranks = _gamma_ranks(net, data, policy)
-    for _ in range(max_sweeps):
-        for _ell, a, bx in _sweep(net, data.x, ordering):
-            traj.records.append(
-                _step_core(net, data, lf, state, policy, a, bx, oracle_obj, ranks)
-            )
-        if on_sweep_end is not None:
-            on_sweep_end(state.sweep, net)
-        if traj.records[-1].dist_after <= target_dist:
-            break
+    dims = net.dims
+    blocks = _head_blocks(net)
+    work = net if blocks is None else Network(blocks)
+    try:
+        for _ in range(max_sweeps):
+            for _ell, a, bx in _sweep(work, data.x, ordering):
+                traj.records.append(
+                    _step_core(work, data, lf, state, policy, a, bx, oracle_obj, ranks, dims)
+                )
+            if on_sweep_end is not None:
+                _write_heads(net, work)
+                on_sweep_end(state.sweep, net)
+            if traj.records[-1].dist_after <= target_dist:
+                break
+    finally:  # also on return: *net* ends where the full-width run leaves it
+        _write_heads(net, work)
     return traj
+
+
+def _write_heads(net: Network, work: Network) -> None:
+    """Copy the trained head blocks of *work* into the top-left of *net*'s layers."""
+    if work is net:
+        return
+    for w, block in zip(net.layers, work.layers):
+        w[: block.shape[0], : block.shape[1]] = block
 
 
 def gd_step(

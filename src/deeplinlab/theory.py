@@ -8,7 +8,10 @@ Three groups of machinery:
   layer-drift radius R_L, the shape factor h(L), the constant c, and the
   per-sweep rate 1 - eta / (5 kappa^2(X));
 * ``verify_trajectory``, which replays a recorded run against the
-  per-step bound dist_after <= dist_before * gamma^2.
+  per-step bound dist_after <= dist_before * gamma^2, and
+  ``audit_trajectory``, which picks the check a run's rate policy
+  guarantees (that bound, the optimal step's exact drop, or a loss that
+  never increases).
 """
 
 from __future__ import annotations
@@ -25,13 +28,18 @@ from .network import Network, _factors
 __all__ = [
     "AuditReport",
     "BasinConstants",
+    "audit_trajectory",
     "basin_constants",
     "basin_factor",
     "drift_radius",
     "gamma_factor",
     "min_depth_one_sweep",
+    "verify_drop_identity",
+    "verify_monotone",
     "verify_trajectory",
 ]
+
+DROP_RTOL = 1e-8  # acceptance 3: |drop - lr ||G||_F^2| <= 1e-8 loss_before
 
 
 def drift_radius(depth: int) -> float:
@@ -179,6 +187,7 @@ class AuditReport:
     n_steps: int
     violations: list = field(default_factory=list)
     vacuous_steps: int = 0
+    skipped_steps: int = 0
 
     @property
     def ok(self) -> bool:
@@ -187,7 +196,13 @@ class AuditReport:
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} VIOLATION(S)"
         note = f", {self.vacuous_steps} vacuous (gamma >= 1)" if self.vacuous_steps else ""
+        if self.skipped_steps:
+            note += f", {self.skipped_steps} skipped (rate floored to 0)"
         return f"audit over {self.n_steps} step(s): {status}{note}"
+
+
+def _records(traj) -> list:
+    return traj.records if hasattr(traj, "records") else list(traj)
 
 
 def verify_trajectory(traj, gammas=None, rel_slack: float = 1e-10) -> AuditReport:
@@ -200,7 +215,7 @@ def verify_trajectory(traj, gammas=None, rel_slack: float = 1e-10) -> AuditRepor
     an absolute guard tied to the largest distance seen, which keeps
     floating-point jitter at converged scales from raising violations.
     """
-    records = traj.records if hasattr(traj, "records") else list(traj)
+    records = _records(traj)
     if gammas is None:
         gammas = [r.gamma_bound for r in records]
         if any(g is None for g in gammas):
@@ -246,4 +261,82 @@ def verify_trajectory(traj, gammas=None, rel_slack: float = 1e-10) -> AuditRepor
                     "cumulative": True,
                 }
             )
+    return report
+
+
+def verify_drop_identity(traj, rtol: float = DROP_RTOL) -> AuditReport:
+    """Check the optimal step's exact drop ``loss_after = loss_before - lr ||G||_F^2``.
+
+    The guarantee of the optimal_l2 policy (the square loss's exact line
+    search); each step may miss it by ``rtol * |loss_before|``.
+    """
+    records = _records(traj)
+    report = AuditReport(n_steps=len(records))
+    for idx, rec in enumerate(records):
+        expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
+        limit = rtol * abs(rec.loss_before)
+        if not abs(rec.loss_after - expected) <= limit:
+            report.violations.append(
+                {
+                    "step": idx,
+                    "iteration": rec.iteration,
+                    "layer": rec.layer,
+                    "loss_before": rec.loss_before,
+                    "loss_after": rec.loss_after,
+                    "expected": expected,
+                    "limit": limit,
+                }
+            )
+    return report
+
+
+def verify_monotone(traj, rel_slack: float = 1e-10) -> AuditReport:
+    """Check that the loss never increases from one step to the next.
+
+    The guarantee of convex_safe and near_optimal_general under the
+    square loss, whose curvature bound holds globally.  The slack is
+    ``verify_trajectory``'s, taken on losses: ``rel_slack * |loss_before|``
+    plus ``1e-14`` times the largest loss seen.
+    """
+    records = _records(traj)
+    report = AuditReport(n_steps=len(records))
+    if not records:
+        return report
+    atol = 1e-14 * max(abs(r.loss_before) for r in records)
+    for idx, rec in enumerate(records):
+        bound = rec.loss_before + rel_slack * abs(rec.loss_before) + atol
+        if not rec.loss_after <= bound:
+            report.violations.append(
+                {
+                    "step": idx,
+                    "iteration": rec.iteration,
+                    "layer": rec.layer,
+                    "loss_before": rec.loss_before,
+                    "loss_after": rec.loss_after,
+                    "bound": bound,
+                }
+            )
+    return report
+
+
+def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -> AuditReport:
+    """Audit a recorded BCGD run against the guarantee of its rate policy.
+
+    *policy* is the ``LrPolicy`` kind and *loss* the loss name the run
+    recorded.  optimal_l2 is held to the exact drop identity, convex_safe
+    and near_optimal_general under the l2 loss to a loss that never
+    increases, theory_l2 (or an unnamed policy with recorded gamma
+    bounds) to ``verify_trajectory``.  Any other policy guarantees nothing
+    checkable: ValueError.  Steps with rate 0 (a denominator below the
+    floor skips the step) are counted as skipped.
+    """
+    if policy == "optimal_l2":
+        report = verify_drop_identity(traj)
+    elif policy in ("convex_safe", "near_optimal_general") and loss == "l2":
+        report = verify_monotone(traj)
+    elif policy in (None, "theory_l2"):
+        report = verify_trajectory(traj)
+    else:
+        raise ValueError(f"policy {policy!r} with loss {loss!r} has no checkable guarantee")
+    report.skipped_steps = sum(1 for r in _records(traj) if r.lr == 0.0)
     return report

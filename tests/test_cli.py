@@ -7,6 +7,8 @@ from deeplinlab.cli import (
     read_trajectory_csv,
     run_experiment,
 )
+import numpy as np
+
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, write_csv
 from deeplinlab.losses import error_report, l2
 from deeplinlab.network import load_network
@@ -166,10 +168,10 @@ def test_verify_command_exit_codes(tmp_path):
         break
     (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
     assert main(["verify", "--trajectory", str(tmp_path / "bad.csv")]) == 1
-    # a trajectory without gamma bounds is a usage error
+    # a policy without a checkable guarantee is a usage error
     cfg2 = RunConfig(
         d_in=6, d_out=2, m=20, data_seed=17, depth=2, seed=3,
-        policy="optimal", sweeps=2, target=0.0, out=str(tmp_path / "nog.csv"),
+        policy="const:0.001", sweeps=2, target=0.0, out=str(tmp_path / "nog.csv"),
     )
     run_experiment(cfg2)
     assert main(["verify", "--trajectory", str(tmp_path / "nog.csv")]) == 2
@@ -349,3 +351,76 @@ def test_bcsgd_rejects_empty_runs(tmp_path, capsys, flag, value):
     assert main(args) == 2
     assert f"{flag} >= 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_bcsgd_unavailable_bracket_exits_one(tmp_path, capsys):
+    # two nearly equal input features: kappa(X) ~ 1e9 saturates gamma_upp
+    # at 1.0, so floor_upper is inf and no tail mean could fall outside it
+    rng = np.random.default_rng(0)
+    x1 = rng.normal(size=12)
+    data = Dataset(
+        x=np.vstack([x1, x1 + 1e-9 * rng.normal(size=12)]),
+        y=rng.uniform(-1, 2, size=(1, 12)),
+    )
+    write_csv(tmp_path / "dup.csv", data)
+    code = main([
+        "bcsgd", "--csv", str(tmp_path / "dup.csv"), "--d-in", "2", "--d-out", "1",
+        "--depth", "2", "--eta", "0.5", "--sweeps", "3", "--seeds", "1",
+        "--out", str(tmp_path / "sgd.csv"),
+    ])
+    out = capsys.readouterr().out
+    assert "available=False" in out
+    assert "bracket_check=unavailable" in out and "bracket_check=pass" not in out
+    assert code == 1
+
+
+def _tamper_row(src, dst, column, change):
+    """Copy trajectory CSV *src* to *dst* with *change* applied to one field:
+    *column* of the data row with the largest drop in loss."""
+    lines = src.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line[:1].isdigit()]
+    prev = {i: float(lines[j].split(",")[4]) for i, j in zip(rows[1:], rows)}
+    target = max(rows[1:], key=lambda i: prev[i] - float(lines[i].split(",")[4]))
+    parts = lines[target].split(",")
+    parts[column] = repr(change(float(parts[column]), prev[target]))
+    lines[target] = ",".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+
+
+def _verify_run(tmp_path, policy, loss="l2", **extra):
+    cfg = RunConfig(
+        d_in=6, d_out=2, m=20, data_seed=17, depth=3, seed=3, loss=loss,
+        policy=policy, sweeps=4, target=0.0, out=str(tmp_path / "run.csv"), **extra,
+    )
+    run_experiment(cfg)
+    return tmp_path / "run.csv"
+
+
+@pytest.mark.parametrize("width", [None, 12])  # width 12 trains on the head blocks
+def test_verify_checks_optimal_drop_identity(tmp_path, capsys, width):
+    path = _verify_run(tmp_path, "optimal", width=width)
+    assert main(["verify", "--trajectory", str(path)]) == 0
+    assert "audit over 12 step(s): OK" in capsys.readouterr().out
+    _tamper_row(path, tmp_path / "bad.csv", 3, lambda lr, _: lr * 1.001)  # lr column
+    assert main(["verify", "--trajectory", str(tmp_path / "bad.csv")]) == 1
+    assert "1 VIOLATION(S)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("policy", ["convex", "general"])
+def test_verify_checks_monotone_loss(tmp_path, capsys, policy):
+    path = _verify_run(tmp_path, policy)
+    assert main(["verify", "--trajectory", str(path)]) == 0
+    assert "OK" in capsys.readouterr().out
+    # the loss column of one row climbs above the row before it
+    _tamper_row(path, tmp_path / "bad.csv", 4, lambda _, before: before * (1 + 1e-6))
+    assert main(["verify", "--trajectory", str(tmp_path / "bad.csv")]) == 1
+    assert "VIOLATION" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "policy, loss", [("const:0.001", "l2"), ("lp:4", "lp:4"), ("general", "lp:4"), ("convex", "lp:4")]
+)
+def test_verify_policy_without_guarantee_exits_two(tmp_path, capsys, policy, loss):
+    path = _verify_run(tmp_path, policy, loss=loss)
+    assert main(["verify", "--trajectory", str(path)]) == 2
+    assert "no checkable guarantee" in capsys.readouterr().err

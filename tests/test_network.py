@@ -4,6 +4,7 @@ import pytest
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.network import (
     Network,
+    _head_blocks,
     end_to_end,
     load_network,
     pad_equiv,
@@ -130,3 +131,30 @@ def test_load_rejects_truncated(tmp_path):
     path.write_text("2 2\n1.0 2.0\n")
     with pytest.raises(ValueError, match="truncated"):
         load_network(path)
+
+
+def test_head_blocks_conditions():
+    dims = (3, 7, 7, 2)  # head sizes 3, 3, 3, 2
+    net = initialize(InitScheme("orth_identity"), dims, seed=13)
+    blocks = _head_blocks(net)
+    assert [b.shape for b in blocks] == [(3, 3), (3, 3), (2, 3)]
+    for w, b in zip(net.layers, blocks):
+        assert np.array_equal(w[: b.shape[0], : b.shape[1]], b)
+        assert b.flags.c_contiguous and not np.shares_memory(w, b)
+    assert _head_blocks(initialize(InitScheme("orth_identity"), (3, 3, 2), seed=0)) is None
+    for layer, where, value in [
+        (1, (4, 1), 1e-300),           # below the head rows
+        (1, (0, 5), -1e-300),          # right of the head columns
+        (0, (5, 0), float("nan")),     # off-diagonal NaN
+        (2, (1, 6), float("inf")),     # last layer reads a tail column
+        (1, (6, 6), float("inf")),     # non-finite tail
+    ]:
+        bad = net.copy()
+        bad.layers[layer][where] = value
+        assert _head_blocks(bad) is None, (layer, where)
+    tail = net.copy()
+    tail.layers[1][6, 5] = 7.0  # finite tail entries may be anything
+    assert _head_blocks(tail) is not None
+    frozen = net.copy()
+    frozen.layers[1].flags.writeable = False
+    assert _head_blocks(frozen) is None

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deeplinlab import optim
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2, lp, total_loss
@@ -259,3 +260,55 @@ def test_general_policy_equals_optimal_for_square_loss():
     a = compute_lr(LrPolicy("optimal_l2"), net, data, l2(), state)
     b = compute_lr(LrPolicy("near_optimal_general"), net, data, l2(), state)
     assert b == a  # unit curvature bound: the two formulas coincide
+
+
+def _wide_run(decline, fail_at=None):
+    """A width-12 orth-identity run (head 6): snapshots, records and the net,
+    optionally aborted by an error in step *fail_at*."""
+    data = make_data(seed=37)
+    net = initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=38)
+    snapshots = []
+    core = optim._step_core
+    calls = []
+
+    def step(*args):
+        calls.append(1)
+        record = core(*args)
+        if len(calls) == fail_at:
+            raise RuntimeError("stop")
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        if decline:
+            mp.setattr(optim, "_head_blocks", lambda net_: None)
+        mp.setattr(optim, "_step_core", step)
+        try:
+            traj = run_bcgd(
+                net, data, l2(), LrPolicy("optimal_l2"), "ascending", max_sweeps=3,
+                target_dist=-math.inf,
+                on_sweep_end=lambda k, cur: snapshots.append([w.copy() for w in cur.layers]),
+            )
+        except RuntimeError:
+            traj = None
+    return net, snapshots, traj
+
+
+def _assert_same_layers(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+@pytest.mark.parametrize("fail_at", [None, 6])
+def test_width_fast_path_writes_heads_back_like_full_width(fail_at):
+    net, snaps, traj = _wide_run(decline=False, fail_at=fail_at)
+    ref_net, ref_snaps, ref_traj = _wide_run(decline=True, fail_at=fail_at)
+    assert optim._head_blocks(initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3))) is not None
+    assert len(snaps) == len(ref_snaps) == (3 if fail_at is None else 1)
+    for got, want in zip(snaps, ref_snaps):
+        _assert_same_layers(got, want)
+    _assert_same_layers(net.layers, ref_net.layers)  # at return or after the error
+    if fail_at is None:
+        assert np.max(np.abs(traj.losses() - ref_traj.losses())) <= 1e-12
+        assert traj.meta["dims"] == (6, 12, 12, 12, 3)

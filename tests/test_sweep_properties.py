@@ -10,16 +10,21 @@ theory_l2 gamma bound taken from the step's cached spectra equals
 Factors are compared normwise relative to the product of the norms of the
 matrices they multiply (the scale their rounding error is bounded by):
 chains of width 1 can cancel to a product far smaller than its factors.
+
+``run_bcgd``'s width fast path trains only the head blocks of a
+block-diagonal chain; it is compared against the full-width run that the
+same call makes when ``network._head_blocks`` declines.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from deeplinlab import optim, sgd, theory
+from deeplinlab import network, optim, sgd, theory
 from deeplinlab.data import Dataset
+from deeplinlab.initializers import KINDS, InitScheme, initialize
 from deeplinlab.losses import l2, lp
-from deeplinlab.network import Network, partial_product
+from deeplinlab.network import Network, pad_equiv, partial_product
 from deeplinlab.optim import LrPolicy, run_bcgd
 
 RTOL = 1e-12
@@ -99,7 +104,7 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     core = optim._step_core
     checked = []
 
-    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_):
+    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims):
         ell = state.layer_to_update()
         _assert_live_factors(net_, data_, ell, a, bx)
         expected = (
@@ -107,7 +112,7 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
             if ranks is not None
             else None
         )
-        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_)
+        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims)
         if expected is None:
             assert record.gamma_bound is None
         else:
@@ -148,3 +153,77 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
             net, data, l2(), 0.5, 2, seed=seed, ordering=ordering, oracle_objective=0.0
         )
     assert len(checked) == len(traj) == 2 * net.depth
+
+
+wide_chains = st.lists(st.integers(1, 40), min_size=2, max_size=7)  # depth 1..6
+
+
+def _outside_head(w, k, kp):
+    mask = np.ones(w.shape, dtype=bool)
+    mask[:k, :kp] = False
+    return w[mask]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    dims=wide_chains,
+    scheme=st.sampled_from(KINDS),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    ordering=st.sampled_from(optim.ORDERINGS),
+    policy_name=st.sampled_from(sorted(POLICIES)),
+)
+def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, policy_name):
+    try:
+        net = initialize(InitScheme(scheme), dims, seed)
+    except ValueError:  # balanced needs every width >= min(n0, nL)
+        assume(False)
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
+    cap = max(dims[0], dims[-1])
+    heads = [min(n, cap) for n in dims]
+    square_wide_middle = any(dims[l] == dims[l - 1] > cap for l in range(2, len(dims) - 1))
+    blocks = network._head_blocks(net)
+    if heads == dims or scheme == "random" or (scheme == "orthogonal" and square_wide_middle):
+        assert blocks is None
+    if blocks is None:
+        return
+    assert [b.shape for b in blocks] == [(heads[l], heads[l - 1]) for l in range(1, len(dims))]
+
+    make_loss, policy = POLICIES[policy_name]
+    initial, full = net.copy(), net.copy()
+    narrow = Network(blocks)  # the head chain, trained on its own below
+    kwargs = dict(ordering=ordering, max_sweeps=3, target_dist=float("-inf"))
+    fast = run_bcgd(net, data, make_loss(), policy, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_head_blocks", lambda net_: None)
+        ref = run_bcgd(full, data, make_loss(), policy, **kwargs)
+    run_bcgd(
+        narrow, data, make_loss(), policy,
+        oracle_objective=fast.meta["oracle_objective"], **kwargs,
+    )
+
+    assert fast.meta == ref.meta and fast.meta["dims"] == tuple(dims)
+    assert len(fast) == len(ref) == 3 * net.depth
+    assert np.max(np.abs(fast.losses() - ref.losses())) <= 1e-10
+    # Once a step's gradient is at rounding level (an interpolating fit gets
+    # there in one step), its rate is a ratio of rounding errors: compare
+    # rates only where the gradient stands above 1e-6 of the run's largest.
+    g_floor = 1e-6 * max(r.grad_frobenius for r in ref.records)
+    for got, want in zip(fast.records, ref.records):
+        assert (got.iteration, got.layer) == (want.iteration, want.layer)
+        if want.grad_frobenius > g_floor:
+            assert abs(got.lr - want.lr) <= 1e-9 * abs(want.lr)
+        # gamma = max(1 - eta / (kappa_A kappa_BX)^2, eta - 1) lies in [0, 1]
+        # and cancels at kappa 1: compare it on that scale.
+        if want.gamma_bound is None:
+            assert got.gamma_bound is None
+        else:
+            assert got.gamma_bound == pytest.approx(want.gamma_bound, rel=0, abs=1e-9)
+    for l in range(1, net.depth + 1):
+        w, w0, k, kp = net.layers[l - 1], initial.layers[l - 1], heads[l], heads[l - 1]
+        assert np.max(np.abs(w - full.layers[l - 1]), initial=0.0) <= 1e-10
+        assert _outside_head(w, k, kp).tobytes() == _outside_head(w0, k, kp).tobytes()
+        assert np.array_equal(w[:k, :kp], narrow.layers[l - 1])
+        if scheme == "orth_identity" and 1 < l < net.depth and k == kp < min(w.shape):
+            assert pad_equiv(w, narrow.layers[l - 1], "one")

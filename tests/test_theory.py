@@ -6,9 +6,10 @@ import pytest
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2
-from deeplinlab.optim import LrPolicy, SweepState, run_bcgd
+from deeplinlab.optim import LrPolicy, StepRecord, SweepState, Trajectory, run_bcgd
 from deeplinlab.oracle import least_norm_solution
 from deeplinlab.theory import (
+    audit_trajectory,
     basin_constants,
     basin_factor,
     drift_radius,
@@ -197,3 +198,36 @@ def test_basin_contraction_observed_inside_basin():
     ]
     for before, after in zip(dists, dists[1:]):
         assert after <= before * per_sweep + 1e-9 * abs(before) + 1e-24
+
+
+def _record(iteration, lr, loss_before, loss_after, grad=1.0):
+    return StepRecord(
+        iteration=iteration, sweep=1, layer=iteration, lr=lr,
+        loss_before=loss_before, loss_after=loss_after,
+        dist_before=loss_before, dist_after=loss_after, grad_frobenius=grad,
+    )
+
+
+def test_audit_counts_skipped_steps():
+    # rows 2 and 4 were skipped (rate 0, loss unchanged); the others follow
+    # the optimal drop loss_after = loss_before - lr * |G|^2 exactly
+    records = [
+        _record(1, 0.5, 10.0, 9.5),
+        _record(2, 0.0, 9.5, 9.5),
+        _record(3, 0.25, 9.5, 9.25),
+        _record(4, 0.0, 9.25, 9.25),
+    ]
+    traj = Trajectory(records=records)
+    for policy in ("optimal_l2", "convex_safe"):
+        report = audit_trajectory(traj, policy, "l2")
+        assert report.ok and report.skipped_steps == 2
+        assert report.summary() == "audit over 4 step(s): OK, 2 skipped (rate floored to 0)"
+    with pytest.raises(ValueError, match="no checkable guarantee"):
+        audit_trajectory(traj, "constant", "l2")
+    with pytest.raises(ValueError, match="no checkable guarantee"):
+        audit_trajectory(traj, "convex_safe", "l4")
+    bumped = Trajectory(records=records[:2] + [_record(3, 0.25, 9.5, 9.6)])
+    assert not audit_trajectory(bumped, "convex_safe", "l2").ok
+    assert not audit_trajectory(bumped, "optimal_l2", "l2").ok
+    plain = verify_trajectory(traj, gammas=[1.0] * 4)
+    assert plain.skipped_steps == 0 and "skipped" not in plain.summary()
