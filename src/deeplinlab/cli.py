@@ -264,7 +264,11 @@ def emit_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Rebuild a Trajectory from an emitted CSV (losses/dists chained)."""
+    """Rebuild a Trajectory from an emitted CSV (losses/dists chained).
+
+    ``meta`` holds each ``# key=value`` line's value parsed back from its
+    ``repr`` (the raw text when it is no Python literal, such as ``nan``).
+    """
     from .optim import StepRecord
 
     meta: dict = {}
@@ -279,6 +283,10 @@ def read_trajectory_csv(path) -> Trajectory:
                 continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
+                try:
+                    value = ast.literal_eval(value)
+                except (ValueError, SyntaxError):
+                    pass  # no Python literal (nan, inf): keep the text
                 meta[key.strip()] = value
                 continue
             if not header_seen:
@@ -412,22 +420,10 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _meta_value(meta: dict, key: str):
-    """A ``# key=value`` line's value as written (``repr``), or None when absent."""
-    if key not in meta:
-        return None
-    try:
-        return ast.literal_eval(meta[key])
-    except (ValueError, SyntaxError):
-        return meta[key]
-
-
 def _cmd_verify(args) -> int:
     traj = read_trajectory_csv(args.trajectory)
     try:
-        report = theory.audit_trajectory(
-            traj, _meta_value(traj.meta, "policy"), _meta_value(traj.meta, "loss")
-        )
+        report = theory.audit_trajectory(traj, traj.meta.get("policy"), traj.meta.get("loss"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(report.summary())

@@ -18,6 +18,12 @@ Trajectories record, per iteration, the tracked objective (for the
 |z-b|^p family: sum |pred - y|^p, the convention in which the optimal
 step's drop identity is exact), the normalized distance to the oracle
 optimum, the rate used, and the contraction bound when one applies.
+
+``run_bcgd`` has two exact fast paths, each taken only when it changes
+nothing but rounding: a block-diagonal chain trains only its head blocks,
+and a square-loss run with m > d_in trains on the QR-compressed samples
+``(R^T, Y Q)`` of ``X^T = Q R`` plus the constant residual of Y outside
+X's row space, so no step touches an m-wide matrix.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, gradient_from_parts
-from .matcore import spectral_summary
+from .matcore import SpectralSummary, spectral_summary
 from .network import Network, _factors, _head_blocks, end_to_end
 from .oracle import optimal_loss
 from . import theory
@@ -264,13 +270,19 @@ def _step_core(
     oracle_obj: float,
     ranks: tuple[int, int] | None,
     dims: tuple[int, ...],
+    m: int,
+    c: float,
 ) -> StepRecord:
     """Update the state's layer from its factors; *ranks* = (r, r_x) records
     the theory_l2 gamma bound, built from the same spectra as the rate.
 
-    *dims* is the chain the bound is stated for: A is taken as
-    ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` in its rank tolerance,
-    also when *net* holds only the head blocks of that chain."""
+    *dims* and *m* are the chain and the example count the run is stated
+    for: A is taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` in the
+    bound's rank tolerance, and distances divide by *m*, also when *net*
+    holds only the head blocks of that chain or *data* is the compressed
+    dataset of ``_compressed_samples``.  *c* is added to every objective
+    (the residual the compression leaves out; 0 on the original data).
+    """
     ell = state.layer_to_update()
     w = net.layers[ell - 1]
     pred = a @ w @ bx
@@ -279,7 +291,7 @@ def _step_core(
     if not np.isfinite(g).all():
         raise RuntimeError(
             f"non-finite gradient at iteration {state.iteration + 1}, "
-            f"layer {ell} (loss so far {_objective(pred, data.y, lf):.6g})"
+            f"layer {ell} (loss so far {_objective(pred, data.y, lf) + c:.6g})"
         )
     spectra = _spectra(policy, a, bx)
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
@@ -287,10 +299,10 @@ def _step_core(
     if ranks is not None:
         (a_svals, bx_svals), (r, r_x) = spectra, ranks
         gamma = theory._gamma_from_spectra(
-            a_svals, (dims[-1], dims[ell]), bx_svals, (dims[ell - 1], data.m),
+            a_svals, (dims[-1], dims[ell]), bx_svals, (dims[ell - 1], m),
             policy.eta, r, r_x,
         )
-    loss_before = _objective(pred, data.y, lf)
+    loss_before = _objective(pred, data.y, lf) + c
     new_w = w - lr * g
     if not np.isfinite(new_w).all():
         raise RuntimeError(
@@ -299,7 +311,7 @@ def _step_core(
         )
     net.layers[ell - 1] = new_w
     loss_after = _finite_loss(
-        _objective(a @ new_w @ bx, data.y, lf), "BCGD", state.iteration + 1, ell, lr
+        _objective(a @ new_w @ bx, data.y, lf) + c, "BCGD", state.iteration + 1, ell, lr
     )
     record = StepRecord(
         iteration=state.iteration + 1,
@@ -308,8 +320,8 @@ def _step_core(
         lr=lr,
         loss_before=loss_before,
         loss_after=loss_after,
-        dist_before=(loss_before - oracle_obj) / data.m,
-        dist_after=(loss_after - oracle_obj) / data.m,
+        dist_before=(loss_before - oracle_obj) / m,
+        dist_after=(loss_after - oracle_obj) / m,
         grad_frobenius=float(np.linalg.norm(g, "fro")),
         gamma_bound=gamma,
     )
@@ -335,17 +347,19 @@ def bcgd_step(
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     return _step_core(
         net, data, lf, state, policy, a, bx, oracle_obj,
-        _gamma_ranks(net, data, policy), net.dims,
+        _gamma_ranks(net, data, policy), net.dims, data.m, 0.0,
     )
 
 
 def _gamma_ranks(net: Network, data: Dataset, policy: LrPolicy) -> tuple[int, int] | None:
-    """``(r, r_x)`` for the theory_l2 gamma bound, the numeric ranks of the
-    top layer (at most n_L) and of X; None for the other policies."""
-    if policy.kind != "theory_l2":
-        return None
-    r = min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1])
-    return r, spectral_summary(data.x).numeric_rank
+    """``_ranks`` for the theory_l2 gamma bound; None for the other policies."""
+    return _ranks(net, spectral_summary(data.x)) if policy.kind == "theory_l2" else None
+
+
+def _ranks(net: Network, x: SpectralSummary) -> tuple[int, int]:
+    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of X
+    (*x* is X's spectral summary), the ranks A and B X are conditioned by."""
+    return min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1]), x.numeric_rank
 
 
 def _suffixes(net: Network) -> list:
@@ -421,6 +435,17 @@ def run_bcgd(
     or raises.  The trajectory's ``dims``, the default oracle rank and
     the theory_l2 gamma bound's ranks and rank tolerances still come from
     the full chain.
+
+    Sample compression: for the square loss with more examples than
+    inputs (``m > d_in``), the sweeps run on ``(R^T, Y Q)`` from one
+    reduced QR ``X^T = Q R`` (``_compressed_samples``), so B X is
+    ``n x d_in`` instead of ``n x m``, and every recorded objective adds
+    the left-out residual ``c = ||Y - Y Q Q^T||_F^2``.  Losses, gradients,
+    rates and the spectra of B X are those of the uncompressed run up to
+    rounding.  The oracle, the distances (divided by the true m), the
+    gamma bound's r_x and its ``n_(ell-1) x m`` rank tolerance, ``meta``,
+    the snapshots and the returned network stay on the original data.
+    Both fast paths can engage in the same run.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
@@ -440,11 +465,15 @@ def run_bcgd(
     dims = net.dims
     blocks = _head_blocks(net)
     work = net if blocks is None else Network(blocks)
+    samples, c = _compressed_samples(data, lf) or (data, 0.0)
     try:
         for _ in range(max_sweeps):
-            for _ell, a, bx in _sweep(work, data.x, ordering):
+            for _ell, a, bx in _sweep(work, samples.x, ordering):
                 traj.records.append(
-                    _step_core(work, data, lf, state, policy, a, bx, oracle_obj, ranks, dims)
+                    _step_core(
+                        work, samples, lf, state, policy, a, bx, oracle_obj, ranks,
+                        dims, data.m, c,
+                    )
                 )
             if on_sweep_end is not None:
                 _write_heads(net, work)
@@ -454,6 +483,25 @@ def run_bcgd(
     finally:  # also on return: *net* ends where the full-width run leaves it
         _write_heads(net, work)
     return traj
+
+
+def _compressed_samples(data: Dataset, lf: LossFunction) -> tuple[Dataset, float] | None:
+    """``(Dataset(R^T, Y Q), c)`` from the reduced QR ``X^T = Q R``, or None.
+
+    Engages only for the square loss with ``m > d_in``.  Q (m x d_in) has
+    orthonormal columns, so ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2
+    + c`` with ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient
+    ``A^T (A W B X - Y) (B X)^T`` equals its compressed twin, and B X and
+    B R^T have the same singular values and the same ``||A G B X||_F``.
+    c is taken as the residual's own squared norm, not as the difference
+    ``||Y||^2 - ||Y Q||^2``, which would cancel.
+    """
+    if lf.power != 2 or data.m <= data.d_in:
+        return None
+    q, r = np.linalg.qr(data.x.T)
+    yq = data.y @ q
+    resid = data.y - yq @ q.T
+    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid))
 
 
 def _write_heads(net: Network, work: Network) -> None:

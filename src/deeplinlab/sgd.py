@@ -18,10 +18,12 @@ expected squared distance ||W_{L:1} X - W* X||_F^2 between
 with L* = ||W* X - Y||_F^2, M_upp / M_low the run's sup of
 kappa^4(A) kt^4(B X) and inf of kt^4(B X) (kt the scaled condition
 number), and gamma_upp / gamma_low the run's extreme per-iteration
-contraction factors.  The bounds assume those sup/inf stay finite and
-away from the degenerate values; a run that transits near a
-rank-deficient partial product yields a finite-but-vacuous (or outright
-unavailable) bracket.
+contraction factors.  A is conditioned by its r-th and B X by its
+r_x-th singular value (r the numeric rank of the top layer, at most n_L,
+r_x that of X), as in ``theory.gamma_factor``.  The bounds assume those
+sup/inf stay finite and away from the degenerate values; a run that
+transits near a rank-deficient partial product yields a
+finite-but-vacuous (or outright unavailable) bracket.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
+from .matcore import spectral_summary
 from .network import Network, _factors
 from .optim import (
     StepRecord,
@@ -40,6 +43,7 @@ from .optim import (
     Trajectory,
     _finite_loss,
     _objective,
+    _ranks,
     _resolve_oracle,
     _sweep,
 )
@@ -125,10 +129,19 @@ class BoundsTracker:
     gamma_low: float = math.inf
     iterations: int = 0
 
-    def update(self, a_svals: np.ndarray, bx_svals: np.ndarray, bx_fro: float, eta: float) -> None:
-        ka2 = _ratio_sq(a_svals[0], a_svals[-1])
-        kb2 = _ratio_sq(bx_svals[0], bx_svals[-1])
-        kt4 = _ratio_sq(bx_fro, bx_svals[-1]) ** 2
+    def update(
+        self, a_svals: np.ndarray, bx_svals: np.ndarray, bx_fro: float, eta: float,
+        ranks: tuple[int, int],
+    ) -> None:
+        """Fold in one step's constants, conditioning A by its r-th and B X
+        by its r_x-th singular value, *ranks* = (r, r_x) from
+        ``optim._ranks``: in a chain wider than the rank of X the smallest
+        singular value of B X is rounding noise (or exactly 0)."""
+        r, r_x = ranks
+        a_r, bx_r = _sval(a_svals, r), _sval(bx_svals, r_x)
+        ka2 = _ratio_sq(a_svals[0], a_r)
+        kb2 = _ratio_sq(bx_svals[0], bx_r)
+        kt4 = _ratio_sq(bx_fro, bx_r) ** 2
         product = (ka2**2) * kt4
         self.m_upp = max(self.m_upp, product)
         self.m_low = min(self.m_low, kt4)
@@ -142,6 +155,11 @@ class BoundsTracker:
         self.gamma_upp = max(self.gamma_upp, other.gamma_upp)
         self.gamma_low = min(self.gamma_low, other.gamma_low)
         self.iterations += other.iterations
+
+
+def _sval(s: np.ndarray, r: int) -> float:
+    """The r-th singular value; 0 when the matrix cannot carry rank r."""
+    return float(s[r - 1]) if 1 <= r <= s.size else 0.0
 
 
 def _ratio_sq(num: float, den: float) -> float:
@@ -206,6 +224,7 @@ def floor_brackets(
             np.linalg.svd(bx, compute_uv=False),
             float(np.linalg.norm(bx, "fro")),
             eta,
+            _ranks(net, spectral_summary(data.x)),
         )
     L = net.depth
     oracle_loss = float(oracle_loss)
@@ -250,8 +269,9 @@ def bcsgd_step(
     _require_l2(lf)
     a, bx = _factors(net, data.x, state.layer_to_update())
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
+    ranks = _ranks(net, spectral_summary(data.x)) if tracker is not None else None
     return _bcsgd_step_core(
-        net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker
+        net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks
     )
 
 
@@ -260,7 +280,12 @@ def _require_l2(lf: LossFunction) -> None:
         raise ValueError("BCSGD is defined for the square loss")
 
 
-def _bcsgd_step_core(net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker):
+def _bcsgd_step_core(
+    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals=None
+):
+    """One stochastic step from the sweep's factors.  *ranks* (``optim._ranks``)
+    condition the *tracker*'s update and may be None without a tracker;
+    *bx_svals*, when given, are the singular values of *bx*."""
     if not 0 < eta < 2:
         raise ValueError("eta must lie in (0, 2)")
     ell = state.layer_to_update()
@@ -271,9 +296,9 @@ def _bcsgd_step_core(net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker)
     dist = SampleDist(probs=weights / total)
     i = dist.sample(rng)
     sa = np.linalg.svd(a, compute_uv=False)
-    sb = np.linalg.svd(bx, compute_uv=False)
+    sb = np.linalg.svd(bx, compute_uv=False) if bx_svals is None else bx_svals
     if tracker is not None:
-        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta)
+        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, ranks)
     lr = float(sb[-1] ** 2 / sa[0] ** 2) * eta / float(weights[i])
     w = net.layers[ell - 1]
     pred = a @ w @ bx
@@ -321,12 +346,16 @@ def run_bcsgd(
     Returns the trajectory and the tracker holding the run's sup/inf of
     the bracket constants.  The factors ``(A, B X)`` of every step come
     from the same sweep engine as ``optim.run_bcgd`` (``optim._sweep``).
+    X's singular values are computed once per call: they give the rank
+    r_x the tracker conditions B X by, and they are B X's own at layer 1.
     """
     _require_l2(lf)
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     rng = np.random.default_rng(seed)
     state = SweepState(depth=net.depth, ordering=ordering)
     tracker = BoundsTracker()
+    x = spectral_summary(data.x)
+    ranks = _ranks(net, x)
     traj = Trajectory(
         meta={
             "dims": net.dims,
@@ -339,10 +368,11 @@ def run_bcsgd(
         }
     )
     for _ in range(sweeps):
-        for _ell, a, bx in _sweep(net, data.x, ordering):
+        for ell, a, bx in _sweep(net, data.x, ordering):
             traj.records.append(
                 _bcsgd_step_core(
-                    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker
+                    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks,
+                    x.singular_values if ell == 1 else None,  # B X is X at layer 1
                 )
             )
     return traj, tracker

@@ -9,6 +9,7 @@ from deeplinlab.cli import (
 )
 import numpy as np
 
+from deeplinlab import cli
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, write_csv
 from deeplinlab.losses import error_report, l2
 from deeplinlab.network import load_network
@@ -372,6 +373,43 @@ def test_bcsgd_unavailable_bracket_exits_one(tmp_path, capsys):
     assert "available=False" in out
     assert "bracket_check=unavailable" in out and "bracket_check=pass" not in out
     assert code == 1
+
+
+def test_bcsgd_wide_chain_conditions_by_rank_of_x(tmp_path, capsys):
+    # width 16 > d_in 6: B X has rank 6, and its 16th singular value is 0;
+    # the bracket conditions by the 6th, so it stays available
+    main([
+        "bcsgd", "--d-in", "6", "--d-out", "2", "--m", "20", "--data-seed", "3",
+        "--depth", "4", "--seed", "5", "--width", "16", "--sweeps", "4",
+        "--eta", "0.5", "--seeds", "3", "--out", str(tmp_path / "sgd.csv"),
+    ])
+    out = capsys.readouterr().out
+    gamma_upp = float(out.split("gamma_upp=")[1].split()[0])
+    assert "available=True" in out and gamma_upp < 1.0
+    assert "bracket_check=unavailable" not in out
+
+
+def test_read_trajectory_csv_round_trips_meta(tmp_path, monkeypatch):
+    written = []
+    emit = cli.emit_trajectory_csv
+
+    def capture(traj, path):
+        written.append((traj, path))
+        emit(traj, path)
+
+    monkeypatch.setattr(cli, "emit_trajectory_csv", capture)
+    common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2", "--sweeps", "2"]
+    assert main(["train", *common, "--width", "6", "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["gd", *common, "--iters", "3", "--out", str(tmp_path / "g.csv")]) == 0
+    main(["bcsgd", *common, "--eta", "0.5", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+    assert len(written) == 3
+    for traj, path in written:
+        first = traj.records[0]
+        expected = {**traj.meta, "initial_loss": first.loss_before, "initial_dist": first.dist_before}
+        back = read_trajectory_csv(path).meta
+        assert back == expected
+        assert all(type(back[k]) is type(v) for k, v in expected.items())  # True is not 1
+    assert read_trajectory_csv(tmp_path / "t.csv").meta["policy"] == "optimal_l2"
 
 
 def _tamper_row(src, dst, column, change):

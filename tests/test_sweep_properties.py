@@ -13,7 +13,10 @@ chains of width 1 can cancel to a product far smaller than its factors.
 
 ``run_bcgd``'s width fast path trains only the head blocks of a
 block-diagonal chain; it is compared against the full-width run that the
-same call makes when ``network._head_blocks`` declines.
+same call makes when ``network._head_blocks`` declines.  Its sample
+compression (square loss, m > d_in) trains on ``(R^T, Y Q)`` from the QR
+of X^T; it is compared against the run on the original data that the
+same call makes when ``optim._compressed_samples`` declines.
 """
 
 import numpy as np
@@ -104,15 +107,18 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     core = optim._step_core
     checked = []
 
-    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims):
+    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims, m_, c):
         ell = state.layer_to_update()
+        # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(net_, data_, ell, a, bx)
+        assert m_ == data.m  # distances and rank tolerances use the true m
+        # the bound is the one on the original data: sigma(B X) = sigma(B R^T)
         expected = (
-            theory.gamma_factor(net_, data_, state, policy_.eta, *ranks)
+            theory.gamma_factor(net_, data, state, policy_.eta, *ranks)
             if ranks is not None
             else None
         )
-        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims)
+        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims, m_, c)
         if expected is None:
             assert record.gamma_bound is None
         else:
@@ -142,10 +148,12 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker):
+    def step(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals):
         _assert_live_factors(net_, data_, state.layer_to_update(), a, bx)
+        if bx_svals is not None:  # handed over for layer 1, where B X is X
+            assert bx_svals.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
         checked.append(state.layer_to_update())
-        return core(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker)
+        return core(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -156,6 +164,13 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
 
 
 wide_chains = st.lists(st.integers(1, 40), min_size=2, max_size=7)  # depth 1..6
+
+
+def _init_or_skip(scheme, dims, seed):
+    try:
+        return initialize(InitScheme(scheme), dims, seed)
+    except ValueError:  # balanced needs every width >= min(n0, nL)
+        assume(False)
 
 
 def _outside_head(w, k, kp):
@@ -174,10 +189,7 @@ def _outside_head(w, k, kp):
     policy_name=st.sampled_from(sorted(POLICIES)),
 )
 def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, policy_name):
-    try:
-        net = initialize(InitScheme(scheme), dims, seed)
-    except ValueError:  # balanced needs every width >= min(n0, nL)
-        assume(False)
+    net = _init_or_skip(scheme, dims, seed)
     rng = np.random.default_rng(seed)
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
     cap = max(dims[0], dims[-1])
@@ -227,3 +239,71 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, pol
         assert np.array_equal(w[:k, :kp], narrow.layers[l - 1])
         if scheme == "orth_identity" and 1 < l < net.depth and k == kp < min(w.shape):
             assert pad_equiv(w, narrow.layers[l - 1], "one")
+
+
+def _run_or_error(*args, **kwargs):
+    try:
+        return run_bcgd(*args, **kwargs)
+    except RuntimeError as exc:
+        return exc
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    dims=wide_chains,
+    scheme=st.sampled_from(KINDS),
+    m_offset=st.integers(-12, 12),
+    seed=st.integers(0, 2**32 - 1),
+    ordering=st.sampled_from(optim.ORDERINGS),
+    policy_name=st.sampled_from(sorted(POLICIES)),
+)
+def test_sample_compression_matches_original_data(
+    dims, scheme, m_offset, seed, ordering, policy_name
+):
+    m = max(1, dims[0] + m_offset)  # on both sides of d_in
+    net = _init_or_skip(scheme, dims, seed)
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
+    make_loss, policy = POLICIES[policy_name]
+    lf = make_loss()
+    compressed = optim._compressed_samples(data, lf)
+    assert (compressed is not None) == (lf.power == 2 and m > dims[0])
+
+    full = net.copy()
+    kwargs = dict(ordering=ordering, max_sweeps=3, target_dist=float("-inf"))
+    fast = _run_or_error(net, data, lf, policy, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "_compressed_samples", lambda data_, lf_: None)
+        ref = _run_or_error(full, data, lf, policy, **kwargs)
+    if isinstance(ref, RuntimeError):  # a constant rate can diverge: both must
+        assert isinstance(fast, RuntimeError)
+        return
+
+    assert fast.meta == ref.meta
+    assert len(fast) == len(ref) == 3 * net.depth
+    if compressed is None:  # the declined path is the same code on the same data
+        assert fast.records == ref.records
+        for w, w_ref in zip(net.layers, full.layers):
+            assert w.tobytes() == w_ref.tobytes()
+        return
+    samples, c = compressed
+    assert samples.x.shape == (dims[0], dims[0]) and samples.y.shape == (dims[-1], dims[0])
+    assert c >= 0.0
+    # Rates are compared only where the gradient stands above 1e-6 of the
+    # run's largest: a converged step's rate is a ratio of rounding errors.
+    g_floor = 1e-6 * max(r.grad_frobenius for r in ref.records)
+    for got, want in zip(fast.records, ref.records):
+        assert (got.iteration, got.layer) == (want.iteration, want.layer)
+        assert abs(got.loss_after - want.loss_after) <= 1e-12 * abs(want.loss_after)
+        assert abs(got.dist_after - want.dist_after) <= 1e-12
+        if want.grad_frobenius >= g_floor:
+            assert abs(got.lr - want.lr) <= 1e-8 * abs(want.lr)
+        # gamma lies in [0, 1] and cancels at kappa 1: compare it on that scale
+        if want.gamma_bound is None:
+            assert got.gamma_bound is None
+        else:
+            assert abs(got.gamma_bound - want.gamma_bound) <= 1e-12
+    for w, w_ref in zip(net.layers, full.layers):
+        assert w.shape == w_ref.shape
+        assert np.max(np.abs(w - w_ref), initial=0.0) <= 1e-10
