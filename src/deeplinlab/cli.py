@@ -342,6 +342,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_gd(args) -> int:
     cfg = _config_from_args(args)
+    if args.iters < 1:
+        raise ConfigError(f"gd needs iters >= 1, got {args.iters}")
     data, lf, oracle_obj = _prepare(cfg)
     net = build_network(cfg)
     eta = args.eta

@@ -20,6 +20,7 @@ __all__ = [
     "compact_svd",
     "cond_numbers",
     "matrix_norms",
+    "numeric_rank",
     "pseudo_inverse",
     "rank_tolerance",
     "singular_values",
@@ -44,6 +45,11 @@ def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     return max(shape) * sigma_max * _EPS
 
 
+def numeric_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of the singular values *s* of a *shape* matrix above its rank tolerance."""
+    return int(np.sum(s > rank_tolerance(shape, float(s[0]) if s.size else 0.0)))
+
+
 def singular_values(a) -> np.ndarray:
     """All min(rows, cols) singular values, nonincreasing, zeros included."""
     m = as_matrix(a)
@@ -64,8 +70,7 @@ def compact_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if rows == 0 or cols == 0:
         return np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0))
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    tol = rank_tolerance(m.shape, s[0] if s.size else 0.0)
-    r = int(np.sum(s > tol))
+    r = numeric_rank(s, m.shape)
     return u[:, :r], s[:r], vh[:r, :].T
 
 
@@ -94,12 +99,10 @@ class SpectralSummary:
 def spectral_summary(a) -> SpectralSummary:
     m = as_matrix(a)
     s = singular_values(m)
-    smax = float(s[0]) if s.size else 0.0
-    tol = rank_tolerance(m.shape, smax)
     return SpectralSummary(
         singular_values=s,
-        numeric_rank=int(np.sum(s > tol)),
-        spectral_norm=smax,
+        numeric_rank=numeric_rank(s, m.shape),
+        spectral_norm=float(s[0]) if s.size else 0.0,
         frobenius_norm=float(np.linalg.norm(m, "fro")),
     )
 

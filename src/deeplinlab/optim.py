@@ -19,11 +19,13 @@ Trajectories record, per iteration, the tracked objective (for the
 step's drop identity is exact), the normalized distance to the oracle
 optimum, the rate used, and the contraction bound when one applies.
 
-``run_bcgd`` has two exact fast paths, each taken only when it changes
-nothing but rounding: a block-diagonal chain trains only its head blocks,
-and a square-loss run with m > d_in trains on the QR-compressed samples
-``(R^T, Y Q)`` of ``X^T = Q R`` plus the constant residual of Y outside
-X's row space, so no step touches an m-wide matrix.
+Every runner (``run_bcgd``, ``run_gd`` and ``sgd.run_bcsgd``) trains on
+the exact problem reduction of ``_reduce``, each part taken only when it
+changes nothing but rounding: a block-diagonal chain trains only its head
+blocks, and a square-loss run with m > d_in trains on the QR-compressed
+samples ``(R^T, Y Q)`` of ``X^T = Q R`` plus the constant residual of Y
+outside X's row space, so no step touches an m-wide matrix.  The public
+single-step functions keep the full network and data.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, gradient_from_parts
-from .matcore import SpectralSummary, spectral_summary
+from .matcore import numeric_rank, spectral_summary
 from .network import Network, _factors, _head_blocks, end_to_end
 from .oracle import optimal_loss
 from . import theory
@@ -279,8 +281,8 @@ def _step_core(
     *dims* and *m* are the chain and the example count the run is stated
     for: A is taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` in the
     bound's rank tolerance, and distances divide by *m*, also when *net*
-    holds only the head blocks of that chain or *data* is the compressed
-    dataset of ``_compressed_samples``.  *c* is added to every objective
+    holds only the head blocks of that chain or *data* holds the
+    compressed samples of ``_reduce``.  *c* is added to every objective
     (the residual the compression leaves out; 0 on the original data).
     """
     ell = state.layer_to_update()
@@ -353,13 +355,18 @@ def bcgd_step(
 
 def _gamma_ranks(net: Network, data: Dataset, policy: LrPolicy) -> tuple[int, int] | None:
     """``_ranks`` for the theory_l2 gamma bound; None for the other policies."""
-    return _ranks(net, spectral_summary(data.x)) if policy.kind == "theory_l2" else None
+    if policy.kind != "theory_l2":
+        return None
+    return _ranks(net, _svals(data.x), data.x.shape)
 
 
-def _ranks(net: Network, x: SpectralSummary) -> tuple[int, int]:
-    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of X
-    (*x* is X's spectral summary), the ranks A and B X are conditioned by."""
-    return min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1]), x.numeric_rank
+def _ranks(net: Network, x_svals: np.ndarray, x_shape: tuple[int, int]) -> tuple[int, int]:
+    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of X,
+    the ranks A and B X are conditioned by.  *x_svals* are X's singular
+    values (those of the compressed R^T serve: they are X's up to
+    rounding), ranked at X's own *x_shape*."""
+    r = min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1])
+    return r, numeric_rank(x_svals, x_shape)
 
 
 def _suffixes(net: Network) -> list:
@@ -423,29 +430,17 @@ def run_bcgd(
     boundaries; ``on_sweep_end(completed_sweeps, net)`` runs there when
     given (the snapshot hook).
 
-    Width fast path: when every layer is block-diagonal around its head
-    block ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with
-    some ``k_l < n_l`` (``network._head_blocks``; the orth-identity,
-    identity and balanced inits at widths above ``max(n_0, n_L)``), the
-    sweeps run on the head blocks alone.  No gradient reaches the other
-    blocks, so the steps are those of the full-width run up to rounding
-    and the other blocks stay bitwise as they were.  The trained head
-    blocks are written into ``net.layers`` in place (``W[:k, :k'] =
-    block``) before each ``on_sweep_end`` call and when the run returns
-    or raises.  The trajectory's ``dims``, the default oracle rank and
-    the theory_l2 gamma bound's ranks and rank tolerances still come from
-    the full chain.
-
-    Sample compression: for the square loss with more examples than
-    inputs (``m > d_in``), the sweeps run on ``(R^T, Y Q)`` from one
-    reduced QR ``X^T = Q R`` (``_compressed_samples``), so B X is
-    ``n x d_in`` instead of ``n x m``, and every recorded objective adds
-    the left-out residual ``c = ||Y - Y Q Q^T||_F^2``.  Losses, gradients,
-    rates and the spectra of B X are those of the uncompressed run up to
-    rounding.  The oracle, the distances (divided by the true m), the
-    gamma bound's r_x and its ``n_(ell-1) x m`` rank tolerance, ``meta``,
-    the snapshots and the returned network stay on the original data.
-    Both fast paths can engage in the same run.
+    The sweeps run on ``_reduce``'s exact problem reduction: the head
+    blocks of a block-diagonal chain, and for the square loss with m > d_in
+    the QR-compressed samples ``(R^T, Y Q)``, every recorded objective
+    adding the left-out residual c.  Losses, gradients, rates and the
+    spectra of A and B X are those of the full run up to rounding.  The
+    trained head blocks are written into ``net.layers`` in place before
+    each ``on_sweep_end`` call and when the run returns or raises.  The
+    trajectory's ``dims``, the oracle, the distances (divided by the true
+    m), the theory_l2 gamma bound's ranks and rank tolerances (A as
+    ``n_L x n_ell``, B X as ``n_(ell-1) x m``), ``meta``, the snapshots and
+    the returned network stay on the full chain and the original data.
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
@@ -463,9 +458,7 @@ def run_bcgd(
     )
     ranks = _gamma_ranks(net, data, policy)
     dims = net.dims
-    blocks = _head_blocks(net)
-    work = net if blocks is None else Network(blocks)
-    samples, c = _compressed_samples(data, lf) or (data, 0.0)
+    work, samples, c, _q, write_back = _reduce(net, data, lf)
     try:
         for _ in range(max_sweeps):
             for _ell, a, bx in _sweep(work, samples.x, ordering):
@@ -476,23 +469,58 @@ def run_bcgd(
                     )
                 )
             if on_sweep_end is not None:
-                _write_heads(net, work)
+                write_back()
                 on_sweep_end(state.sweep, net)
             if traj.records[-1].dist_after <= target_dist:
                 break
     finally:  # also on return: *net* ends where the full-width run leaves it
-        _write_heads(net, work)
+        write_back()
     return traj
 
 
-def _compressed_samples(data: Dataset, lf: LossFunction) -> tuple[Dataset, float] | None:
-    """``(Dataset(R^T, Y Q), c)`` from the reduced QR ``X^T = Q R``, or None.
+def _reduce(net: Network, data: Dataset, lf: LossFunction):
+    """The exact problem reduction a runner trains on: ``(work, samples, c,
+    q, write_back)``.
+
+    Width part: when every layer is block-diagonal around its head block
+    ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with some
+    ``k_l < n_l`` (``network._head_blocks``; the orth-identity, identity
+    and balanced inits at widths above ``max(n_0, n_L)``), *work* is the
+    chain of head blocks, else *net* itself.  Every layer gradient
+    ``A^T D (B X)^T`` and every rank-one BCSGD update lives in the head
+    block, so training the head chain is training the full chain, and the
+    other blocks stay bitwise as they were.
+
+    Sample part: ``_compressed_samples`` gives *samples* = ``(R^T, Y Q)``,
+    the constant c every objective adds and Q (m x d_in) for the square
+    loss with m > d_in; else *samples* is *data*, c is 0.0 and q is None.
+
+    ``write_back()`` copies the trained head blocks into the top-left of
+    *net*'s layers in place (``W[:k, :k'] = block``; a no-op when *work*
+    is *net*).  A runner calls it before it hands *net* out and when it
+    returns or raises.
+    """
+    blocks = _head_blocks(net)
+    work = net if blocks is None else Network(blocks)
+    samples, c, q = _compressed_samples(data, lf) or (data, 0.0, None)
+
+    def write_back() -> None:
+        if work is not net:
+            for w, block in zip(net.layers, work.layers):
+                w[: block.shape[0], : block.shape[1]] = block
+
+    return work, samples, c, q, write_back
+
+
+def _compressed_samples(data: Dataset, lf: LossFunction):
+    """``(Dataset(R^T, Y Q), c, Q)`` from the reduced QR ``X^T = Q R``, or None.
 
     Engages only for the square loss with ``m > d_in``.  Q (m x d_in) has
     orthonormal columns, so ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2
     + c`` with ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient
     ``A^T (A W B X - Y) (B X)^T`` equals its compressed twin, and B X and
     B R^T have the same singular values and the same ``||A G B X||_F``.
+    Example i's column is ``B x_i = B R^T q_i``, q_i the i-th row of Q.
     c is taken as the residual's own squared norm, not as the difference
     ``||Y||^2 - ||Y Q||^2``, which would cancel.
     """
@@ -501,15 +529,7 @@ def _compressed_samples(data: Dataset, lf: LossFunction) -> tuple[Dataset, float
     q, r = np.linalg.qr(data.x.T)
     yq = data.y @ q
     resid = data.y - yq @ q.T
-    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid))
-
-
-def _write_heads(net: Network, work: Network) -> None:
-    """Copy the trained head blocks of *work* into the top-left of *net*'s layers."""
-    if work is net:
-        return
-    for w, block in zip(net.layers, work.layers):
-        w[: block.shape[0], : block.shape[1]] = block
+    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
 
 
 def gd_step(
@@ -526,9 +546,25 @@ def gd_step(
     changes, so the result does not depend on layer order.  A non-finite
     gradient, update or loss raises RuntimeError naming the GD iteration.
     """
+    oracle_obj = _resolve_oracle(net, data, oracle_objective)
+    return _gd_step_core(net, data, lf, eta, oracle_obj, state, data.m, 0.0)
+
+
+def _gd_step_core(
+    net: Network,
+    data: Dataset,
+    lf: LossFunction,
+    eta: float,
+    oracle_obj: float,
+    state: SweepState | None,
+    m: int,
+    c: float,
+) -> StepRecord:
+    """``gd_step`` on the run's working chain and samples: distances divide
+    by the true example count *m*, and *c* is added to every objective, as
+    in ``_step_core``."""
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
     L = net.depth
     step = state.sweep + 1 if state else 1
     suffix = _suffixes(net)
@@ -540,7 +576,7 @@ def gd_step(
         if not np.isfinite(g).all():
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
     total_g2 = sum(float(np.sum(g * g)) for g in grads)
-    loss_before = _objective(pred, data.y, lf)
+    loss_before = _objective(pred, data.y, lf) + c
     for l in range(1, L + 1):
         new_w = net.layers[l - 1] - eta * grads[l - 1]
         if not np.isfinite(new_w).all():
@@ -549,7 +585,7 @@ def gd_step(
             )
         net.layers[l - 1] = new_w
     loss_after = _finite_loss(
-        _objective(end_to_end(net) @ data.x, data.y, lf), "GD", step, 0, eta
+        _objective(end_to_end(net) @ data.x, data.y, lf) + c, "GD", step, 0, eta
     )
     record = StepRecord(
         iteration=step,
@@ -558,8 +594,8 @@ def gd_step(
         lr=float(eta),
         loss_before=loss_before,
         loss_after=loss_after,
-        dist_before=(loss_before - oracle_obj) / data.m,
-        dist_after=(loss_after - oracle_obj) / data.m,
+        dist_before=(loss_before - oracle_obj) / m,
+        dist_after=(loss_after - oracle_obj) / m,
         grad_frobenius=math.sqrt(total_g2),
     )
     if state is not None:
@@ -578,7 +614,14 @@ def run_gd(
     oracle_objective: float | None = None,
     meta: dict | None = None,
 ) -> Trajectory:
-    """Plain GD baseline with a constant learning rate."""
+    """Plain GD baseline with a constant learning rate.
+
+    The network is updated in place.  Like ``run_bcgd``, the steps run on
+    ``_reduce``'s head chain and compressed samples, the trained head
+    blocks are written back when the run returns or raises, and the
+    trajectory's ``dims``, oracle and distances stay on the full chain and
+    the original data.
+    """
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     traj = Trajectory(
         meta={
@@ -590,11 +633,15 @@ def run_gd(
         }
     )
     state = SweepState(depth=net.depth)
-    for _ in range(max_iters):
-        record = gd_step(net, data, lf, eta, oracle_obj, state)
-        traj.records.append(record)
-        if record.dist_after <= target_dist:
-            break
+    work, samples, c, _q, write_back = _reduce(net, data, lf)
+    try:
+        for _ in range(max_iters):
+            record = _gd_step_core(work, samples, lf, eta, oracle_obj, state, data.m, c)
+            traj.records.append(record)
+            if record.dist_after <= target_dist:
+                break
+    finally:
+        write_back()
     return traj
 
 

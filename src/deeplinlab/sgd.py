@@ -3,11 +3,22 @@
 Each iteration samples one training example from the state-dependent
 distribution pi(i) proportional to ||(B x_i)^T B X||^2 (B the product of
 the layers below the target layer), applies a rank-one update with the
-scaled rate eta * sigma_min^2(B X) / (sigma_max^2(A) ||(B x_i)^T B X||^2),
+scaled rate eta * sigma_k^2(B X) / (sigma_max^2(A) ||(B x_i)^T B X||^2),
 and tracks the condition-number quantities the error-floor brackets are
-built from.  The weights of all m examples come from the n x n Gram
-B X (B X)^T (n the width of the target layer's input), so a step costs
-O(n^2 m) plus the SVDs of A and B X, never an m x m array.
+built from.  sigma_k is B X's k-th singular value with k the rank B X
+can carry: r_x (the numeric rank of X) capped by every width below the
+target layer.  In a chain wider than rank(X) the smallest singular value
+of B X would be rounding noise or 0, and the layer would not train.
+
+``run_bcsgd`` trains on ``optim._reduce``'s exact problem reduction: the
+head chain of a block-diagonal network and, for m > d_in, the compressed
+samples ``(R^T, Y Q)`` of ``X^T = Q R``.  With ``C = B R^T`` and q_i the
+i-th row of Q, the weight of example i is ``||C^T C q_i||^2``, its column
+``B x_i = C q_i``, and the loss ``||A W C - Y Q||_F^2 + c``.  A step then
+costs O(n^2 d_in + m d_in^2) plus the SVDs of the n x d_in C and of A:
+nothing n x m is built, only the m weights it samples from.  Without
+compression (m <= d_in) the weights come from the n x n Gram of B X, and a
+step costs O(n^2 m).
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -35,7 +46,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
-from .matcore import spectral_summary
+from .matcore import numeric_rank
 from .network import Network, _factors
 from .optim import (
     StepRecord,
@@ -44,7 +55,9 @@ from .optim import (
     _finite_loss,
     _objective,
     _ranks,
+    _reduce,
     _resolve_oracle,
+    _svals,
     _sweep,
 )
 
@@ -78,17 +91,40 @@ class SampleDist:
         return int(min(idx, self.probs.size - 1))
 
 
-def _bx_column_weights(bx: np.ndarray) -> np.ndarray:
-    """||(B x_i)^T B X||^2 for every column i of the n x m matrix B X.
+def _bx_column_weights(bx: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """||(B x_i)^T B X||^2 for every example i.
 
-    Uses ||(B x_i)^T B X||^2 = (B x_i)^T (B X (B X)^T) (B x_i): the column
-    sums of B X * (G B X) with the n x n Gram G, O(n^2 m) time and no
-    m x m array.  Rounding can push the weight of a column nearly
-    orthogonal to the rest of B X a hair below 0 (its exact value is at
-    least ||B x_i||^4); such weights are clipped to 0.
+    Without *q*, *bx* is the n x m matrix B X, and the weights use
+    ||(B x_i)^T B X||^2 = (B x_i)^T (B X (B X)^T) (B x_i): the column sums
+    of B X * (G B X) with the n x n Gram G, O(n^2 m) time and no m x m
+    array.  Rounding can push the weight of a column nearly orthogonal to
+    the rest of B X a hair below 0 (its exact value is at least
+    ||B x_i||^4); such weights are clipped to 0.
+
+    With *q* (m x d_in, orthonormal columns), *bx* is the compressed
+    ``C = B R^T`` of ``X^T = Q R``, so B X = C Q^T and the weight of example
+    i is ||C^T C q_i||^2, q_i the i-th row of Q: the squared row norms of
+    ``Q (C^T C)``, sums of squares that need no clip, in O(m d_in^2) time
+    and with no n x m array.
     """
+    if q is not None:
+        rows = q @ (bx.T @ bx)
+        return np.sum(rows * rows, axis=1)
     weights = np.sum(bx * ((bx @ bx.T) @ bx), axis=0)
     return np.maximum(weights, 0.0, out=weights)
+
+
+def _bx_rank(net: Network, ell: int, r_x: int) -> int:
+    """The rank B X = W_(ell-1:1) X can carry: r_x, capped by every width
+    below layer *ell*.  The same on the head chain as on the full one."""
+    return min([r_x] + [w.shape[0] for w in net.layers[: ell - 1]])
+
+
+def _rate(sa: np.ndarray, sb: np.ndarray, k: int, eta: float, weight: float) -> float:
+    """eta sigma_k^2(B X) / (sigma_max^2(A) w_i), from the singular values
+    *sa* of A and *sb* of B X, the sampled weight and ``k = _bx_rank``
+    (at least 1 wherever a weight is positive, and at most ``sb.size``)."""
+    return float(sb[k - 1] ** 2 / sa[0] ** 2) * eta / weight
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -110,13 +146,13 @@ def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float)
         raise ValueError("eta must lie in (0, 2)")
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
-    a, bx = _factors(net, data.x, state.layer_to_update())
-    sa = np.linalg.svd(a, compute_uv=False)
-    sb = np.linalg.svd(bx, compute_uv=False)
+    ell = state.layer_to_update()
+    a, bx = _factors(net, data.x, ell)
     weight = float(_bx_column_weights(bx)[i])
     if weight <= 0.0:
         raise ValueError(f"sampled column {i} has zero weight")
-    return float(sb[-1] ** 2 / sa[0] ** 2) * eta / weight
+    k = _bx_rank(net, ell, numeric_rank(_svals(data.x), data.x.shape))
+    return _rate(_svals(a), _svals(bx), k, eta, weight)
 
 
 @dataclass
@@ -224,7 +260,7 @@ def floor_brackets(
             np.linalg.svd(bx, compute_uv=False),
             float(np.linalg.norm(bx, "fro")),
             eta,
-            _ranks(net, spectral_summary(data.x)),
+            _ranks(net, _svals(data.x), data.x.shape),
         )
     L = net.depth
     oracle_loss = float(oracle_loss)
@@ -269,9 +305,9 @@ def bcsgd_step(
     _require_l2(lf)
     a, bx = _factors(net, data.x, state.layer_to_update())
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    ranks = _ranks(net, spectral_summary(data.x)) if tracker is not None else None
+    ranks = _ranks(net, _svals(data.x), data.x.shape)
     return _bcsgd_step_core(
-        net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks
+        net, data, data, None, 0.0, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks
     )
 
 
@@ -281,15 +317,24 @@ def _require_l2(lf: LossFunction) -> None:
 
 
 def _bcsgd_step_core(
-    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals=None
+    net, data, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks,
+    bx_svals=None,
 ):
-    """One stochastic step from the sweep's factors.  *ranks* (``optim._ranks``)
-    condition the *tracker*'s update and may be None without a tracker;
-    *bx_svals*, when given, are the singular values of *bx*."""
+    """One stochastic step from the sweep's factors.
+
+    *samples*, *q* and *c* are ``optim._reduce``'s (*data*, None and 0.0
+    on the original data).  With compression *bx* is ``C = B R^T``: the
+    weights are ||C^T C q_i||^2, example i's column is ``C q_i`` and its
+    target the original ``y_i`` of *data*, and every objective adds c.
+    Distances divide by *data*'s m.  *ranks* = (r, r_x) from
+    ``optim._ranks``: r_x conditions the rate, and both condition the
+    *tracker*'s update when one is given.  *bx_svals*, when given, are the
+    singular values of *bx*.
+    """
     if not 0 < eta < 2:
         raise ValueError("eta must lie in (0, 2)")
     ell = state.layer_to_update()
-    weights = _bx_column_weights(bx)
+    weights = _bx_column_weights(bx, q)
     total = float(weights.sum())
     if total <= 0.0:
         raise ValueError(f"degenerate state at layer {ell}: zero sampling mass")
@@ -299,12 +344,16 @@ def _bcsgd_step_core(
     sb = np.linalg.svd(bx, compute_uv=False) if bx_svals is None else bx_svals
     if tracker is not None:
         tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, ranks)
-    lr = float(sb[-1] ** 2 / sa[0] ** 2) * eta / float(weights[i])
+    lr = _rate(sa, sb, _bx_rank(net, ell, ranks[1]), eta, float(weights[i]))
     w = net.layers[ell - 1]
     pred = a @ w @ bx
-    loss_before = _objective(pred, data.y, lf)
-    resid_i = pred[:, i] - data.y[:, i]
-    grad_i = np.outer(a.T @ resid_i, bx[:, i])
+    loss_before = _objective(pred, samples.y, lf) + c
+    if q is None:
+        col, pred_i = bx[:, i], pred[:, i]
+    else:
+        q_i = q[i]
+        col, pred_i = bx @ q_i, pred @ q_i
+    grad_i = np.outer(a.T @ (pred_i - data.y[:, i]), col)
     new_w = w - lr * grad_i
     if not np.isfinite(new_w).all():
         raise RuntimeError(
@@ -312,7 +361,7 @@ def _bcsgd_step_core(
         )
     net.layers[ell - 1] = new_w
     loss_after = _finite_loss(
-        _objective(a @ new_w @ bx, data.y, lf), "BCSGD", state.iteration + 1, ell, lr
+        _objective(a @ new_w @ bx, samples.y, lf) + c, "BCSGD", state.iteration + 1, ell, lr
     )
     record = StepRecord(
         iteration=state.iteration + 1,
@@ -344,18 +393,26 @@ def run_bcsgd(
     """Run BCSGD for a fixed number of sweeps with its own RNG stream.
 
     Returns the trajectory and the tracker holding the run's sup/inf of
-    the bracket constants.  The factors ``(A, B X)`` of every step come
-    from the same sweep engine as ``optim.run_bcgd`` (``optim._sweep``).
-    X's singular values are computed once per call: they give the rank
-    r_x the tracker conditions B X by, and they are B X's own at layer 1.
+    the bracket constants.  The network is updated in place.  The factors
+    ``(A, B X)`` of every step come from the same sweep engine as
+    ``optim.run_bcgd`` (``optim._sweep``), run on ``optim._reduce``'s head
+    chain and compressed samples ``(R^T, Y Q)``; the trained head blocks
+    are written back when the run returns or raises.  The samples drawn,
+    rates, losses and tracker constants are those of the full run up to
+    rounding; ``dims``, the oracle and the distances stay on the full
+    chain and the original data.  X's singular values are computed once
+    per call, from R^T when compressed: they give the rank r_x (at X's
+    ``d_in x m`` shape) that conditions the rate and the tracker, and they
+    are B X's own at layer 1.
     """
     _require_l2(lf)
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     rng = np.random.default_rng(seed)
     state = SweepState(depth=net.depth, ordering=ordering)
     tracker = BoundsTracker()
-    x = spectral_summary(data.x)
-    ranks = _ranks(net, x)
+    work, samples, c, q, write_back = _reduce(net, data, lf)
+    x_svals = _svals(samples.x)
+    ranks = _ranks(net, x_svals, data.x.shape)
     traj = Trajectory(
         meta={
             "dims": net.dims,
@@ -367,12 +424,15 @@ def run_bcsgd(
             **(meta or {}),
         }
     )
-    for _ in range(sweeps):
-        for ell, a, bx in _sweep(net, data.x, ordering):
-            traj.records.append(
-                _bcsgd_step_core(
-                    net, data, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks,
-                    x.singular_values if ell == 1 else None,  # B X is X at layer 1
+    try:
+        for _ in range(sweeps):
+            for ell, a, bx in _sweep(work, samples.x, ordering):
+                traj.records.append(
+                    _bcsgd_step_core(
+                        work, data, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj,
+                        tracker, ranks, x_svals if ell == 1 else None,  # B X is X at layer 1
+                    )
                 )
-            )
+    finally:
+        write_back()
     return traj, tracker

@@ -389,6 +389,38 @@ def test_bcsgd_wide_chain_conditions_by_rank_of_x(tmp_path, capsys):
     assert "bracket_check=unavailable" not in out
 
 
+def test_bcsgd_wide_chain_trains_every_layer(tmp_path, capsys):
+    # the rate conditions B X by its rank-r_x singular value, not by its
+    # 16th (0): every layer trains, and width 16 runs the width-6 problem
+    common = [
+        "bcsgd", "--d-in", "6", "--d-out", "2", "--m", "20", "--data-seed", "3",
+        "--depth", "4", "--seed", "5", "--sweeps", "4", "--eta", "0.5", "--seeds", "3",
+    ]
+    tails = {}
+    for width in (16, 6):
+        out = tmp_path / f"w{width}.csv"
+        code = main([*common, "--width", str(width), "--out", str(out)])
+        printed = capsys.readouterr().out
+        assert code == 0 and "bracket_check=pass" in printed
+        tails[width] = float(printed.split("aggregate: tail_mean_sq_dist=")[1].split()[0])
+        for seed in (5, 6, 7):
+            records = read_trajectory_csv(tmp_path / f"w{width}_seed{seed}.csv").records
+            assert len(records) == 16
+            assert all(r.lr > 0 for r in records if r.layer >= 2)
+    assert tails[16] == pytest.approx(tails[6], rel=1e-12)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_gd_rejects_empty_runs(tmp_path, capsys, value):
+    code = main([
+        "gd", "--d-in", "6", "--d-out", "2", "--m", "20", "--depth", "3",
+        "--iters", value, "--out", str(tmp_path / "gd.csv"),
+    ])
+    assert code == 2
+    assert "iters >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_read_trajectory_csv_round_trips_meta(tmp_path, monkeypatch):
     written = []
     emit = cli.emit_trajectory_csv

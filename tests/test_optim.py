@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deeplinlab import optim
+from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2, lp, total_loss
@@ -262,17 +262,23 @@ def test_general_policy_equals_optimal_for_square_loss():
     assert b == a  # unit curvature bound: the two formulas coincide
 
 
-def _wide_run(decline, fail_at=None):
-    """A width-12 orth-identity run (head 6): snapshots, records and the net,
-    optionally aborted by an error in step *fail_at*."""
+CORES = {"bcgd": (optim, "_step_core"), "gd": (optim, "_gd_step_core"), "bcsgd": (sgd, "_bcsgd_step_core")}
+
+
+def _wide_run(runner, decline, fail_at=None):
+    """A width-12 orth-identity run (head 6) of *runner*: snapshots (BCGD
+    only), records and the net, optionally aborted by an error in step
+    *fail_at*.  Every step trains the head chain unless *decline*; m 20 >
+    d_in 6, so every run trains on compressed samples."""
     data = make_data(seed=37)
     net = initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=38)
     snapshots = []
-    core = optim._step_core
+    module, name = CORES[runner]
+    core = getattr(module, name)
     calls = []
 
     def step(*args):
-        calls.append(1)
+        calls.append(args[0].dims)  # the chain the step trains
         record = core(*args)
         if len(calls) == fail_at:
             raise RuntimeError("stop")
@@ -281,15 +287,22 @@ def _wide_run(decline, fail_at=None):
     with pytest.MonkeyPatch.context() as mp:
         if decline:
             mp.setattr(optim, "_head_blocks", lambda net_: None)
-        mp.setattr(optim, "_step_core", step)
+        mp.setattr(module, name, step)
         try:
-            traj = run_bcgd(
-                net, data, l2(), LrPolicy("optimal_l2"), "ascending", max_sweeps=3,
-                target_dist=-math.inf,
-                on_sweep_end=lambda k, cur: snapshots.append([w.copy() for w in cur.layers]),
-            )
+            if runner == "bcgd":
+                traj = run_bcgd(
+                    net, data, l2(), LrPolicy("optimal_l2"), "ascending", max_sweeps=3,
+                    target_dist=-math.inf,
+                    on_sweep_end=lambda k, cur: snapshots.append([w.copy() for w in cur.layers]),
+                )
+            elif runner == "gd":
+                eta = reference_gd_rate(net, data)
+                traj = run_gd(net, data, l2(), eta, max_iters=3, target_dist=-math.inf)
+            else:
+                traj, _ = sgd.run_bcsgd(net, data, l2(), 0.5, 3, seed=39)
         except RuntimeError:
             traj = None
+    assert set(calls) == {(6, 12, 12, 12, 3) if decline else (6, 6, 6, 6, 3)}
     return net, snapshots, traj
 
 
@@ -300,15 +313,30 @@ def _assert_same_layers(got, want):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
-@pytest.mark.parametrize("fail_at", [None, 6])
-def test_width_fast_path_writes_heads_back_like_full_width(fail_at):
-    net, snaps, traj = _wide_run(decline=False, fail_at=fail_at)
-    ref_net, ref_snaps, ref_traj = _wide_run(decline=True, fail_at=fail_at)
+@pytest.mark.parametrize(
+    "runner, fail_at",
+    [
+        pytest.param("bcgd", None, id="None"),
+        pytest.param("bcgd", 6, id="6"),
+        pytest.param("gd", None, id="gd-None"),
+        pytest.param("gd", 2, id="gd-2"),
+        pytest.param("bcsgd", None, id="bcsgd-None"),
+        pytest.param("bcsgd", 6, id="bcsgd-6"),
+    ],
+)
+def test_width_fast_path_writes_heads_back_like_full_width(runner, fail_at):
+    net, snaps, traj = _wide_run(runner, decline=False, fail_at=fail_at)
+    ref_net, ref_snaps, ref_traj = _wide_run(runner, decline=True, fail_at=fail_at)
     assert optim._head_blocks(initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3))) is not None
-    assert len(snaps) == len(ref_snaps) == (3 if fail_at is None else 1)
+    if runner == "bcgd":
+        assert len(snaps) == len(ref_snaps) == (3 if fail_at is None else 1)
+    else:
+        assert snaps == ref_snaps == []
     for got, want in zip(snaps, ref_snaps):
         _assert_same_layers(got, want)
     _assert_same_layers(net.layers, ref_net.layers)  # at return or after the error
     if fail_at is None:
         assert np.max(np.abs(traj.losses() - ref_traj.losses())) <= 1e-12
         assert traj.meta["dims"] == (6, 12, 12, 12, 3)
+    else:
+        assert traj is None and ref_traj is None

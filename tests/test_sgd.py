@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deeplinlab import sgd
+from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset, gen_input_gaussian
 from deeplinlab.initializers import InitScheme, initialize, random_orthogonal
 from deeplinlab.losses import l2, lp
@@ -205,6 +205,49 @@ def test_run_bcsgd_deterministic_and_tracked():
     assert 0 < tracker_a.gamma_low <= tracker_a.gamma_upp <= 1.0
 
 
+@pytest.mark.parametrize("dims", [(6, 16, 16, 2), (6, 3, 6, 2)])
+def test_bcsgd_rate_conditions_by_the_rank_bx_can_carry(dims):
+    # B X has rank min(r_x, widths below): 6 in the wide chain, 3 above the
+    # bottleneck.  Its smallest singular value is 0 there, and a rate taken
+    # from it would leave every layer above the first untrained.
+    _, data = make_instance(d_in=6, m=20, seed=23, noise=0.1)
+    net = initialize(InitScheme("orth_identity"), dims, seed=24)
+    traj, _ = run_bcsgd(net, data, l2(), 0.5, 3, seed=25)
+    for layer in range(1, len(dims)):
+        assert all(r.lr > 0 for r in traj.records if r.layer == layer), layer
+    state = SweepState(depth=len(dims) - 1)
+    state.advance()
+    state.advance()  # next update: layer 3, B X = W_2 W_1 X
+    a = partial_product(net, 3, 4)
+    bx = partial_product(net, 2, 1) @ data.x
+    sb = np.linalg.svd(bx, compute_uv=False)
+    k = min(6, *dims[1:3])
+    weight = float(np.sum((bx[:, 0] @ bx) ** 2))
+    expected = sb[k - 1] ** 2 / np.linalg.svd(a, compute_uv=False)[0] ** 2 * 0.5 / weight
+    assert bcsgd_lr(net, data, state, 0, 0.5) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("ordering", ["ascending", "descending"])
+def test_run_bcsgd_on_compressed_samples_matches_original_data(monkeypatch, ordering):
+    # m 40 > d_in 8: the run trains on (R^T, Y Q); the reference declines
+    net, data = make_instance(d_in=8, m=40, depth=3, seed=26, noise=0.1)
+    assert optim._compressed_samples(data, l2()) is not None
+    full = net.copy()
+    traj, tracker = run_bcsgd(net, data, l2(), 0.5, 50, seed=27, ordering=ordering)
+    monkeypatch.setattr(optim, "_compressed_samples", lambda data_, lf_: None)
+    ref, ref_tracker = run_bcsgd(full, data, l2(), 0.5, 50, seed=27, ordering=ordering)
+    assert [r.sample_index for r in traj.records] == [r.sample_index for r in ref.records]
+    for got, want in zip(traj.records, ref.records):
+        assert got.loss_before == pytest.approx(want.loss_before, rel=1e-12)
+        assert got.loss_after == pytest.approx(want.loss_after, rel=1e-12)
+        assert got.dist_after == pytest.approx(want.dist_after, rel=0, abs=1e-12)
+        assert got.lr == pytest.approx(want.lr, rel=1e-8)
+    for name in ("m_upp", "m_low", "gamma_upp", "gamma_low"):
+        assert getattr(tracker, name) == pytest.approx(getattr(ref_tracker, name), rel=1e-9)
+    for w, w_ref in zip(net.layers, full.layers):
+        assert np.max(np.abs(w - w_ref)) <= 1e-10
+
+
 def test_run_bcsgd_error_does_not_collapse_with_noise():
     net, data = make_instance(seed=18, noise=0.3, m=30)
     ref = optimal_loss(data.x, data.y, min(net.dims))
@@ -237,8 +280,11 @@ def test_bcsgd_step_non_finite_loss_raises():
 # The sampling weights ||(B x_i)^T B X||^2 come from the n x n Gram of B X.
 # The reference below is the m x m Gram formula they replaced; the two are
 # compared within 1e-12 * ||B X||_2^2 * ||B x_i||^2, the scale of the
-# rounding error of either (measured worst: about 1e-15 of it).
-def _reference_weights(bx):
+# rounding error of either (measured worst: about 1e-15 of it).  With q,
+# bx is the compressed C = B R^T of X^T = Q R, and B X = C Q^T.
+def _reference_weights(bx, q=None):
+    if q is not None:
+        bx = bx @ q.T
     gram = bx.T @ bx
     return np.sum(gram * gram, axis=1)
 
@@ -269,6 +315,40 @@ def test_column_weights_match_example_gram(bx):
     assert weights.shape == (bx.shape[1],)
     assert np.all(weights >= 0.0)
     assert np.all(np.abs(weights - _reference_weights(bx)) <= 1e-12 * scale)
+
+
+@st.composite
+def _compressed_factors(draw):
+    """``(B X, C, Q)`` with m > d_in: C = B R^T from the QR X^T = Q R."""
+    n, d = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    m = d + draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, x = rng.normal(size=(n, d)), rng.normal(size=(d, m))
+    if d > 1 and draw(st.booleans()):  # B of lower rank than X
+        r = draw(st.integers(1, d - 1))
+        b = rng.normal(size=(n, r)) @ rng.normal(size=(r, d))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        x[:, i] *= 10.0 ** -draw(st.floats(4, 12))
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=3)):
+        x[:, i] = 0.0
+    q, r = np.linalg.qr(x.T)
+    return b @ x, b @ r.T, q, np.linalg.norm(b, 2) * np.linalg.norm(x, 2)
+
+
+# The compressed weights ||C^T C q_i||^2 see B x_i as C q_i, which the QR
+# reproduces to within eps ||B||_2 ||X||_2 (normwise, not per column), so
+# they are compared on that scale: within 1e-12 * ||B X||_2^2 * u *
+# (||B x_i|| + 1e-12 u), u = ||B||_2 ||X||_2.
+@settings(max_examples=300, deadline=None)
+@given(_compressed_factors())
+def test_compressed_weights_match_example_gram(factors):
+    bx, c, q, u = factors
+    weights = sgd._bx_column_weights(c, q)
+    scale = np.linalg.norm(bx, 2) ** 2 * u * (np.linalg.norm(bx, axis=0) + 1e-12 * u)
+    assert weights.shape == (bx.shape[1],)
+    assert np.all(weights >= 0.0)
+    assert np.all(np.abs(weights - _reference_weights(bx)) <= 1e-12 * scale)
+    assert np.all(np.abs(weights - _reference_weights(c, q)) <= 1e-12 * scale)
 
 
 def test_bcsgd_trajectory_matches_example_gram_kernel(monkeypatch):

@@ -11,12 +11,14 @@ Factors are compared normwise relative to the product of the norms of the
 matrices they multiply (the scale their rounding error is bounded by):
 chains of width 1 can cancel to a product far smaller than its factors.
 
-``run_bcgd``'s width fast path trains only the head blocks of a
-block-diagonal chain; it is compared against the full-width run that the
-same call makes when ``network._head_blocks`` declines.  Its sample
-compression (square loss, m > d_in) trains on ``(R^T, Y Q)`` from the QR
-of X^T; it is compared against the run on the original data that the
-same call makes when ``optim._compressed_samples`` declines.
+Every runner (``run_bcgd``, ``run_gd``, ``run_bcsgd``) trains on
+``optim._reduce``'s exact problem reduction.  Its width part trains only
+the head blocks of a block-diagonal chain; it is compared against the
+full-width run that the same call makes when ``network._head_blocks``
+declines.  Its sample compression (square loss, m > d_in) trains on
+``(R^T, Y Q)`` from the QR of X^T; it is compared against the run on the
+original data that the same call makes when ``optim._compressed_samples``
+declines.
 """
 
 import numpy as np
@@ -27,8 +29,9 @@ from deeplinlab import network, optim, sgd, theory
 from deeplinlab.data import Dataset
 from deeplinlab.initializers import KINDS, InitScheme, initialize
 from deeplinlab.losses import l2, lp
+from deeplinlab.matcore import spectral_summary
 from deeplinlab.network import Network, pad_equiv, partial_product
-from deeplinlab.optim import LrPolicy, run_bcgd
+from deeplinlab.optim import LrPolicy, reference_gd_rate, run_bcgd, run_gd
 
 RTOL = 1e-12
 POLICIES = {
@@ -145,15 +148,35 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
 )
 def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     net, data = _problem(dims, m, seed)
+    compressed = optim._compressed_samples(data, l2())
+    assert (compressed is not None) == (m > dims[0])
+    # (r, r_x): the full chain's top layer, and X ranked at its own shape
+    ranks = (
+        min(spectral_summary(net.layers[-1]).numeric_rank, dims[-1]),
+        spectral_summary(data.x).numeric_rank,
+    )
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals):
-        _assert_live_factors(net_, data_, state.layer_to_update(), a, bx)
-        if bx_svals is not None:  # handed over for layer 1, where B X is X
-            assert bx_svals.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
-        checked.append(state.layer_to_update())
-        return core(net_, data_, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks, bx_svals)
+    def step(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj, tracker,
+             ranks_, bx_svals=None):
+        ell = state.layer_to_update()
+        assert data_ is data  # targets y_i and the distances' m stay on the original data
+        if compressed is None:
+            assert samples is data and q is None and c == 0.0
+        else:
+            assert samples.x.tobytes() == compressed[0].x.tobytes()
+            assert q.tobytes() == compressed[2].tobytes() and c == compressed[1]
+        # the factors come from the run's own inputs: (R^T, Y Q) when compressed
+        _assert_live_factors(net_, samples, ell, a, bx)
+        assert ranks_ == ranks
+        # X's singular values, handed over for layer 1 (B X is X, or R^T)
+        assert (bx_svals is not None) == (ell == 1)
+        if bx_svals is not None:
+            assert bx_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
+        checked.append(ell)
+        return core(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj,
+                    tracker, ranks_, bx_svals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -179,6 +202,62 @@ def _outside_head(w, k, kp):
     return w[mask]
 
 
+RUNNERS = sorted(POLICIES) + ["gd", "bcsgd"]  # a policy name runs BCGD with it
+SWEEPS = 3
+
+
+def _loss(runner):
+    return POLICIES[runner][0]() if runner in POLICIES else l2()
+
+
+def _train(runner, net, data, ordering, gd_eta, seed, **kwargs):
+    """One run of *runner* over SWEEPS sweeps (GD: iterations) on *net*:
+    ``(trajectory, tracker)``, the tracker None except for BCSGD; or the
+    error a diverging or degenerate run raises."""
+    try:
+        if runner == "gd":
+            traj = run_gd(
+                net, data, l2(), gd_eta, max_iters=SWEEPS, target_dist=float("-inf"), **kwargs
+            )
+            return traj, None
+        if runner == "bcsgd":
+            return sgd.run_bcsgd(
+                net, data, l2(), 0.5, SWEEPS, seed=seed, ordering=ordering, **kwargs
+            )
+        make_loss, policy = POLICIES[runner]
+        traj = run_bcgd(
+            net, data, make_loss(), policy, ordering=ordering, max_sweeps=SWEEPS,
+            target_dist=float("-inf"), **kwargs,
+        )
+        return traj, None
+    except (RuntimeError, ValueError) as exc:
+        return exc
+
+
+def _scale(w):
+    """1, or the largest entry of *w* when above 1: a growing GD run makes
+    entries far above 1, and there the weights' 1e-10 is relative."""
+    return max(1.0, float(np.max(np.abs(w), initial=0.0)))
+
+
+def _assert_same_samples_and_trackers(fast, ref, width_ok):
+    """BCSGD draws the same examples.  Its tracker constants agree within
+    1e-9 relative when every intermediate width can carry the ranks A and
+    B X are conditioned by; in a narrower chain they are ratios of rounding
+    noise, and only gamma_upp (which saturates at 1 there) is compared."""
+    (traj, tracker), (ref_traj, ref_tracker) = fast, ref
+    assert [r.sample_index for r in traj.records] == [r.sample_index for r in ref_traj.records]
+    if tracker is None:
+        assert ref_tracker is None
+        return
+    assert tracker.iterations == ref_tracker.iterations
+    names = ("m_upp", "m_low", "gamma_upp", "gamma_low") if width_ok else ("gamma_upp",)
+    for name in names:
+        got, want = getattr(tracker, name), getattr(ref_tracker, name)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0 if width_ok else 1e-9), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=120, deadline=None)
 @given(
     dims=wide_chains,
@@ -186,9 +265,9 @@ def _outside_head(w, k, kp):
     m=st.integers(1, 12),
     seed=st.integers(0, 2**32 - 1),
     ordering=st.sampled_from(optim.ORDERINGS),
-    policy_name=st.sampled_from(sorted(POLICIES)),
+    runner=st.sampled_from(RUNNERS),
 )
-def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, policy_name):
+def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, runner):
     net = _init_or_skip(scheme, dims, seed)
     rng = np.random.default_rng(seed)
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
@@ -202,27 +281,31 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, pol
         return
     assert [b.shape for b in blocks] == [(heads[l], heads[l - 1]) for l in range(1, len(dims))]
 
-    make_loss, policy = POLICIES[policy_name]
+    gd_eta = reference_gd_rate(net, data)
     initial, full = net.copy(), net.copy()
     narrow = Network(blocks)  # the head chain, trained on its own below
-    kwargs = dict(ordering=ordering, max_sweeps=3, target_dist=float("-inf"))
-    fast = run_bcgd(net, data, make_loss(), policy, **kwargs)
+    fast = _train(runner, net, data, ordering, gd_eta, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "_head_blocks", lambda net_: None)
-        ref = run_bcgd(full, data, make_loss(), policy, **kwargs)
-    run_bcgd(
-        narrow, data, make_loss(), policy,
-        oracle_objective=fast.meta["oracle_objective"], **kwargs,
-    )
+        ref = _train(runner, full, data, ordering, gd_eta, seed)
+    if isinstance(ref, Exception):  # a run that diverges must diverge in both
+        assert type(fast) is type(ref)
+        return
+    fast_traj, ref_traj = fast[0], ref[0]
+    narrow_traj = _train(
+        runner, narrow, data, ordering, gd_eta, seed,
+        oracle_objective=fast_traj.meta["oracle_objective"],
+    )[0]
 
-    assert fast.meta == ref.meta and fast.meta["dims"] == tuple(dims)
-    assert len(fast) == len(ref) == 3 * net.depth
-    assert np.max(np.abs(fast.losses() - ref.losses())) <= 1e-10
+    assert fast_traj.meta == ref_traj.meta and fast_traj.meta["dims"] == tuple(dims)
+    assert len(fast_traj) == len(ref_traj) == SWEEPS * (1 if runner == "gd" else net.depth)
+    ref_losses = ref_traj.losses()  # relative above 1, for a growing GD run
+    assert np.all(np.abs(fast_traj.losses() - ref_losses) <= 1e-10 * np.maximum(1.0, ref_losses))
     # Once a step's gradient is at rounding level (an interpolating fit gets
     # there in one step), its rate is a ratio of rounding errors: compare
     # rates only where the gradient stands above 1e-6 of the run's largest.
-    g_floor = 1e-6 * max(r.grad_frobenius for r in ref.records)
-    for got, want in zip(fast.records, ref.records):
+    g_floor = 1e-6 * max(r.grad_frobenius for r in ref_traj.records)
+    for got, want in zip(fast_traj.records, ref_traj.records):
         assert (got.iteration, got.layer) == (want.iteration, want.layer)
         if want.grad_frobenius > g_floor:
             assert abs(got.lr - want.lr) <= 1e-9 * abs(want.lr)
@@ -232,20 +315,15 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, pol
             assert got.gamma_bound is None
         else:
             assert got.gamma_bound == pytest.approx(want.gamma_bound, rel=0, abs=1e-9)
+    _assert_same_samples_and_trackers(fast, ref, network.width_ok(dims, dims[0], dims[-1]))
     for l in range(1, net.depth + 1):
         w, w0, k, kp = net.layers[l - 1], initial.layers[l - 1], heads[l], heads[l - 1]
-        assert np.max(np.abs(w - full.layers[l - 1]), initial=0.0) <= 1e-10
+        assert np.max(np.abs(w - full.layers[l - 1]), initial=0.0) <= 1e-10 * _scale(w)
         assert _outside_head(w, k, kp).tobytes() == _outside_head(w0, k, kp).tobytes()
         assert np.array_equal(w[:k, :kp], narrow.layers[l - 1])
         if scheme == "orth_identity" and 1 < l < net.depth and k == kp < min(w.shape):
             assert pad_equiv(w, narrow.layers[l - 1], "one")
-
-
-def _run_or_error(*args, **kwargs):
-    try:
-        return run_bcgd(*args, **kwargs)
-    except RuntimeError as exc:
-        return exc
+    assert [r.loss_after for r in narrow_traj.records] == [r.loss_after for r in fast_traj.records]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -256,47 +334,53 @@ def _run_or_error(*args, **kwargs):
     m_offset=st.integers(-12, 12),
     seed=st.integers(0, 2**32 - 1),
     ordering=st.sampled_from(optim.ORDERINGS),
-    policy_name=st.sampled_from(sorted(POLICIES)),
+    runner=st.sampled_from(RUNNERS),
 )
-def test_sample_compression_matches_original_data(
-    dims, scheme, m_offset, seed, ordering, policy_name
-):
+def test_sample_compression_matches_original_data(dims, scheme, m_offset, seed, ordering, runner):
     m = max(1, dims[0] + m_offset)  # on both sides of d_in
     net = _init_or_skip(scheme, dims, seed)
     rng = np.random.default_rng(seed)
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
-    make_loss, policy = POLICIES[policy_name]
-    lf = make_loss()
+    lf = _loss(runner)
     compressed = optim._compressed_samples(data, lf)
     assert (compressed is not None) == (lf.power == 2 and m > dims[0])
 
+    gd_eta = reference_gd_rate(net, data)
     full = net.copy()
-    kwargs = dict(ordering=ordering, max_sweeps=3, target_dist=float("-inf"))
-    fast = _run_or_error(net, data, lf, policy, **kwargs)
+    fast = _train(runner, net, data, ordering, gd_eta, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optim, "_compressed_samples", lambda data_, lf_: None)
-        ref = _run_or_error(full, data, lf, policy, **kwargs)
-    if isinstance(ref, RuntimeError):  # a constant rate can diverge: both must
-        assert isinstance(fast, RuntimeError)
+        ref = _train(runner, full, data, ordering, gd_eta, seed)
+    if isinstance(ref, Exception):  # a run that diverges must diverge in both
+        assert type(fast) is type(ref)
         return
+    fast_traj, ref_traj = fast[0], ref[0]
 
-    assert fast.meta == ref.meta
-    assert len(fast) == len(ref) == 3 * net.depth
+    assert fast_traj.meta == ref_traj.meta
+    assert len(fast_traj) == len(ref_traj) == SWEEPS * (1 if runner == "gd" else net.depth)
     if compressed is None:  # the declined path is the same code on the same data
-        assert fast.records == ref.records
+        assert fast_traj.records == ref_traj.records
+        assert fast[1] == ref[1]
         for w, w_ref in zip(net.layers, full.layers):
             assert w.tobytes() == w_ref.tobytes()
         return
-    samples, c = compressed
+    samples, c, q = compressed
     assert samples.x.shape == (dims[0], dims[0]) and samples.y.shape == (dims[-1], dims[0])
-    assert c >= 0.0
+    assert q.shape == (m, dims[0]) and c >= 0.0
+    # A BCSGD rate divides by the sample's weight, at least ||B x_i||^4.  The
+    # compressed run has B x_i = C q_i to within eps ||B X|| (normwise), the
+    # other run to within eps ||B|| ||x_i||, so a sample far shorter than the
+    # rest of B X (seen behind width-1 layers) moves the two runs apart by
+    # ~1e-12 of the loss: the bound is 1e-10 there.
+    tol = 1e-10 if runner == "bcsgd" else 1e-12
     # Rates are compared only where the gradient stands above 1e-6 of the
     # run's largest: a converged step's rate is a ratio of rounding errors.
-    g_floor = 1e-6 * max(r.grad_frobenius for r in ref.records)
-    for got, want in zip(fast.records, ref.records):
+    g_floor = 1e-6 * max(r.grad_frobenius for r in ref_traj.records)
+    for got, want in zip(fast_traj.records, ref_traj.records):
         assert (got.iteration, got.layer) == (want.iteration, want.layer)
-        assert abs(got.loss_after - want.loss_after) <= 1e-12 * abs(want.loss_after)
-        assert abs(got.dist_after - want.dist_after) <= 1e-12
+        assert abs(got.loss_after - want.loss_after) <= tol * abs(want.loss_after)
+        # a growing GD run reaches distances far above 1: there the bound is relative
+        assert abs(got.dist_after - want.dist_after) <= tol * max(1.0, abs(want.dist_after))
         if want.grad_frobenius >= g_floor:
             assert abs(got.lr - want.lr) <= 1e-8 * abs(want.lr)
         # gamma lies in [0, 1] and cancels at kappa 1: compare it on that scale
@@ -304,6 +388,7 @@ def test_sample_compression_matches_original_data(
             assert got.gamma_bound is None
         else:
             assert abs(got.gamma_bound - want.gamma_bound) <= 1e-12
+    _assert_same_samples_and_trackers(fast, ref, network.width_ok(dims, dims[0], dims[-1]))
     for w, w_ref in zip(net.layers, full.layers):
         assert w.shape == w_ref.shape
-        assert np.max(np.abs(w - w_ref), initial=0.0) <= 1e-10
+        assert np.max(np.abs(w - w_ref), initial=0.0) <= 1e-10 * _scale(w_ref)
