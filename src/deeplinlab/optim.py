@@ -546,6 +546,8 @@ def gd_step(
     changes, so the result does not depend on layer order.  A non-finite
     gradient, update or loss raises RuntimeError naming the GD iteration.
     """
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     return _gd_step_core(net, data, lf, eta, oracle_obj, state, data.m, 0.0)
 
@@ -562,9 +564,7 @@ def _gd_step_core(
 ) -> StepRecord:
     """``gd_step`` on the run's working chain and samples: distances divide
     by the true example count *m*, and *c* is added to every objective, as
-    in ``_step_core``."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    in ``_step_core``.  The caller has checked ``eta >= 0``."""
     L = net.depth
     step = state.sweep + 1 if state else 1
     suffix = _suffixes(net)
@@ -622,6 +622,8 @@ def run_gd(
     trajectory's ``dims``, oracle and distances stay on the full chain and
     the original data.
     """
+    if eta < 0:
+        raise ValueError("eta must be >= 0")
     oracle_obj = _resolve_oracle(net, data, oracle_objective)
     traj = Trajectory(
         meta={

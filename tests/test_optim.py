@@ -210,6 +210,19 @@ def test_gd_zero_eta_noop():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("runner", ["gd_step", "run_gd"])
+def test_gd_rejects_negative_eta_before_the_oracle(monkeypatch, runner):
+    data = make_data(seed=25)
+    net = initialize(InitScheme("random"), (6, 6, 3), seed=26)
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before eta was checked")
+
+    monkeypatch.setattr(optim, "_resolve_oracle", no_oracle)
+    with pytest.raises(ValueError, match="eta must be >= 0"):
+        {"gd_step": gd_step, "run_gd": run_gd}[runner](net, data, l2(), -0.1)
+
+
 def test_gd_gradients_evaluated_before_any_update():
     data = make_data(seed=27)
     net = initialize(InitScheme("random"), (6, 5, 3), seed=28)
