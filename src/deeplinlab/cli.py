@@ -11,7 +11,9 @@ oracle     print the global optimum's loss and Frobenius norm
 verify     audit a trajectory CSV against its rate policy's guarantee
 batch      run several config files in sequence
 
-Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error.
+Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error
+(including an ``--out`` whose directory cannot be created).  Every command
+that writes creates its output's parent directory before it computes.
 
 Config files are flat ``key = value`` lines mirroring the long flags
 (with underscores); command-line flags override file values.  The same
@@ -170,9 +172,22 @@ def _oracle_rank(cfg: RunConfig) -> int:
     return cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
 
 
+def _make_out_dir(out) -> None:
+    """Create the parent directory of the output path *out*, as the snapshot
+    directory is created; ConfigError (exit 2) when that fails, for example
+    when the parent is a regular file.  Every writing command calls this
+    before it computes anything."""
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
+
+
 def _prepare(cfg: RunConfig) -> tuple[Dataset, losses.LossFunction, float]:
-    """Validate *cfg*; return its dataset, loss and reference optimum."""
+    """Validate *cfg* and create its output directory; return its dataset,
+    loss and reference optimum."""
     cfg.validate()
+    _make_out_dir(cfg.out)
     data = build_dataset(cfg)
     if data.d_in != cfg.d_in or data.d_out != cfg.d_out:
         raise ConfigError(
@@ -325,8 +340,11 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def _cmd_gen_data(args) -> int:
+    if args.out is None:
+        raise ConfigError("gen-data needs --out")
     cfg = _config_from_args(args)
     cfg.csv = None
+    _make_out_dir(args.out)
     dataset = build_dataset(cfg)
     write_csv(args.out, dataset)
     sv = np.linalg.svd(dataset.x, compute_uv=False)

@@ -148,12 +148,12 @@ def save_network(net: Network, path) -> None:
     """Text dump: the dimension chain, then row-major entries per layer.
 
     Entries are written with ``repr`` so finite doubles round-trip exactly.
+    Each layer is formatted and written as one string, never the whole file.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in net.dims) + "\n")
         for w in net.layers:
-            for row in w:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in w.tolist()))
 
 
 def load_network(path) -> Network:

@@ -66,6 +66,10 @@ POLICY_KINDS = (
     "constant",
 )
 _DENOM_FLOOR = 1e-300
+# The ufuncs np.sum and np.max dispatch to for an ndarray (call them with
+# axis=None): the same bits, without the wrapper's cost on every step.
+_sum = np.add.reduce
+_max = np.maximum.reduce
 _SPECTRAL_KINDS = ("theory_l2", "convex_safe")  # rate needs ||A||_2 and ||B X||_2
 
 
@@ -106,9 +110,12 @@ class SweepState:
         return self.sweep * self.depth + self.position - 1
 
     def advance(self) -> None:
-        self.multi_index[self.layer_to_update() - 1] += 1
-        self.position += 1
-        if self.position > self.depth:
+        position = self.position
+        ascending = self.ordering == "ascending"
+        self.multi_index[position - 1 if ascending else self.depth - position] += 1
+        if position < self.depth:
+            self.position = position + 1
+        else:
             self.position = 1
             self.sweep += 1
 
@@ -167,7 +174,7 @@ class Trajectory:
 
 
 def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
-    total = float(np.sum(lf.value(pred, y)))
+    total = float(_sum(lf.value(pred, y), axis=None))
     return lf.power * total if lf.power is not None else total
 
 
@@ -222,18 +229,18 @@ def _lr_from_parts(
         a_svals, bx_svals = spectra
         denom = float(a_svals[0]) ** 2 * float(bx_svals[0]) ** 2
         if kind == "convex_safe":
-            denom *= float(np.max(lf.curvature(pred, y))) if pred.size else 0.0
+            denom *= float(_max(lf.curvature(pred, y), axis=None)) if pred.size else 0.0
         if denom < _DENOM_FLOOR:
             return 0.0
         return (policy.eta if kind == "theory_l2" else 1.0) / denom
-    g2 = float(np.sum(g * g))
+    g2 = float(_sum(g * g, axis=None))
     agbx = a @ g @ bx
-    denom = float(np.sum(agbx * agbx))
+    denom = float(_sum(agbx * agbx, axis=None))
     if kind == "near_optimal_general":
-        denom *= float(np.max(lf.curvature(pred, y))) if pred.size else 0.0
+        denom *= float(_max(lf.curvature(pred, y), axis=None)) if pred.size else 0.0
     elif kind == "near_optimal_lp":
         p = policy.p
-        max_abs = float(np.max(np.abs(pred - y))) if pred.size else 0.0
+        max_abs = float(_max(np.abs(pred - y), axis=None)) if pred.size else 0.0
         denom *= (p - 1) * max_abs ** (p - 2)
     if denom < _DENOM_FLOOR:
         return 0.0
@@ -284,19 +291,35 @@ def _step_core(
     holds only the head blocks of that chain or *data* holds the
     compressed samples of ``_reduce``.  *c* is added to every objective
     (the residual the compression leaves out; 0 on the original data).
+
+    Checks, in this order, each raising RuntimeError that names the
+    iteration and the layer:
+
+    1. the gradient G is finite.  ``||G||_F^2`` is computed on every step
+       (it is the recorded ``grad_frobenius``, squared); only when it is
+       not finite does the entrywise ``np.isfinite(G).all()`` run, so a
+       finite G whose squared norm overflows passes on to check 2;
+    2. the updated layer is finite, the same way: its sum of squares on
+       every step, the entrywise test only when that sum is not finite.
+       The layer is replaced only after this check;
+    3. the loss after the update is finite (``_finite_loss``, called only
+       when it is not).
     """
     ell = state.layer_to_update()
+    iteration, sweep = state.iteration + 1, state.sweep + 1
     w = net.layers[ell - 1]
+    y = data.y
     pred = a @ w @ bx
-    d = lf.deriv(pred, data.y)
-    g = gradient_from_parts(a, bx, d)
-    if not np.isfinite(g).all():
+    g = gradient_from_parts(a, bx, lf.deriv(pred, y))
+    g_flat = g.ravel("K")
+    grad_fro = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm(g, "fro"), bit for bit
+    if not math.isfinite(grad_fro) and not np.isfinite(g).all():
         raise RuntimeError(
-            f"non-finite gradient at iteration {state.iteration + 1}, "
-            f"layer {ell} (loss so far {_objective(pred, data.y, lf) + c:.6g})"
+            f"non-finite gradient at iteration {iteration}, "
+            f"layer {ell} (loss so far {_objective(pred, y, lf) + c:.6g})"
         )
     spectra = _spectra(policy, a, bx)
-    lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
+    lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g)
     gamma = None
     if ranks is not None:
         (a_svals, bx_svals), (r, r_x) = spectra, ranks
@@ -304,31 +327,24 @@ def _step_core(
             a_svals, (dims[-1], dims[ell]), bx_svals, (dims[ell - 1], m),
             policy.eta, r, r_x,
         )
-    loss_before = _objective(pred, data.y, lf) + c
+    loss_before = _objective(pred, y, lf) + c
     new_w = w - lr * g
-    if not np.isfinite(new_w).all():
+    w_flat = new_w.ravel("K")
+    if not math.isfinite(w_flat.dot(w_flat)) and not np.isfinite(new_w).all():
         raise RuntimeError(
-            f"non-finite update at iteration {state.iteration + 1}, layer {ell} "
-            f"(lr {lr:.6g}, |G|_F {float(np.linalg.norm(g)):.6g})"
+            f"non-finite update at iteration {iteration}, layer {ell} "
+            f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
         )
     net.layers[ell - 1] = new_w
-    loss_after = _finite_loss(
-        _objective(a @ new_w @ bx, data.y, lf) + c, "BCGD", state.iteration + 1, ell, lr
-    )
-    record = StepRecord(
-        iteration=state.iteration + 1,
-        sweep=state.sweep + 1,
-        layer=ell,
-        lr=lr,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        dist_before=(loss_before - oracle_obj) / m,
-        dist_after=(loss_after - oracle_obj) / m,
-        grad_frobenius=float(np.linalg.norm(g, "fro")),
-        gamma_bound=gamma,
-    )
+    loss_after = _objective(a @ new_w @ bx, y, lf) + c
+    if not math.isfinite(loss_after):
+        _finite_loss(loss_after, "BCGD", iteration, ell, lr)
     state.advance()
-    return record
+    return StepRecord(
+        iteration, sweep, ell, lr,
+        loss_before, loss_after, (loss_before - oracle_obj) / m,
+        (loss_after - oracle_obj) / m, grad_fro, gamma,
+    )
 
 
 def bcgd_step(
@@ -457,15 +473,14 @@ def run_bcgd(
         }
     )
     ranks = _gamma_ranks(net, data, policy)
-    dims = net.dims
+    dims, m, append = net.dims, data.m, traj.records.append
     work, samples, c, _q, write_back = _reduce(net, data, lf)
     try:
         for _ in range(max_sweeps):
             for _ell, a, bx in _sweep(work, samples.x, ordering):
-                traj.records.append(
+                append(
                     _step_core(
-                        work, samples, lf, state, policy, a, bx, oracle_obj, ranks,
-                        dims, data.m, c,
+                        work, samples, lf, state, policy, a, bx, oracle_obj, ranks, dims, m, c
                     )
                 )
             if on_sweep_end is not None:

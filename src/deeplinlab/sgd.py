@@ -29,9 +29,9 @@ expected squared distance ||W_{L:1} X - W* X||_F^2 between
 with L* = ||W* X - Y||_F^2, M_upp / M_low the run's sup of
 kappa^4(A) kt^4(B X) and inf of kt^4(B X) (kt the scaled condition
 number), and gamma_upp / gamma_low the run's extreme per-iteration
-contraction factors.  A is conditioned by its r-th and B X by its
-r_x-th singular value (r the numeric rank of the top layer, at most n_L,
-r_x that of X), as in ``theory.gamma_factor``.  The bounds assume those
+contraction factors.  A is conditioned by its r-th singular value (r the
+numeric rank of the top layer, at most n_L) and B X by its k-th, the same
+k as the rate's.  The bounds assume those
 sup/inf stay finite and away from the degenerate values; a run that
 transits near a rank-deficient partial product yields a
 finite-but-vacuous (or outright unavailable) bracket.
@@ -170,11 +170,13 @@ class BoundsTracker:
         ranks: tuple[int, int],
     ) -> None:
         """Fold in one step's constants, conditioning A by its r-th and B X
-        by its r_x-th singular value, *ranks* = (r, r_x) from
-        ``optim._ranks``: in a chain wider than the rank of X the smallest
-        singular value of B X is rounding noise (or exactly 0)."""
-        r, r_x = ranks
-        a_r, bx_r = _sval(a_svals, r), _sval(bx_svals, r_x)
+        by its k-th singular value, *ranks* = (r, k): r from
+        ``optim._ranks`` and k = ``_bx_rank``, the rank B X can carry.  In
+        a chain wider than the rank of X the smallest singular value of
+        B X is rounding noise (or exactly 0), and below a bottleneck
+        narrower than rank(X) so is its r_x-th."""
+        r, k = ranks
+        a_r, bx_r = _sval(a_svals, r), _sval(bx_svals, k)
         ka2 = _ratio_sq(a_svals[0], a_r)
         kb2 = _ratio_sq(bx_svals[0], bx_r)
         kt4 = _ratio_sq(bx_fro, bx_r) ** 2
@@ -254,13 +256,15 @@ def floor_brackets(
         raise ValueError("eta must lie in (0, 2)")
     if tracker is None:
         tracker = BoundsTracker()
-        a, bx = _factors(net, data.x, state.layer_to_update())
+        ell = state.layer_to_update()
+        a, bx = _factors(net, data.x, ell)
+        r, r_x = _ranks(net, _svals(data.x), data.x.shape)
         tracker.update(
             np.linalg.svd(a, compute_uv=False),
             np.linalg.svd(bx, compute_uv=False),
             float(np.linalg.norm(bx, "fro")),
             eta,
-            _ranks(net, _svals(data.x), data.x.shape),
+            (r, _bx_rank(net, ell, r_x)),
         )
     L = net.depth
     oracle_loss = float(oracle_loss)
@@ -327,8 +331,9 @@ def _bcsgd_step_core(
     weights are ||C^T C q_i||^2, example i's column is ``C q_i`` and its
     target the original ``y_i`` of *data*, and every objective adds c.
     Distances divide by *data*'s m.  *ranks* = (r, r_x) from
-    ``optim._ranks``: r_x conditions the rate, and both condition the
-    *tracker*'s update when one is given.  *bx_svals*, when given, are the
+    ``optim._ranks``: r_x capped by the widths below the layer
+    (``_bx_rank``) conditions B X in the rate and in the *tracker*'s
+    update when one is given, and r conditions A there.  *bx_svals*, when given, are the
     singular values of *bx*.
     """
     if not 0 < eta < 2:
@@ -342,9 +347,10 @@ def _bcsgd_step_core(
     i = dist.sample(rng)
     sa = np.linalg.svd(a, compute_uv=False)
     sb = np.linalg.svd(bx, compute_uv=False) if bx_svals is None else bx_svals
+    k = _bx_rank(net, ell, ranks[1])
     if tracker is not None:
-        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, ranks)
-    lr = _rate(sa, sb, _bx_rank(net, ell, ranks[1]), eta, float(weights[i]))
+        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
+    lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = net.layers[ell - 1]
     pred = a @ w @ bx
     loss_before = _objective(pred, samples.y, lf) + c

@@ -123,6 +123,55 @@ def test_gen_data_and_train_from_csv(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
+SMALL_RUN = ["--d-in", "6", "--d-out", "2", "--m", "20", "--depth", "2", "--sweeps", "1"]
+WRITING_COMMANDS = {  # argv without --out; batch reads its out from a config file
+    "train": ["train", *SMALL_RUN],
+    "gd": ["gd", *SMALL_RUN, "--iters", "1"],
+    "bcsgd": ["bcsgd", *SMALL_RUN, "--eta", "0.5", "--seeds", "1"],
+    "gen-data": ["gen-data", *SMALL_RUN],
+    "batch": None,
+}
+
+
+def _writing_argv(tmp_path, command, out):
+    if command != "batch":
+        return [*WRITING_COMMANDS[command], "--out", str(out)]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"d_in = 6\nd_out = 2\nm = 20\ndepth = 2\nsweeps = 1\nout = {out}\n")
+    return ["batch", str(config)]
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_out_into_a_missing_directory_creates_it(tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "sub" / "run.csv"
+    code = main(_writing_argv(tmp_path, command, out))
+    assert code != 2, capsys.readouterr().err
+    written = out.with_name("run_seed0.csv") if command == "bcsgd" else out
+    assert written.is_file()
+
+
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_out_under_a_regular_file_exits_two_before_any_compute(
+    tmp_path, capsys, monkeypatch, command
+):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+
+    def compute(cfg):  # the first step of every writing command's run
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "build_dataset", compute)
+    assert main(_writing_argv(tmp_path, command, blocker / "run.csv")) == 2
+    assert "cannot create the directory of --out" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+    assert set(tmp_path.iterdir()) <= {blocker, tmp_path / "run.cfg"}
+
+
+def test_gen_data_needs_out(capsys):
+    assert main(["gen-data", "--d-in", "6", "--d-out", "2", "--m", "20"]) == 2
+    assert "gen-data needs --out" in capsys.readouterr().err
+
+
 def test_snapshots_spot_check(tmp_path):
     cfg = RunConfig(
         d_in=6, d_out=2, m=20, data_seed=13, depth=3, seed=1,
@@ -408,6 +457,22 @@ def test_bcsgd_wide_chain_trains_every_layer(tmp_path, capsys):
             assert len(records) == 16
             assert all(r.lr > 0 for r in records if r.layer >= 2)
     assert tails[16] == pytest.approx(tails[6], rel=1e-12)
+
+
+def test_bcsgd_bottleneck_chain_brackets_by_the_rates_rank(tmp_path, capsys):
+    # rank(X) is 6, but B X above the width-3 layer carries rank 3 at most:
+    # the tracker conditions it by its 3rd singular value, as the rate does,
+    # not by its 6th (rounding noise), so gamma_upp stays below 1
+    code = main([
+        "bcsgd", "--d-in", "6", "--d-out", "2", "--m", "20", "--data-seed", "3",
+        "--dims", "6,3,6,2", "--seed", "5", "--sweeps", "50", "--eta", "0.5",
+        "--seeds", "3", "--out", str(tmp_path / "sgd.csv"),
+    ])
+    out = capsys.readouterr().out
+    gamma_upp = float(out.split("gamma_upp=")[1].split()[0])
+    assert "available=True" in out and gamma_upp < 1.0
+    assert "bracket_check=pass" in out
+    assert code == 0
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

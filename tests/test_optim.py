@@ -266,6 +266,31 @@ def test_divergent_run_aborts_with_diagnostics():
         run_bcgd(net, data, l2(), LrPolicy("constant", eta=1e12), max_sweeps=50)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_finite_gradient_with_overflowing_norm_fails_as_an_update():
+    # every entry of G is finite (about 1e200), but ||G||_F^2 overflows:
+    # the gradient check passes, and the nan rate fails the update check
+    rng = np.random.default_rng(0)
+    data = Dataset(x=rng.normal(size=(4, 10)) * 1e100, y=rng.uniform(-1, 2, size=(2, 10)))
+    net = initialize(InitScheme("orth_identity"), (4, 4, 2), seed=1)
+    with pytest.raises(RuntimeError) as info:
+        run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), max_sweeps=1, oracle_objective=0.0)
+    assert str(info.value).startswith("non-finite update at iteration 1, layer 1 ")
+    assert "(lr nan, |G|_F inf)" in str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ordering, layer", [("ascending", 1), ("descending", 3)])
+def test_non_finite_gradient_names_the_step_and_keeps_the_layer(ordering, layer):
+    data = make_data(d_in=4, d_out=2, m=10, seed=39)
+    net = initialize(InitScheme("random"), (4, 4, 4, 2), seed=40)
+    net.layers[1][0, 0] = np.inf  # after construction, which rejects it
+    before = [w.tobytes() for w in net.layers]
+    with pytest.raises(RuntimeError, match=f"non-finite gradient at iteration 1, layer {layer} "):
+        run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), ordering=ordering, oracle_objective=0.0)
+    assert [w.tobytes() for w in net.layers] == before
+
+
 def test_general_policy_equals_optimal_for_square_loss():
     data = make_data(seed=35)
     net = initialize(InitScheme("random"), (6, 6, 3), seed=36)

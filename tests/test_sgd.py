@@ -227,6 +227,26 @@ def test_bcsgd_rate_conditions_by_the_rank_bx_can_carry(dims):
     assert bcsgd_lr(net, data, state, 0, 0.5) == pytest.approx(expected, rel=1e-12)
 
 
+def test_floor_brackets_condition_bx_by_the_rank_it_can_carry():
+    # above the width-3 layer B X has rank 3 < r_x = 6: the state's bracket
+    # conditions it by its 3rd singular value, as the rate does; its 6th is
+    # rounding noise and would saturate gamma_upp at 1
+    _, data = make_instance(d_in=6, m=20, seed=23, noise=0.1)
+    net = initialize(InitScheme("orth_identity"), (6, 3, 6, 2), seed=24)
+    state = SweepState(depth=3)
+    state.advance()
+    state.advance()  # next update: layer 3, B X = W_2 W_1 X
+    bracket = floor_brackets(net, data, state, 0.5, 1.0)
+    a = partial_product(net, 3, 4)
+    bx = partial_product(net, 2, 1) @ data.x
+    sa, sb = np.linalg.svd(a, compute_uv=False), np.linalg.svd(bx, compute_uv=False)
+    assert sb[5] <= 1e-12 * sb[0] < sb[2]
+    tracker = BoundsTracker()
+    tracker.update(sa, sb, float(np.linalg.norm(bx)), 0.5, (2, 3))
+    assert bracket == floor_brackets(net, data, state, 0.5, 1.0, tracker=tracker)
+    assert bracket.available and bracket.gamma_upp < 1.0
+
+
 @pytest.mark.parametrize("ordering", ["ascending", "descending"])
 def test_run_bcsgd_on_compressed_samples_matches_original_data(monkeypatch, ordering):
     # m 40 > d_in 8: the run trains on (R^T, Y Q); the reference declines
