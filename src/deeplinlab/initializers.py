@@ -27,9 +27,15 @@ def random_orthogonal(n: int, seed=None) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    d = np.diagonal(r)
-    return q * np.where(d >= 0, 1.0, -1.0)
+    return _orthogonal_stack(rng, 1, n)[0]
+
+
+def _orthogonal_stack(rng, count: int, n: int) -> np.ndarray:
+    """*count* Haar n x n orthogonal matrices from one ``(count, n, n)`` draw
+    and one stacked QR: the same bits as *count* single draws from *rng*."""
+    q, r = np.linalg.qr(rng.normal(size=(count, n, n)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * np.where(d >= 0, 1.0, -1.0)[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,11 @@ class InitScheme:
             raise ValueError(f"unknown init kind {self.kind!r}; pick from {KINDS}")
 
 
-def _pad_block(block: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    out = np.zeros((rows, cols))
-    out[: block.shape[0], : block.shape[1]] = block
-    return out
+# Bytes of Gaussians drawn and factored at once.  Same-size blocks of
+# consecutive layers share one stacked QR, which is faster for small
+# blocks; blocks above 64 x 64 are factored one at a time, since a stack
+# of them is no faster and only raises peak memory.
+_STACK_BYTES = 1 << 16
 
 
 def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
@@ -73,28 +80,42 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
     if scheme.kind == "balanced":
         return _balanced(scheme, dims, rng)
 
-    layers = []
-    for j in range(1, L + 1):
-        nj, njm1 = dims[j], dims[j - 1]
-        s = min(nj, njm1)
-        if scheme.kind == "orthogonal":
-            block = random_orthogonal(s, rng)
-        elif scheme.kind == "orth_identity":
-            k = min(s, d_cap)
-            block = np.eye(s)
-            block[:k, :k] = random_orthogonal(k, rng)
-        elif scheme.kind == "identity":
-            block = np.eye(s)
-        elif scheme.kind == "random":
+    if scheme.kind == "random":
+        layers = []
+        for j in range(1, L + 1):
             if scheme.variance_overrides is not None:
                 var = float(scheme.variance_overrides[j - 1])
             else:
-                var = 1.0 / njm1
-            layers.append(rng.normal(0.0, np.sqrt(var), size=(nj, njm1)))
-            continue
-        else:  # pragma: no cover - guarded by InitScheme
-            raise ValueError(scheme.kind)
-        layers.append(_pad_block(block, nj, njm1))
+                var = 1.0 / dims[j - 1]
+            layers.append(rng.normal(0.0, np.sqrt(var), size=(dims[j], dims[j - 1])))
+        return Network(layers)
+
+    # Each layer is one zero array with its random orthogonal head block of
+    # size k written in, then a unit diagonal on [k:s, k:s], s = min(n_j,
+    # n_(j-1)): orthogonal draws k = s, orth-identity k = min(s, d_cap),
+    # identity k = 0.
+    sizes = [min(dims[j], dims[j - 1]) for j in range(1, L + 1)]
+    if scheme.kind == "orthogonal":
+        heads = sizes
+    elif scheme.kind == "orth_identity":
+        heads = [min(s, d_cap) for s in sizes]
+    else:
+        heads = [0] * L
+    layers = []
+    while len(layers) < L:
+        j, k = len(layers), heads[len(layers)]
+        count = 1
+        if k:
+            limit = max(1, _STACK_BYTES // (8 * k * k))
+            while count < limit and j + count < L and heads[j + count] == k:
+                count += 1
+            blocks = _orthogonal_stack(rng, count, k)
+        for i in range(count):
+            w = np.zeros((dims[j + i + 1], dims[j + i]))
+            if k:
+                w[:k, :k] = blocks[i]
+            np.fill_diagonal(w[k : sizes[j + i], k : sizes[j + i]], 1.0)
+            layers.append(w)
     return Network(layers)
 
 
@@ -114,8 +135,9 @@ def _balanced(scheme: InitScheme, dims, rng) -> Network:
         return Network([w0.copy()])
     u, s, vh = np.linalg.svd(w0, full_matrices=False)
     root = s ** (1.0 / L)  # zero singular values stay zero
-    layers = [_pad_block(root[:, None] * vh, dims[1], n0)]
-    for j in range(2, L):
-        layers.append(_pad_block(np.diag(root), dims[j], dims[j - 1]))
-    layers.append(_pad_block(u * root, nL, dims[L - 1]))
+    layers = [np.zeros((dims[j], dims[j - 1])) for j in range(1, L + 1)]
+    np.multiply(root[:, None], vh, out=layers[0][:s0])
+    for w in layers[1:-1]:
+        np.fill_diagonal(w[:s0, :s0], root)
+    np.multiply(u, root, out=layers[-1][:, :s0])
     return Network(layers)

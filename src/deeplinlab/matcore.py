@@ -31,12 +31,22 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate *a* as a finite 2-D float64 matrix (copied only if needed)."""
+    """Validate *a* as a finite 2-D float64 matrix (copied only if needed).
+
+    Finiteness is checked by one BLAS pass, the sum of squares, which is
+    finite only when every entry is; the entrywise test runs only when that
+    sum is not, so entries whose squares overflow are still accepted
+    (without an overflow warning).
+    """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
+    if m.size:
+        v = m.ravel("K")
+        with np.errstate(over="ignore"):
+            sum_sq = v.dot(v)
+        if not math.isfinite(sum_sq) and not np.isfinite(m).all():
+            raise ValueError(f"{name} contains non-finite entries")
     return m
 
 

@@ -70,12 +70,14 @@ def rank_constrained_solution(x, y, n_star: int) -> OracleSolution:
     ym = as_matrix(y, "Y")
     if xm.shape[1] != ym.shape[1]:
         raise ValueError("X and Y must have the same number of columns")
-    w_ln = ym @ pseudo_inverse(xm)
+    # One SVD of X serves both Y X^+ (as ``pseudo_inverse`` forms it) and,
+    # when the rank bound is active, the truncation below.
+    ux, sx, vx = compact_svd(xm)
+    w_ln = ym @ ((vx / sx) @ ux.T)
     r_star = spectral_summary(w_ln).numeric_rank
     if r_star <= n_star:
         loss = float(np.linalg.norm(w_ln @ xm - ym, "fro") ** 2)
         return OracleSolution(w_star=w_ln, optimal_loss=loss, effective_rank=r_star)
-    ux, sx, vx = compact_svd(xm)
     z = ym @ vx
     uy, sy, vy = compact_svd(z)
     s = min(n_star, r_star)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
-from deeplinlab.initializers import InitScheme, initialize, random_orthogonal
+from deeplinlab.initializers import KINDS, InitScheme, initialize, random_orthogonal
 from deeplinlab.losses import l2
 from deeplinlab.matcore import singular_values
 from deeplinlab.network import end_to_end, pad_equiv
@@ -116,3 +117,92 @@ def test_determinism_and_errors():
         InitScheme("xavier")
     with pytest.raises(ValueError, match="seed must be"):
         initialize(InitScheme("balanced", balanced_seed=np.eye(2)), (3, 3, 3), seed=0)
+
+
+# The per-layer construction ``initialize`` had before it wrote each layer
+# once and drew same-size blocks in stacks: an identity of the block size,
+# a fresh QR per random block, and a zero-padded copy of the block.
+def _reference_orthogonal(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    d = np.diagonal(r)
+    return q * np.where(d >= 0, 1.0, -1.0)
+
+
+def _reference_pad(block, rows, cols):
+    out = np.zeros((rows, cols))
+    out[: block.shape[0], : block.shape[1]] = block
+    return out
+
+
+def _reference_layers(kind, dims, seed):
+    rng = np.random.default_rng(seed)
+    L = len(dims) - 1
+    d_cap = max(dims[0], dims[-1])
+    if kind == "balanced":
+        n0, nL = dims[0], dims[-1]
+        w0 = rng.normal(0.0, np.sqrt(1.0 / n0), size=(nL, n0))
+        if L == 1:
+            return [w0.copy()]
+        u, s, vh = np.linalg.svd(w0, full_matrices=False)
+        root = s ** (1.0 / L)
+        layers = [_reference_pad(root[:, None] * vh, dims[1], n0)]
+        for j in range(2, L):
+            layers.append(_reference_pad(np.diag(root), dims[j], dims[j - 1]))
+        layers.append(_reference_pad(u * root, nL, dims[L - 1]))
+        return layers
+    layers = []
+    for j in range(1, L + 1):
+        nj, njm1 = dims[j], dims[j - 1]
+        s = min(nj, njm1)
+        if kind == "orthogonal":
+            block = _reference_orthogonal(s, rng)
+        elif kind == "orth_identity":
+            k = min(s, d_cap)
+            block = np.eye(s)
+            block[:k, :k] = _reference_orthogonal(k, rng)
+        elif kind == "identity":
+            block = np.eye(s)
+        else:
+            layers.append(rng.normal(0.0, np.sqrt(1.0 / njm1), size=(nj, njm1)))
+            continue
+        layers.append(_reference_pad(block, nj, njm1))
+    return layers
+
+
+# Runs of equal widths stack their blocks; a width change breaks the stack.
+# Widths up to 70 put some blocks above the stacking size (64 x 64).
+_runs = st.lists(
+    st.tuples(st.integers(1, 70), st.integers(1, 12)), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    first=st.integers(1, 70),
+    runs=_runs,
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_initialize_matches_per_layer_reference(first, runs, kind, seed):
+    dims = (first,) + tuple(width for width, count in runs for _ in range(count))
+    try:
+        layers = initialize(InitScheme(kind), dims, seed).layers
+    except ValueError:  # balanced needs every width >= min(n0, nL)
+        assert kind == "balanced"
+        assert any(d < min(dims[0], dims[-1]) for d in dims[1:-1])
+        return
+    reference = _reference_layers(kind, dims, seed)
+    assert len(layers) == len(reference)
+    for w, ref in zip(layers, reference):
+        assert w.shape == ref.shape and w.dtype == ref.dtype
+        assert w.tobytes() == ref.tobytes()
+        # no layer is a view that keeps a stacked buffer alive
+        assert w.flags.c_contiguous and w.flags.writeable and w.flags.owndata
+
+
+def test_random_orthogonal_matches_per_call_reference():
+    for n in (1, 3, 64, 65):
+        rng = np.random.default_rng(n)
+        want = _reference_orthogonal(n, np.random.default_rng(n))
+        assert random_orthogonal(n, rng).tobytes() == want.tobytes()
+        assert random_orthogonal(n, n).tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deeplinlab.matcore import (
+    as_matrix,
     compact_svd,
     cond_numbers,
     matrix_norms,
@@ -11,6 +12,7 @@ from deeplinlab.matcore import (
     singular_values,
     spectral_summary,
 )
+from deeplinlab.network import Network
 
 
 def test_compact_svd_identity():
@@ -176,3 +178,37 @@ def test_cond_numbers_monotone_in_r():
     a = rng.normal(size=(5, 5))
     vals = [cond_numbers(a, r)[0] for r in range(1, 6)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(4))
+
+
+def _layouts(a):
+    """*a* as C-ordered, F-ordered and strided (every other column) arrays."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+    wide[:, ::2] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), wide[:, ::2]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_rejects_non_finite_in_any_layout(bad):
+    a = np.arange(12.0).reshape(3, 4)
+    a[2, 1] = bad
+    for m in _layouts(a):
+        with pytest.raises(ValueError, match="X contains non-finite entries"):
+            as_matrix(m, "X")
+        with pytest.raises(ValueError, match="layer 1 contains non-finite entries"):
+            Network([m])
+
+
+@pytest.mark.filterwarnings("error")
+def test_as_matrix_accepts_entries_whose_squares_overflow():
+    a = np.full((3, 4), 1e200)
+    a[0, 0] = -1e200
+    for m in _layouts(a):
+        assert as_matrix(m) is m
+        assert Network([m]).layers[0] is m
+
+
+def test_as_matrix_accepts_empty_and_checks_shape_first():
+    assert as_matrix(np.zeros((0, 3))).shape == (0, 3)
+    assert Network([np.zeros((2, 0))]).dims == (0, 2)
+    with pytest.raises(ValueError, match="must be 2-D"):
+        as_matrix(np.array([np.nan]), "X")

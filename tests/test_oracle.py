@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deeplinlab.matcore import compact_svd, pseudo_inverse, spectral_summary
 from deeplinlab.oracle import (
     general_solution,
     least_norm_solution,
@@ -158,3 +159,43 @@ def test_optimal_loss_monotone_in_rank():
     y = rng.normal(size=(4, 8))
     values = [optimal_loss(x, y, r) for r in range(1, 5)]
     assert all(values[i] >= values[i + 1] - 1e-10 for i in range(3))
+
+
+def _reference_rank_constrained(x, y, n_star):
+    """The solution as formed with two SVDs of X: one inside the
+    pseudo-inverse, one for the truncation."""
+    w_ln = y @ pseudo_inverse(x)
+    r_star = spectral_summary(w_ln).numeric_rank
+    if r_star <= n_star:
+        return w_ln, float(np.linalg.norm(w_ln @ x - y, "fro") ** 2), r_star
+    ux, sx, vx = compact_svd(x)
+    uy, sy, vy = compact_svd(y @ vx)
+    s = min(n_star, r_star)
+    w_star = (uy[:, :s] * sy[:s]) @ vy[:, :s].T @ ((1.0 / sx)[:, None] * ux.T)
+    return w_star, float(np.linalg.norm(w_star @ x - y, "fro") ** 2), s
+
+
+@pytest.mark.parametrize(
+    "x, n_star",
+    [
+        (np.random.default_rng(11).normal(size=(6, 20)), 2),  # active
+        (rank_deficient_x(seed=12), 1),  # active, rank-deficient X
+        (np.random.default_rng(13).normal(size=(6, 20)), 4),  # inactive
+        (np.zeros((6, 20)), 1),  # Y X^+ = 0
+    ],
+)
+def test_rank_constrained_factors_x_once_with_the_same_bits(monkeypatch, x, n_star):
+    y = np.random.default_rng(14).uniform(-1, 2, size=(4, x.shape[1]))
+    want_w, want_loss, want_rank = _reference_rank_constrained(x, y, n_star)
+    svd = np.linalg.svd
+    of_x = []
+
+    def counting_svd(a, *args, **kwargs):
+        of_x.append(a.shape == x.shape and np.array_equal(a, x))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    sol = rank_constrained_solution(x, y, n_star)
+    assert sum(of_x) == 1
+    assert sol.w_star.tobytes() == want_w.tobytes()
+    assert sol.optimal_loss == want_loss and sol.effective_rank == want_rank

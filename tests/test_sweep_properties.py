@@ -23,7 +23,7 @@ declines.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from deeplinlab import network, optim, sgd, theory
 from deeplinlab.data import Dataset
@@ -317,6 +317,9 @@ def _assert_same_samples_and_trackers(fast, ref):
     ordering=st.sampled_from(optim.ORDERINGS),
     runner=st.sampled_from(RUNNERS),
 )
+# weights reach 5.9e3, where rounding exceeds an absolute 1e-10
+@example(dims=[1, 26, 12, 13, 3], scheme="balanced", m=11, seed=150873497,
+         ordering="ascending", runner="bcsgd")
 def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, runner):
     net = _init_or_skip(scheme, dims, seed)
     rng = np.random.default_rng(seed)
@@ -374,8 +377,9 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, run
     for l in range(1, net.depth + 1):
         w, w0, k, kp = net.layers[l - 1], initial.layers[l - 1], heads[l], heads[l - 1]
         w_ref = full.layers[l - 1]
+        # rounding is relative: above magnitude 1 the weight bound grows with it
         assert np.max(np.abs(w - w_ref), initial=0.0) <= _bound(
-            1e-10, np.max(np.abs(w_ref), initial=0.0), _grows(runner, scale), scale
+            1e-10, np.max(np.abs(w_ref), initial=0.0), True, scale
         )
         assert _outside_head(w, k, kp).tobytes() == _outside_head(w0, k, kp).tobytes()
         assert np.array_equal(w[:k, :kp], narrow.layers[l - 1])
@@ -394,6 +398,9 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, run
     ordering=st.sampled_from(optim.ORDERINGS),
     runner=st.sampled_from(RUNNERS),
 )
+# weights near 1e3 end 2.4e-10 apart (2.4e-13 relative)
+@example(dims=[39, 35, 11, 1, 1, 26], scheme="random", m_offset=6, seed=4292,
+         ordering="ascending", runner="theory:1.5")
 def test_sample_compression_matches_original_data(dims, scheme, m_offset, seed, ordering, runner):
     m = max(1, dims[0] + m_offset)  # on both sides of d_in
     net = _init_or_skip(scheme, dims, seed)
@@ -451,6 +458,7 @@ def test_sample_compression_matches_original_data(dims, scheme, m_offset, seed, 
     _assert_same_samples_and_trackers(fast, ref)
     for w, w_ref in zip(net.layers, full.layers):
         assert w.shape == w_ref.shape
+        # rounding is relative: above magnitude 1 the weight bound grows with it
         assert np.max(np.abs(w - w_ref), initial=0.0) <= _bound(
-            1e-10, np.max(np.abs(w_ref), initial=0.0), _grows(runner, scale), scale
+            1e-10, np.max(np.abs(w_ref), initial=0.0), True, scale
         )
