@@ -251,9 +251,7 @@ def reference_objective(data: Dataset, lf: losses.LossFunction, n_star: int) -> 
     if lf.power == 2:
         return optimal_loss(data.x, data.y, n_star)
     w_star = rank_constrained_solution(data.x, data.y, n_star).w_star
-    pred = w_star @ data.x
-    total = float(np.sum(lf.value(pred, data.y)))
-    return lf.power * total if lf.power is not None else total
+    return losses._objective(w_star @ data.x, data.y, lf)
 
 
 def emit_trajectory_csv(traj: Trajectory, path) -> None:

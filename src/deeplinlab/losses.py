@@ -97,15 +97,20 @@ def total_loss(net: Network, data: Dataset, lf: LossFunction) -> float:
     return float(np.sum(lf.value(predictions(net, data), data.y)))
 
 
+def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
+    """Tracked objective of *pred*: sum |pred - y|^p for the p-family, else
+    the summed loss (``np.add.reduce`` is ``np.sum``'s ufunc: same bits)."""
+    total = float(np.add.reduce(lf.value(pred, y), axis=None))
+    return lf.power * total if lf.power is not None else total
+
+
 def residual_objective(net: Network, data: Dataset, lf: LossFunction) -> float:
-    """Tracked objective: sum |pred - y|^p for the p-family, else total loss.
+    """Tracked objective of *net* on *data* (``_objective``).
 
     This is the quantity whose per-step drop the optimal learning rate
     makes exact and whose gap to the oracle defines distance to optimum.
     """
-    if lf.power is not None:
-        return lf.power * total_loss(net, data, lf)
-    return total_loss(net, data, lf)
+    return _objective(predictions(net, data), data.y, lf)
 
 
 def j_matrix(net: Network, data: Dataset, lf: LossFunction) -> np.ndarray:

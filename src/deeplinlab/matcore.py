@@ -30,22 +30,24 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _all_finite(m: np.ndarray, part: np.ndarray | None = None) -> bool:
+    """Whether every entry of *part* (a part of *m*; default *m*) is finite.
+    The sum of squares of *m*, one BLAS pass, decides unless it is not finite
+    (its overflow warns unless ignored); then the entrywise test of *part* does."""
+    v = m.ravel("K")
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(m if part is None else part).all())
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate *a* as a finite 2-D float64 matrix (copied only if needed).
 
-    Finiteness is checked by one BLAS pass, the sum of squares, which is
-    finite only when every entry is; the entrywise test runs only when that
-    sum is not, so entries whose squares overflow are still accepted
-    (without an overflow warning).
+    Finiteness is checked by ``_all_finite``, without an overflow warning.
     """
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size:
-        v = m.ravel("K")
-        with np.errstate(over="ignore"):
-            sum_sq = v.dot(v)
-        if not math.isfinite(sum_sq) and not np.isfinite(m).all():
+    with np.errstate(over="ignore"):
+        if not _all_finite(m):
             raise ValueError(f"{name} contains non-finite entries")
     return m
 

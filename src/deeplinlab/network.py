@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import as_matrix
+from .matcore import _all_finite, as_matrix
 
 __all__ = [
     "Network",
@@ -84,6 +84,8 @@ def _head_blocks(net: Network) -> list | None:
     place).  Then the inputs reach only head rows and ``W_L`` reads only
     head columns, so every layer gradient lives in the head block: BCGD
     on the head chain is BCGD on the full chain, and the tails never move.
+    The tail test is ``matcore._all_finite`` of the contiguous rows below
+    the head, ``W_l[k_l:]``: one sum of squares unless that is not finite.
     """
     dims = net.dims
     cap = max(dims[0], dims[-1])
@@ -91,13 +93,14 @@ def _head_blocks(net: Network) -> list | None:
     if heads == list(dims):
         return None
     blocks = []
-    for l, w in enumerate(net.layers, start=1):
-        k, kp = heads[l], heads[l - 1]
-        if w[k:, :kp].any() or w[:k, kp:].any() or not np.isfinite(w[k:, kp:]).all():
-            return None
-        if not w.flags.writeable:
-            return None
-        blocks.append(w[:k, :kp].copy())
+    with np.errstate(over="ignore"):
+        for l, w in enumerate(net.layers, start=1):
+            k, kp = heads[l], heads[l - 1]
+            if w[k:, :kp].any() or w[:k, kp:].any() or not _all_finite(w[k:], w[k:, kp:]):
+                return None
+            if not w.flags.writeable:
+                return None
+            blocks.append(w[:k, :kp].copy())
     return blocks
 
 

@@ -19,13 +19,15 @@ Trajectories record, per iteration, the tracked objective (for the
 step's drop identity is exact), the normalized distance to the oracle
 optimum, the rate used, and the contraction bound when one applies.
 
-Every runner (``run_bcgd``, ``run_gd`` and ``sgd.run_bcsgd``) trains on
-the exact problem reduction of ``_reduce``, each part taken only when it
-changes nothing but rounding: a block-diagonal chain trains only its head
-blocks, and a square-loss run with m > d_in trains on the QR-compressed
-samples ``(R^T, Y Q)`` of ``X^T = Q R`` plus the constant residual of Y
-outside X's row space, so no step touches an m-wide matrix.  The public
-single-step functions keep the full network and data.
+Every runner (``run_bcgd``, ``run_gd`` and ``sgd.run_bcsgd``) is one
+``_drive`` loop over the run ``_reduce`` returns: the exact problem
+reduction, each part taken only when it changes nothing but rounding.  A
+block-diagonal chain trains only its head blocks, and a square-loss run
+with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
+``X^T = Q R`` plus the constant residual of Y outside X's row space, so
+no step touches an m-wide matrix.  The public single-step functions train
+the full network on the full data (``_plain``).  BCGD and BCSGD steps end
+in one update tail, ``_descend``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .losses import LossFunction, gradient_from_parts
-from .matcore import numeric_rank, spectral_summary
+from .losses import LossFunction, _objective, gradient_from_parts
+from .matcore import _all_finite, numeric_rank, spectral_summary
 from .network import Network, _factors, _head_blocks, end_to_end
 from .oracle import optimal_loss
 from . import theory
@@ -173,25 +175,6 @@ class Trajectory:
         return self.records[-1].dist_after if self.records else math.nan
 
 
-def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
-    total = float(_sum(lf.value(pred, y), axis=None))
-    return lf.power * total if lf.power is not None else total
-
-
-def _finite_loss(loss: float, runner: str, iteration: int, layer: int, lr: float) -> float:
-    """*loss*, or RuntimeError naming the step when it is not finite.
-
-    The one divergence rule of every runner; *layer* 0 means all layers.
-    """
-    if math.isfinite(loss):
-        return loss
-    where = f"layer {layer}" if layer else "all layers"
-    raise RuntimeError(
-        f"non-finite loss ({loss!r}) after {runner} iteration {iteration}, "
-        f"{where} (lr {lr:.6g})"
-    )
-
-
 def _svals(a: np.ndarray) -> np.ndarray:
     """Singular values of *a*, nonincreasing; ``[0.0]`` for an empty matrix."""
     return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
@@ -268,82 +251,203 @@ def _resolve_oracle(net: Network, data: Dataset, oracle_objective) -> float:
     return optimal_loss(data.x, data.y, min(net.dims))
 
 
-def _step_core(
-    net: Network,
-    data: Dataset,
-    lf: LossFunction,
-    state: SweepState,
-    policy: LrPolicy,
-    a: np.ndarray,
-    bx: np.ndarray,
-    oracle_obj: float,
-    ranks: tuple[int, int] | None,
-    dims: tuple[int, ...],
-    m: int,
-    c: float,
-) -> StepRecord:
-    """Update the state's layer from its factors; *ranks* = (r, r_x) records
-    the theory_l2 gamma bound, built from the same spectra as the rate.
+@dataclass(frozen=True)
+class _Run:
+    """What every step trains on and is stated for.
 
-    *dims* and *m* are the chain and the example count the run is stated
-    for: A is taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` in the
-    bound's rank tolerance, and distances divide by *m*, also when *net*
-    holds only the head blocks of that chain or *data* holds the
-    compressed samples of ``_reduce``.  *c* is added to every objective
-    (the residual the compression leaves out; 0 on the original data).
+    *net* and *data* are the full chain and the original data: the
+    trajectory's ``dims``, the snapshots, the distances (divided by
+    ``data.m``), the ranks and the gamma bound's rank tolerances stay on
+    them.  The steps train *work* on *samples*: ``_reduce``'s head chain
+    and compressed samples, or *net* and *data* themselves (``_plain``).
+    *q* is the compression's Q (m x d_in) or None, *c* the residual every
+    recorded objective adds (0.0 uncompressed), *oracle_obj* the optimum's
+    objective the distances are measured from and *lf* the loss.
+    """
 
-    Checks, in this order, each raising RuntimeError that names the
-    iteration and the layer:
+    net: Network
+    work: Network
+    samples: Dataset
+    data: Dataset
+    q: np.ndarray | None
+    c: float
+    oracle_obj: float
+    lf: LossFunction
 
-    1. the gradient G is finite.  ``||G||_F^2`` is computed on every step
-       (it is the recorded ``grad_frobenius``, squared); only when it is
-       not finite does the entrywise ``np.isfinite(G).all()`` run, so a
-       finite G whose squared norm overflows passes on to check 2;
-    2. the updated layer is finite, the same way: its sum of squares on
-       every step, the entrywise test only when that sum is not finite.
-       The layer is replaced only after this check;
-    3. the loss after the update is finite (``_finite_loss``, called only
-       when it is not).
+    def write_back(self) -> None:
+        """Copy the trained head blocks into the top-left of *net*'s layers
+        in place (``W[:k, :k'] = block``); a no-op when *work* is *net*."""
+        if self.work is not self.net:
+            for w, block in zip(self.net.layers, self.work.layers):
+                w[: block.shape[0], : block.shape[1]] = block
+
+
+def _plain(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
+    """The unreduced run of the public single-step functions: *net* on *data*."""
+    return _Run(net, net, data, data, None, 0.0, _resolve_oracle(net, data, oracle_objective), lf)
+
+
+def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
+    """The run a runner trains on: the exact problem reduction of *net* on
+    *data*, each part taken only when it changes nothing but rounding.
+
+    Width part: when every layer is block-diagonal around its head block
+    ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with some
+    ``k_l < n_l`` (``network._head_blocks``; the orth-identity, identity
+    and balanced inits at widths above ``max(n_0, n_L)``), ``work`` is the
+    chain of head blocks, else *net* itself.  Every layer gradient
+    ``A^T D (B X)^T`` and every rank-one BCSGD update lives in the head
+    block, so training the head chain is training the full chain, and the
+    other blocks stay bitwise as they were.
+
+    Sample part: ``_compressed_samples`` gives ``samples`` = ``(R^T, Y Q)``,
+    the constant c every objective adds and Q (m x d_in) for the square
+    loss with m > d_in; else ``samples`` is *data*, c is 0.0 and q is None.
+    """
+    oracle_obj = _resolve_oracle(net, data, oracle_objective)
+    blocks = _head_blocks(net)
+    samples, c, q = _compressed_samples(data, lf) or (data, 0.0, None)
+    work = net if blocks is None else Network(blocks)
+    return _Run(net, work, samples, data, q, c, oracle_obj, lf)
+
+
+def _compressed_samples(data: Dataset, lf: LossFunction):
+    """``(Dataset(R^T, Y Q), c, Q)`` from the reduced QR ``X^T = Q R``, or None.
+
+    Engages only for the square loss with ``m > d_in``.  Q (m x d_in) has
+    orthonormal columns, so ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2
+    + c`` with ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient
+    ``A^T (A W B X - Y) (B X)^T`` equals its compressed twin, and B X and
+    B R^T have the same singular values and the same ``||A G B X||_F``.
+    Example i's column is ``B x_i = B R^T q_i``, q_i the i-th row of Q.
+    c is taken as the residual's own squared norm, not as the difference
+    ``||Y||^2 - ||Y Q||^2``, which would cancel.
+    """
+    if lf.power != 2 or data.m <= data.d_in:
+        return None
+    q, r = np.linalg.qr(data.x.T)
+    yq = data.y @ q
+    resid = data.y - yq @ q.T
+    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
+
+
+def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_sweep_end=None):
+    """The run loop of every runner: up to *sweeps* calls of ``sweep()``,
+    each returning the records of one sweep (of one iteration for GD).
+
+    The trajectory's meta is the full chain's ``dims``, the loss and the
+    oracle objective, then *meta*, whose keys win.  Stop rule: the run
+    ends after the first sweep whose last distance is at or below
+    *target_dist* (never at -inf), so stops fall on sweep boundaries.
+    Write-back rule: the trained head blocks are written into ``run.net``
+    in place before each ``on_sweep_end(completed_sweeps, run.net)`` call
+    (the snapshot hook) and when the run returns or raises, so the
+    snapshots and the network end where the full-width run leaves them.
+    """
+    traj = Trajectory(
+        meta={"dims": run.net.dims, "loss": run.lf.name, "oracle_objective": run.oracle_obj, **meta}
+    )
+    records = traj.records
+    try:
+        for done in range(1, sweeps + 1):
+            records.extend(sweep())
+            if on_sweep_end is not None:
+                run.write_back()
+                on_sweep_end(done, run.net)
+            if records[-1].dist_after <= target_dist:
+                break
+    finally:
+        run.write_back()
+    return traj
+
+
+def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> StepRecord:
+    """Update the state's layer of ``run.work`` from its factors on
+    ``run.samples``; *ranks* = (r, r_x) records the theory_l2 gamma bound,
+    built from the same spectra as the rate, with A taken as ``n_L x
+    n_ell`` and B X as ``n_(ell-1) x m`` of the full chain in its rank
+    tolerance.
+
+    The gradient G must be finite, or RuntimeError names the iteration and
+    the layer.  ``||G||_F^2`` is computed on every step (it is the recorded
+    ``grad_frobenius``, squared); only when it is not finite does the
+    entrywise ``np.isfinite(G).all()`` run, so a finite G whose squared
+    norm overflows passes on to ``_descend``'s update check.
     """
     ell = state.layer_to_update()
-    iteration, sweep = state.iteration + 1, state.sweep + 1
-    w = net.layers[ell - 1]
-    y = data.y
+    w = run.work.layers[ell - 1]
+    y, lf = run.samples.y, run.lf
     pred = a @ w @ bx
     g = gradient_from_parts(a, bx, lf.deriv(pred, y))
     g_flat = g.ravel("K")
     grad_fro = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm(g, "fro"), bit for bit
     if not math.isfinite(grad_fro) and not np.isfinite(g).all():
         raise RuntimeError(
-            f"non-finite gradient at iteration {iteration}, "
-            f"layer {ell} (loss so far {_objective(pred, y, lf) + c:.6g})"
+            f"non-finite gradient at iteration {state.iteration + 1}, "
+            f"layer {ell} (loss so far {_objective(pred, y, lf) + run.c:.6g})"
         )
     spectra = _spectra(policy, a, bx)
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g)
     gamma = None
     if ranks is not None:
-        (a_svals, bx_svals), (r, r_x) = spectra, ranks
+        (a_svals, bx_svals), (r, r_x), layers = spectra, ranks, run.net.layers
         gamma = theory._gamma_from_spectra(
-            a_svals, (dims[-1], dims[ell]), bx_svals, (dims[ell - 1], m),
-            policy.eta, r, r_x,
+            a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
+            bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
         )
-    loss_before = _objective(pred, y, lf) + c
+    loss_before = _objective(pred, y, lf) + run.c
+    return _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma)
+
+
+def _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma=None,
+             sample_index=None) -> StepRecord:
+    """The tail of every BCGD and BCSGD step: replace layer *ell* of
+    ``run.work`` (now *w*) by ``w - lr * g``, record the step and advance
+    the state.  *sample_index* marks a BCSGD step.
+
+    The updated layer must be finite (``matcore._all_finite``: its sum of
+    squares on every step, the entrywise test only when that sum is not
+    finite), or RuntimeError names the iteration and the layer; the layer
+    is replaced only after this check.  ``_record`` then checks the loss.
+    """
+    iteration = state.iteration + 1
     new_w = w - lr * g
-    w_flat = new_w.ravel("K")
-    if not math.isfinite(w_flat.dot(w_flat)) and not np.isfinite(new_w).all():
+    if not _all_finite(new_w):
         raise RuntimeError(
             f"non-finite update at iteration {iteration}, layer {ell} "
             f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
         )
-    net.layers[ell - 1] = new_w
-    loss_after = _objective(a @ new_w @ bx, y, lf) + c
-    if not math.isfinite(loss_after):
-        _finite_loss(loss_after, "BCGD", iteration, ell, lr)
+    run.work.layers[ell - 1] = new_w
+    loss_after = _objective(a @ new_w @ bx, run.samples.y, run.lf) + run.c
+    record = _record(
+        run, iteration, state.sweep + 1, ell, lr, loss_before, loss_after, grad_fro, gamma,
+        sample_index,
+    )
     state.advance()
+    return record
+
+
+def _record(run, iteration, sweep, layer, lr, loss_before, loss_after, grad_fro, gamma=None,
+            sample_index=None) -> StepRecord:
+    """A step's record, its distances ``(objective - oracle) / m`` taken
+    with the true example count of ``run.data``.
+
+    The one divergence rule of every runner: a non-finite *loss_after*
+    raises RuntimeError naming the runner, the iteration and the layer
+    (*layer* 0: all layers, a GD step; *sample_index* marks BCSGD).
+    """
+    if not math.isfinite(loss_after):
+        runner = "GD" if not layer else "BCGD" if sample_index is None else "BCSGD"
+        where = f"layer {layer}" if layer else "all layers"
+        raise RuntimeError(
+            f"non-finite loss ({loss_after!r}) after {runner} iteration {iteration}, "
+            f"{where} (lr {lr:.6g})"
+        )
+    oracle_obj, m = run.oracle_obj, run.data.m
     return StepRecord(
-        iteration, sweep, ell, lr,
-        loss_before, loss_after, (loss_before - oracle_obj) / m,
-        (loss_after - oracle_obj) / m, grad_fro, gamma,
+        iteration, sweep, layer, lr, loss_before, loss_after,
+        (loss_before - oracle_obj) / m, (loss_after - oracle_obj) / m,
+        grad_fro, gamma, sample_index,
     )
 
 
@@ -362,18 +466,16 @@ def bcgd_step(
     for the theory_l2 policy (its rate guarantee applies there).
     """
     a, bx = _factors(net, data.x, state.layer_to_update())
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    return _step_core(
-        net, data, lf, state, policy, a, bx, oracle_obj,
-        _gamma_ranks(net, data, policy), net.dims, data.m, 0.0,
-    )
+    run = _plain(net, data, lf, oracle_objective)
+    return _step_core(run, state, policy, a, bx, _gamma_ranks(run, policy))
 
 
-def _gamma_ranks(net: Network, data: Dataset, policy: LrPolicy) -> tuple[int, int] | None:
-    """``_ranks`` for the theory_l2 gamma bound; None for the other policies."""
+def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
+    """``_ranks`` for the theory_l2 gamma bound, X's singular values taken
+    from ``run.samples``; None for the other policies."""
     if policy.kind != "theory_l2":
         return None
-    return _ranks(net, _svals(data.x), data.x.shape)
+    return _ranks(run.net, _svals(run.samples.x), run.data.x.shape)
 
 
 def _ranks(net: Network, x_svals: np.ndarray, x_shape: tuple[int, int]) -> tuple[int, int]:
@@ -381,8 +483,7 @@ def _ranks(net: Network, x_svals: np.ndarray, x_shape: tuple[int, int]) -> tuple
     the ranks A and B X are conditioned by.  *x_svals* are X's singular
     values (those of the compressed R^T serve: they are X's up to
     rounding), ranked at X's own *x_shape*."""
-    r = min(spectral_summary(net.layers[-1]).numeric_rank, net.dims[-1])
-    return r, numeric_rank(x_svals, x_shape)
+    return spectral_summary(net.layers[-1]).numeric_rank, numeric_rank(x_svals, x_shape)
 
 
 def _suffixes(net: Network) -> list:
@@ -438,113 +539,26 @@ def run_bcgd(
 ) -> Trajectory:
     """Run BCGD sweeps until ``max_sweeps`` or the target distance.
 
-    The network is updated in place.  Each sweep takes its factors
-    ``(A, B X)`` from ``_sweep``, so it costs O(L) matrix products; each
-    step computes the singular values of A and B X at most once, and only
-    for the policies that need them (theory_l2 shares them between its
-    rate and its gamma bound).  Stop conditions are evaluated at sweep
-    boundaries; ``on_sweep_end(completed_sweeps, net)`` runs there when
-    given (the snapshot hook).
-
-    The sweeps run on ``_reduce``'s exact problem reduction: the head
-    blocks of a block-diagonal chain, and for the square loss with m > d_in
-    the QR-compressed samples ``(R^T, Y Q)``, every recorded objective
-    adding the left-out residual c.  Losses, gradients, rates and the
-    spectra of A and B X are those of the full run up to rounding.  The
-    trained head blocks are written into ``net.layers`` in place before
-    each ``on_sweep_end`` call and when the run returns or raises.  The
-    trajectory's ``dims``, the oracle, the distances (divided by the true
-    m), the theory_l2 gamma bound's ranks and rank tolerances (A as
-    ``n_L x n_ell``, B X as ``n_(ell-1) x m``), ``meta``, the snapshots and
-    the returned network stay on the full chain and the original data.
+    The network is updated in place; ``_drive`` holds the stop rule and
+    when the trained blocks reach *net* and ``on_sweep_end(completed_sweeps,
+    net)`` (the snapshot hook).  Each sweep takes its factors ``(A, B X)``
+    from ``_sweep``, so it costs O(L) matrix products; each step computes
+    the singular values of A and B X at most once, and only for the
+    policies that need them (theory_l2 shares them between its rate and
+    its gamma bound).  The theory_l2 ranks are taken once per run.
     """
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    state = SweepState(depth=net.depth, ordering=ordering)
-    traj = Trajectory(
-        meta={
-            "dims": net.dims,
-            "ordering": ordering,
-            "policy": policy.kind,
-            "loss": lf.name,
-            "oracle_objective": oracle_obj,
-            **(meta or {}),
-        }
-    )
-    ranks = _gamma_ranks(net, data, policy)
-    dims, m, append = net.dims, data.m, traj.records.append
-    work, samples, c, _q, write_back = _reduce(net, data, lf)
-    try:
-        for _ in range(max_sweeps):
-            for _ell, a, bx in _sweep(work, samples.x, ordering):
-                append(
-                    _step_core(
-                        work, samples, lf, state, policy, a, bx, oracle_obj, ranks, dims, m, c
-                    )
-                )
-            if on_sweep_end is not None:
-                write_back()
-                on_sweep_end(state.sweep, net)
-            if traj.records[-1].dist_after <= target_dist:
-                break
-    finally:  # also on return: *net* ends where the full-width run leaves it
-        write_back()
-    return traj
+    state = SweepState(depth=net.depth, ordering=ordering)  # checks ordering before the oracle
+    run = _reduce(net, data, lf, oracle_objective)
+    ranks = _gamma_ranks(run, policy)
 
+    def sweep():
+        return [
+            _step_core(run, state, policy, a, bx, ranks)
+            for _ell, a, bx in _sweep(run.work, run.samples.x, ordering)
+        ]
 
-def _reduce(net: Network, data: Dataset, lf: LossFunction):
-    """The exact problem reduction a runner trains on: ``(work, samples, c,
-    q, write_back)``.
-
-    Width part: when every layer is block-diagonal around its head block
-    ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with some
-    ``k_l < n_l`` (``network._head_blocks``; the orth-identity, identity
-    and balanced inits at widths above ``max(n_0, n_L)``), *work* is the
-    chain of head blocks, else *net* itself.  Every layer gradient
-    ``A^T D (B X)^T`` and every rank-one BCSGD update lives in the head
-    block, so training the head chain is training the full chain, and the
-    other blocks stay bitwise as they were.
-
-    Sample part: ``_compressed_samples`` gives *samples* = ``(R^T, Y Q)``,
-    the constant c every objective adds and Q (m x d_in) for the square
-    loss with m > d_in; else *samples* is *data*, c is 0.0 and q is None.
-
-    ``write_back()`` copies the trained head blocks into the top-left of
-    *net*'s layers in place (``W[:k, :k'] = block``; a no-op when *work*
-    is *net*).  A runner calls it before it hands *net* out and when it
-    returns or raises.
-    """
-    blocks = _head_blocks(net)
-    work = net if blocks is None else Network(blocks)
-    samples, c, q = _compressed_samples(data, lf) or (data, 0.0, None)
-
-    def write_back() -> None:
-        if work is not net:
-            for w, block in zip(net.layers, work.layers):
-                w[: block.shape[0], : block.shape[1]] = block
-
-    return work, samples, c, q, write_back
-
-
-def _compressed_samples(data: Dataset, lf: LossFunction):
-    """``(Dataset(R^T, Y Q), c, Q)`` from the reduced QR ``X^T = Q R``, or None.
-
-    Engages only for the square loss with ``m > d_in``.  Q (m x d_in) has
-    orthonormal columns, so ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2
-    + c`` with ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient
-    ``A^T (A W B X - Y) (B X)^T`` equals its compressed twin, and B X and
-    B R^T have the same singular values and the same ``||A G B X||_F``.
-    Example i's column is ``B x_i = B R^T q_i``, q_i the i-th row of Q.
-    c is taken as the residual's own squared norm, not as the difference
-    ``||Y||^2 - ||Y Q||^2``, which would cancel.
-    """
-    if lf.power != 2 or data.m <= data.d_in:
-        return None
-    q, r = np.linalg.qr(data.x.T)
-    yq = data.y @ q
-    resid = data.y - yq @ q.T
-    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
+    meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}
+    return _drive(run, meta, max_sweeps, sweep, target_dist, on_sweep_end)
 
 
 def gd_step(
@@ -563,35 +577,25 @@ def gd_step(
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    return _gd_step_core(net, data, lf, eta, oracle_obj, state, data.m, 0.0)
+    return _gd_step_core(_plain(net, data, lf, oracle_objective), eta, state)
 
 
-def _gd_step_core(
-    net: Network,
-    data: Dataset,
-    lf: LossFunction,
-    eta: float,
-    oracle_obj: float,
-    state: SweepState | None,
-    m: int,
-    c: float,
-) -> StepRecord:
-    """``gd_step`` on the run's working chain and samples: distances divide
-    by the true example count *m*, and *c* is added to every objective, as
-    in ``_step_core``.  The caller has checked ``eta >= 0``."""
+def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord:
+    """``gd_step`` on ``run.work`` and ``run.samples``.  The caller has
+    checked ``eta >= 0``."""
+    net, x, y, lf = run.work, run.samples.x, run.samples.y, run.lf
     L = net.depth
     step = state.sweep + 1 if state else 1
     suffix = _suffixes(net)
-    prefix = _prefixes(net, data.x)
+    prefix = _prefixes(net, x)
     pred = suffix[1] @ net.layers[0] @ prefix[1]
-    d = lf.deriv(pred, data.y)
+    d = lf.deriv(pred, y)
     grads = [gradient_from_parts(suffix[l], prefix[l], d) for l in range(1, L + 1)]
     for l, g in enumerate(grads, start=1):
         if not np.isfinite(g).all():
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
     total_g2 = sum(float(np.sum(g * g)) for g in grads)
-    loss_before = _objective(pred, data.y, lf) + c
+    loss_before = _objective(pred, y, lf) + run.c
     for l in range(1, L + 1):
         new_w = net.layers[l - 1] - eta * grads[l - 1]
         if not np.isfinite(new_w).all():
@@ -599,20 +603,8 @@ def _gd_step_core(
                 f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
             )
         net.layers[l - 1] = new_w
-    loss_after = _finite_loss(
-        _objective(end_to_end(net) @ data.x, data.y, lf) + c, "GD", step, 0, eta
-    )
-    record = StepRecord(
-        iteration=step,
-        sweep=step,
-        layer=0,
-        lr=float(eta),
-        loss_before=loss_before,
-        loss_after=loss_after,
-        dist_before=(loss_before - oracle_obj) / m,
-        dist_after=(loss_after - oracle_obj) / m,
-        grad_frobenius=math.sqrt(total_g2),
-    )
+    loss_after = _objective(end_to_end(net) @ x, y, lf) + run.c
+    record = _record(run, step, step, 0, float(eta), loss_before, loss_after, math.sqrt(total_g2))
     if state is not None:
         for _ in range(state.depth):
             state.advance()
@@ -631,35 +623,15 @@ def run_gd(
 ) -> Trajectory:
     """Plain GD baseline with a constant learning rate.
 
-    The network is updated in place.  Like ``run_bcgd``, the steps run on
-    ``_reduce``'s head chain and compressed samples, the trained head
-    blocks are written back when the run returns or raises, and the
-    trajectory's ``dims``, oracle and distances stay on the full chain and
-    the original data.
+    The network is updated in place.  Each iteration is one of ``_drive``'s
+    sweeps, so the target is checked after every iteration.
     """
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    traj = Trajectory(
-        meta={
-            "dims": net.dims,
-            "policy": f"gd_const:{eta!r}",
-            "loss": lf.name,
-            "oracle_objective": oracle_obj,
-            **(meta or {}),
-        }
-    )
+    run = _reduce(net, data, lf, oracle_objective)
     state = SweepState(depth=net.depth)
-    work, samples, c, _q, write_back = _reduce(net, data, lf)
-    try:
-        for _ in range(max_iters):
-            record = _gd_step_core(work, samples, lf, eta, oracle_obj, state, data.m, c)
-            traj.records.append(record)
-            if record.dist_after <= target_dist:
-                break
-    finally:
-        write_back()
-    return traj
+    meta = {"policy": f"gd_const:{eta!r}", **(meta or {})}
+    return _drive(run, meta, max_iters, lambda: [_gd_step_core(run, eta, state)], target_dist)
 
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:

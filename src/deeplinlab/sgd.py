@@ -45,18 +45,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossFunction
+from .losses import LossFunction, _objective
 from .matcore import numeric_rank
 from .network import Network, _factors
 from .optim import (
     StepRecord,
     SweepState,
     Trajectory,
-    _finite_loss,
-    _objective,
+    _descend,
+    _drive,
+    _plain,
     _ranks,
     _reduce,
-    _resolve_oracle,
     _svals,
     _sweep,
 )
@@ -308,11 +308,9 @@ def bcsgd_step(
     """
     _require_l2(lf)
     a, bx = _factors(net, data.x, state.layer_to_update())
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
+    run = _plain(net, data, lf, oracle_objective)
     ranks = _ranks(net, _svals(data.x), data.x.shape)
-    return _bcsgd_step_core(
-        net, data, data, None, 0.0, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks
-    )
+    return _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks)
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -320,25 +318,21 @@ def _require_l2(lf: LossFunction) -> None:
         raise ValueError("BCSGD is defined for the square loss")
 
 
-def _bcsgd_step_core(
-    net, data, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj, tracker, ranks,
-    bx_svals=None,
-):
-    """One stochastic step from the sweep's factors.
+def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None):
+    """One stochastic step from the sweep's factors, ended by ``optim._descend``.
 
-    *samples*, *q* and *c* are ``optim._reduce``'s (*data*, None and 0.0
-    on the original data).  With compression *bx* is ``C = B R^T``: the
+    With compression (``run.q`` not None) *bx* is ``C = B R^T``: the
     weights are ||C^T C q_i||^2, example i's column is ``C q_i`` and its
-    target the original ``y_i`` of *data*, and every objective adds c.
-    Distances divide by *data*'s m.  *ranks* = (r, r_x) from
+    target the original ``y_i`` of ``run.data``.  *ranks* = (r, r_x) from
     ``optim._ranks``: r_x capped by the widths below the layer
     (``_bx_rank``) conditions B X in the rate and in the *tracker*'s
-    update when one is given, and r conditions A there.  *bx_svals*, when given, are the
-    singular values of *bx*.
+    update when one is given, and r conditions A there.  *bx_svals*, when
+    given, are the singular values of *bx*.
     """
     if not 0 < eta < 2:
         raise ValueError("eta must lie in (0, 2)")
     ell = state.layer_to_update()
+    q = run.q
     weights = _bx_column_weights(bx, q)
     total = float(weights.sum())
     if total <= 0.0:
@@ -347,42 +341,21 @@ def _bcsgd_step_core(
     i = dist.sample(rng)
     sa = np.linalg.svd(a, compute_uv=False)
     sb = np.linalg.svd(bx, compute_uv=False) if bx_svals is None else bx_svals
-    k = _bx_rank(net, ell, ranks[1])
+    k = _bx_rank(run.work, ell, ranks[1])
     if tracker is not None:
         tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
     lr = _rate(sa, sb, k, eta, float(weights[i]))
-    w = net.layers[ell - 1]
+    w = run.work.layers[ell - 1]
     pred = a @ w @ bx
-    loss_before = _objective(pred, samples.y, lf) + c
+    loss_before = _objective(pred, run.samples.y, run.lf) + run.c
     if q is None:
         col, pred_i = bx[:, i], pred[:, i]
     else:
         q_i = q[i]
         col, pred_i = bx @ q_i, pred @ q_i
-    grad_i = np.outer(a.T @ (pred_i - data.y[:, i]), col)
-    new_w = w - lr * grad_i
-    if not np.isfinite(new_w).all():
-        raise RuntimeError(
-            f"non-finite BCSGD update at iteration {state.iteration + 1}, layer {ell}"
-        )
-    net.layers[ell - 1] = new_w
-    loss_after = _finite_loss(
-        _objective(a @ new_w @ bx, samples.y, lf) + c, "BCSGD", state.iteration + 1, ell, lr
-    )
-    record = StepRecord(
-        iteration=state.iteration + 1,
-        sweep=state.sweep + 1,
-        layer=ell,
-        lr=lr,
-        loss_before=loss_before,
-        loss_after=loss_after,
-        dist_before=(loss_before - oracle_obj) / data.m,
-        dist_after=(loss_after - oracle_obj) / data.m,
-        grad_frobenius=float(np.linalg.norm(grad_i, "fro")),
-        sample_index=i,
-    )
-    state.advance()
-    return record
+    grad_i = np.outer(a.T @ (pred_i - run.data.y[:, i]), col)
+    grad_fro = float(np.linalg.norm(grad_i, "fro"))
+    return _descend(run, state, ell, a, w, bx, lr, grad_i, grad_fro, loss_before, sample_index=i)
 
 
 def run_bcsgd(
@@ -399,46 +372,30 @@ def run_bcsgd(
     """Run BCSGD for a fixed number of sweeps with its own RNG stream.
 
     Returns the trajectory and the tracker holding the run's sup/inf of
-    the bracket constants.  The network is updated in place.  The factors
-    ``(A, B X)`` of every step come from the same sweep engine as
-    ``optim.run_bcgd`` (``optim._sweep``), run on ``optim._reduce``'s head
-    chain and compressed samples ``(R^T, Y Q)``; the trained head blocks
-    are written back when the run returns or raises.  The samples drawn,
-    rates, losses and tracker constants are those of the full run up to
-    rounding; ``dims``, the oracle and the distances stay on the full
-    chain and the original data.  X's singular values are computed once
-    per call, from R^T when compressed: they give the rank r_x (at X's
-    ``d_in x m`` shape) that conditions the rate and the tracker, and they
-    are B X's own at layer 1.
+    the bracket constants.  The network is updated in place, in the one
+    run loop ``optim._drive``, on the factors of ``optim._sweep``; every
+    run makes all its *sweeps* (no target).  The samples drawn, rates,
+    losses and tracker constants are those of the full run up to rounding.
+    X's singular values are computed once per call, from R^T when
+    compressed: they give the rank r_x (at X's ``d_in x m`` shape) that
+    conditions the rate and the tracker, and they are B X's own at layer 1.
     """
     _require_l2(lf)
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
-    rng = np.random.default_rng(seed)
     state = SweepState(depth=net.depth, ordering=ordering)
+    run = _reduce(net, data, lf, oracle_objective)
+    rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
-    work, samples, c, q, write_back = _reduce(net, data, lf)
-    x_svals = _svals(samples.x)
+    x_svals = _svals(run.samples.x)
     ranks = _ranks(net, x_svals, data.x.shape)
-    traj = Trajectory(
-        meta={
-            "dims": net.dims,
-            "ordering": ordering,
-            "policy": f"bcsgd:{eta!r}",
-            "loss": lf.name,
-            "oracle_objective": oracle_obj,
-            "seed": seed,
-            **(meta or {}),
-        }
-    )
-    try:
-        for _ in range(sweeps):
-            for ell, a, bx in _sweep(work, samples.x, ordering):
-                traj.records.append(
-                    _bcsgd_step_core(
-                        work, data, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj,
-                        tracker, ranks, x_svals if ell == 1 else None,  # B X is X at layer 1
-                    )
-                )
-    finally:
-        write_back()
-    return traj, tracker
+
+    def sweep():
+        return [
+            _bcsgd_step_core(
+                run, state, eta, rng, a, bx, tracker, ranks,
+                x_svals if ell == 1 else None,  # B X is X at layer 1
+            )
+            for ell, a, bx in _sweep(run.work, run.samples.x, ordering)
+        ]
+
+    meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
+    return _drive(run, meta, sweeps, sweep), tracker

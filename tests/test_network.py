@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,10 @@ def test_head_blocks_conditions():
     tail = net.copy()
     tail.layers[1][6, 5] = 7.0  # finite tail entries may be anything
     assert _head_blocks(tail) is not None
+    tail.layers[1][6, 6] = 1e200  # finite, though the layer's sum of squares overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _head_blocks(tail) is not None
     frozen = net.copy()
     frozen.layers[1].flags.writeable = False
     assert _head_blocks(frozen) is None

@@ -316,7 +316,7 @@ def _wide_run(runner, decline, fail_at=None):
     calls = []
 
     def step(*args):
-        calls.append(args[0].dims)  # the chain the step trains
+        calls.append(args[0].work.dims)  # the chain the step trains
         record = core(*args)
         if len(calls) == fail_at:
             raise RuntimeError("stop")
@@ -378,3 +378,67 @@ def test_width_fast_path_writes_heads_back_like_full_width(runner, fail_at):
         assert traj.meta["dims"] == (6, 12, 12, 12, 3)
     else:
         assert traj is None and ref_traj is None
+
+
+# The one update tail (optim._descend) and the one run loop (optim._drive)
+# that BCGD, BCSGD and GD share.
+STEP_RATES = {"bcgd": (optim, "_lr_from_parts"), "bcsgd": (sgd, "_rate")}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("runner", sorted(STEP_RATES))
+def test_non_finite_update_names_the_step_and_keeps_the_layer(monkeypatch, runner):
+    data = make_data(d_in=4, d_out=2, m=10, seed=41)
+    net = initialize(InitScheme("random"), (4, 4, 2), seed=42)
+    before = [w.tobytes() for w in net.layers]
+    monkeypatch.setattr(*STEP_RATES[runner], lambda *args: math.inf)
+    with pytest.raises(RuntimeError) as info:
+        if runner == "bcgd":
+            run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), oracle_objective=0.0)
+        else:
+            sgd.run_bcsgd(net, data, l2(), 0.5, 1, seed=43, oracle_objective=0.0)
+    assert str(info.value).startswith("non-finite update at iteration 1, layer 1 (lr inf, |G|_F ")
+    assert [w.tobytes() for w in net.layers] == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("runner", sorted(STEP_RATES))
+def test_finite_update_with_overflowing_norm_passes(runner):
+    # row 2 of layer 1 holds 1e200, which the zero column 2 of layer 2
+    # hides from every prediction and every gradient: the updated layer is
+    # finite, but its sum of squares overflows
+    rng = np.random.default_rng(44)
+    data = Dataset(x=rng.normal(size=(3, 4)), y=rng.uniform(-1, 2, size=(2, 4)))
+    w1, w2 = rng.normal(size=(3, 3)), rng.normal(size=(2, 3))
+    w1[2, 0], w2[:, 2] = 1e200, 0.0
+    net = Network([w1, w2])
+    state = SweepState(depth=2)
+    if runner == "bcgd":
+        record = bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2"), oracle_objective=0.0)
+    else:
+        rng = np.random.default_rng(45)
+        record = sgd.bcsgd_step(net, data, l2(), state, 0.5, rng, oracle_objective=0.0)
+    assert math.isfinite(record.loss_after) and record.lr > 0.0
+    assert net.layers[0][2, 0] == 1e200 and not np.array_equal(net.layers[0], w1)
+
+
+def test_run_gd_stops_at_the_first_iteration_at_or_below_the_target():
+    data = make_data(seed=46)
+    net = initialize(InitScheme("orth_identity"), (6, 6, 3), seed=47)
+    eta = reference_gd_rate(net, data)
+    full = run_gd(net.copy(), data, l2(), eta, max_iters=30, target_dist=-math.inf)
+    assert len(full) == 30
+    target = full.records[9].dist_after
+    first = next(i for i, r in enumerate(full.records) if r.dist_after <= target)
+    stopped = run_gd(net, data, l2(), eta, max_iters=30, target_dist=target)
+    assert stopped.records == full.records[: first + 1]
+
+
+def test_run_bcsgd_runs_every_sweep():
+    # the oracle objective puts every distance far below any target
+    data = make_data(d_in=4, d_out=2, m=10, seed=48)
+    net = initialize(InitScheme("orth_identity"), (4, 4, 4, 2), seed=49)
+    traj, tracker = sgd.run_bcsgd(net, data, l2(), 0.5, 5, seed=50, oracle_objective=1e12)
+    assert len(traj) == tracker.iterations == 5 * net.depth
+    assert all(r.dist_after < 0.0 for r in traj.records)
+    assert [r.sweep for r in traj.records[:: net.depth]] == [1, 2, 3, 4, 5]

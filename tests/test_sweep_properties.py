@@ -106,22 +106,23 @@ def test_sweep_yields_live_factors_under_any_update(dims, m, seed, ordering, swe
 def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     net, data = _problem(dims, m, seed)
     make_loss, policy = POLICIES[policy_name]
-    ranks = optim._gamma_ranks(net, data, policy)  # fixed at the run start
+    # fixed at the run start, from the unreduced data
+    ranks = optim._gamma_ranks(optim._plain(net, data, make_loss(), 0.0), policy)
     core = optim._step_core
     checked = []
 
-    def step(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims, m_, c):
+    def step(run, state, policy_, a, bx, ranks_):
         ell = state.layer_to_update()
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
-        _assert_live_factors(net_, data_, ell, a, bx)
-        assert m_ == data.m  # distances and rank tolerances use the true m
+        _assert_live_factors(run.work, run.samples, ell, a, bx)
+        assert run.data.m == data.m  # distances and rank tolerances use the true m
         # the bound is the one on the original data: sigma(B X) = sigma(B R^T)
         expected = (
-            theory.gamma_factor(net_, data, state, policy_.eta, *ranks)
+            theory.gamma_factor(run.work, data, state, policy_.eta, *ranks)
             if ranks is not None
             else None
         )
-        record = core(net_, data_, lf, state, policy_, a, bx, oracle_obj, ranks_, dims, m_, c)
+        record = core(run, state, policy_, a, bx, ranks_)
         if expected is None:
             assert record.gamma_bound is None
         else:
@@ -158,25 +159,24 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj, tracker,
-             ranks_, bx_svals=None):
+    def step(run, state, eta, rng, a, bx, tracker, ranks_, bx_svals=None):
         ell = state.layer_to_update()
-        assert data_ is data  # targets y_i and the distances' m stay on the original data
+        samples, q, c = run.samples, run.q, run.c
+        assert run.data is data  # targets y_i and the distances' m stay on the original data
         if compressed is None:
             assert samples is data and q is None and c == 0.0
         else:
             assert samples.x.tobytes() == compressed[0].x.tobytes()
             assert q.tobytes() == compressed[2].tobytes() and c == compressed[1]
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
-        _assert_live_factors(net_, samples, ell, a, bx)
+        _assert_live_factors(run.work, samples, ell, a, bx)
         assert ranks_ == ranks
         # X's singular values, handed over for layer 1 (B X is X, or R^T)
         assert (bx_svals is not None) == (ell == 1)
         if bx_svals is not None:
             assert bx_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
         checked.append(ell)
-        return core(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj,
-                    tracker, ranks_, bx_svals)
+        return core(run, state, eta, rng, a, bx, tracker, ranks_, bx_svals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -267,17 +267,16 @@ def _recording_cancellation(figures):
     apart in the loss."""
     core = sgd._bcsgd_step_core
 
-    def step(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj, tracker,
-             ranks, bx_svals=None):
+    def step(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None):
         ell = state.layer_to_update()
         sb = np.linalg.svd(bx, compute_uv=False)
+        net_, x = run.work, run.samples.x
         sigma = sb[sgd._bx_rank(net_, ell, ranks[1]) - 1]
         norm_a = np.linalg.norm(a)
-        below = _norm_product(net_.layers[: ell - 1] + [samples.x]) / sigma if sigma > 0 else 0.0
+        below = _norm_product(net_.layers[: ell - 1] + [x]) / sigma if sigma > 0 else 0.0
         above = _norm_product(net_.layers[ell:]) / norm_a if norm_a > 0 else 0.0
         figures.append(max(below, above))
-        return core(net_, data_, samples, q, c, lf, state, eta, rng, a, bx, oracle_obj,
-                    tracker, ranks, bx_svals)
+        return core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals)
 
     return step
 
