@@ -15,9 +15,10 @@ Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error
 (including an ``--out`` whose directory cannot be created).  Every command
 that writes creates its output's parent directory before it computes.
 
-Config files are flat ``key = value`` lines mirroring the long flags
-(with underscores); command-line flags override file values.  The same
-RunConfig (seed included) always produces byte-identical CSV output.
+Each RunConfig field is one long flag and one key of a flat ``key = value``
+config file (underscores for dashes), parsed alike; flags override file
+values.  The same RunConfig (seed included) always produces byte-identical
+CSV output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import ast
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
 from .initializers import InitScheme, initialize
 from .network import Network, save_network, width_ok
-from .optim import LrPolicy, SweepState, Trajectory, reference_gd_rate, run_bcgd, run_gd
+from .optim import LrPolicy, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
 from .oracle import optimal_loss, rank_constrained_solution
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
@@ -58,28 +59,38 @@ class ConfigError(Exception):
     pass
 
 
+_INITS = ("orthogonal", "orth_identity", "identity", "balanced", "random")
+
+
+def _key(default, help: str):
+    """A RunConfig field with the help text of its ``--flag``."""
+    return field(default=default, metadata={"help": help})
+
+
 @dataclass
 class RunConfig:
-    """Everything one training run needs, mirroring the CLI flags."""
+    """Everything one training run needs.  Each field is one config key and
+    one ``--flag`` (dashes for underscores); its annotation says how both
+    parse their text (``_set_cfg``), and ``validate`` is the one value check."""
 
     d_in: int = 32
     d_out: int = 4
     m: int = 100
     data_seed: int = 0
-    spectrum: str = "none"        # none | shaped
+    spectrum: str = _key("none", "none | shaped")
     spectrum_seed: int = 0
-    csv: str | None = None        # dataset file overrides the synthetic recipe
+    csv: str | None = _key(None, "dataset CSV (overrides the synthetic recipe)")
     depth: int = 5
-    width: int | None = None      # default max(d_in, d_out)
-    dims: tuple | None = None     # explicit chain overrides depth/width
-    init: str = "orth_identity"
+    width: int | None = _key(None, "hidden width, or auto for max(d_in, d_out)")
+    dims: tuple | None = _key(None, "comma-separated dimension chain n0,...,nL")
+    init: str = _key("orth_identity", " | ".join(_INITS))
     seed: int = 0
-    loss: str = "l2"
-    policy: str = "optimal"
-    order: str = "desc"
+    loss: str = _key("l2", "l2 or lp:<p>")
+    policy: str = _key("optimal", "theory:<eta>|optimal|convex|general|lp:<p>|const:<eta>")
+    order: str = _key("desc", "asc | desc")
     sweeps: int = 100
     target: float = 1e-10
-    rank: int | None = None       # oracle rank; default min of the chain
+    rank: int | None = _key(None, "oracle rank, or auto for the chain's narrowest width")
     out: str = "trajectory.csv"
     snapshots: int = 0
 
@@ -111,10 +122,8 @@ class RunConfig:
             raise ConfigError(
                 f"policy {self.policy!r} does not match loss {self.loss!r}"
             )
-        if self.init.replace("-", "_") not in (
-            "orthogonal", "orth_identity", "identity", "balanced", "random",
-        ):
-            raise ConfigError(f"unknown init {self.init!r}")
+        if self.init.replace("-", "_") not in _INITS:
+            raise ConfigError(f"unknown init {self.init!r} (one of {', '.join(_INITS)})")
         if self.spectrum not in ("none", "shaped"):
             raise ConfigError("spectrum must be none or shaped")
 
@@ -189,11 +198,6 @@ def _prepare(cfg: RunConfig) -> tuple[Dataset, losses.LossFunction, float]:
     cfg.validate()
     _make_out_dir(cfg.out)
     data = build_dataset(cfg)
-    if data.d_in != cfg.d_in or data.d_out != cfg.d_out:
-        raise ConfigError(
-            f"dataset is {data.d_in} -> {data.d_out}, config says "
-            f"{cfg.d_in} -> {cfg.d_out}"
-        )
     lf = parse_loss(cfg.loss)
     return data, lf, reference_objective(data, lf, _oracle_rank(cfg))
 
@@ -342,6 +346,7 @@ def _cmd_gen_data(args) -> int:
         raise ConfigError("gen-data needs --out")
     cfg = _config_from_args(args)
     cfg.csv = None
+    cfg.validate()
     _make_out_dir(args.out)
     dataset = build_dataset(cfg)
     write_csv(args.out, dataset)
@@ -360,6 +365,8 @@ def _cmd_gd(args) -> int:
     cfg = _config_from_args(args)
     if args.iters < 1:
         raise ConfigError(f"gd needs iters >= 1, got {args.iters}")
+    if args.eta is not None:
+        _check_gd_eta(args.eta)
     data, lf, oracle_obj = _prepare(cfg)
     net = build_network(cfg)
     eta = args.eta
@@ -386,9 +393,10 @@ def _cmd_bcsgd(args) -> int:
         raise ConfigError(f"bcsgd needs seeds >= 1, got {args.seeds}")
     if cfg.sweeps < 1:
         raise ConfigError(f"bcsgd needs sweeps >= 1, got {cfg.sweeps}")
-    data, lf, oracle_obj = _prepare(cfg)
-    if lf.power != 2:
+    sgd._check_eta(args.eta)
+    if parse_loss(cfg.loss).power != 2:
         raise ConfigError("bcsgd requires the l2 loss")
+    data, lf, oracle_obj = _prepare(cfg)
     ordering = "ascending" if cfg.order == "asc" else "descending"
     aggregate = sgd.BoundsTracker()
     tails = []
@@ -407,8 +415,7 @@ def _cmd_bcsgd(args) -> int:
         sq_dists = np.array([r.loss_after - oracle_obj for r in traj.records])
         tails.append(float(sq_dists[len(sq_dists) // 2 :].mean()))
         print(f"seed {run_seed}: tail_mean_sq_dist={tails[-1]!r} -> {path}")
-    net = build_network(cfg)
-    bracket = sgd.floor_brackets(
+    bracket = sgd.floor_brackets(  # with a tracker it reads only net.depth
         net, data, SweepState(depth=net.depth, ordering=ordering),
         args.eta, oracle_obj, tracker=aggregate,
     )
@@ -481,64 +488,43 @@ def _apply_config_file(cfg: RunConfig, path) -> None:
             _set_cfg(cfg, key.strip().replace("-", "_"), value.strip(), f"{path}:{lineno}")
 
 
+_PARSE = {  # a RunConfig annotation -> how its text parses (default: kept as text)
+    "int": int,
+    "float": float,
+    "int | None": lambda raw: None if raw.lower() == "auto" else int(raw),
+    "tuple | None": lambda raw: tuple(int(t) for t in raw.split(",")),
+}
+
+
 def _set_cfg(cfg: RunConfig, key: str, raw: str, where: str) -> None:
+    """Set field *key* of *cfg* from its text *raw*, a flag's or a config
+    file's, parsed by the field's annotation."""
     if key not in _CFG_FIELDS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    if key == "dims":
-        setattr(cfg, key, tuple(int(t) for t in raw.split(",")))
-        return
     try:
-        if key in ("d_in", "d_out", "m", "depth", "sweeps", "snapshots"):
-            setattr(cfg, key, int(raw))
-        elif key in ("width", "rank"):
-            setattr(cfg, key, None if raw.lower() == "auto" else int(raw))
-        elif key in ("target",):
-            setattr(cfg, key, float(raw))
-        elif key in ("data_seed", "seed", "spectrum_seed"):
-            setattr(cfg, key, int(raw))
-        else:
-            setattr(cfg, key, raw)
+        setattr(cfg, key, _PARSE.get(_CFG_FIELDS[key].type, str)(raw))
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key}: {raw!r}") from exc
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags override")
-    p.add_argument("--csv", help="dataset CSV (overrides the synthetic recipe)")
-    p.add_argument("--d-in", type=int, dest="d_in")
-    p.add_argument("--d-out", type=int, dest="d_out")
-    p.add_argument("--m", type=int)
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--spectrum", choices=["none", "shaped"])
-    p.add_argument("--spectrum-seed", type=int, dest="spectrum_seed")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--dims", help="comma-separated dimension chain n0,...,nL")
-    p.add_argument(
-        "--init",
-        choices=["orthogonal", "orth-identity", "identity", "balanced", "random"],
-    )
-    p.add_argument("--seed", type=int)
-    p.add_argument("--loss", help="l2 or lp:<p>")
-    p.add_argument("--policy", help="theory:<eta>|optimal|convex|general|lp:<p>|const:<eta>")
-    p.add_argument("--order", choices=["asc", "desc"])
-    p.add_argument("--sweeps", type=int)
-    p.add_argument("--target", type=float)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--out")
-    p.add_argument("--snapshots", type=int)
+    for f in fields(RunConfig):
+        p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         _apply_config_file(cfg, args.config)
     for name in _CFG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            if name == "dims" and isinstance(value, str):
-                value = tuple(int(t) for t in value.split(","))
-            setattr(cfg, name, value)
+        raw = getattr(args, name)
+        if raw is not None:
+            _set_cfg(cfg, name, raw, _flag(name))
     return cfg
 
 

@@ -575,14 +575,19 @@ def gd_step(
     changes, so the result does not depend on layer order.  A non-finite
     gradient, update or loss raises RuntimeError naming the GD iteration.
     """
+    _check_gd_eta(eta)
+    return _gd_step_core(_plain(net, data, lf, oracle_objective), eta, state)
+
+
+def _check_gd_eta(eta: float) -> None:
+    """The one check of a GD rate, run before any work."""
     if eta < 0:
         raise ValueError("eta must be >= 0")
-    return _gd_step_core(_plain(net, data, lf, oracle_objective), eta, state)
 
 
 def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord:
     """``gd_step`` on ``run.work`` and ``run.samples``.  The caller has
-    checked ``eta >= 0``."""
+    checked *eta* (``_check_gd_eta``)."""
     net, x, y, lf = run.work, run.samples.x, run.samples.y, run.lf
     L = net.depth
     step = state.sweep + 1 if state else 1
@@ -592,13 +597,13 @@ def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord
     d = lf.deriv(pred, y)
     grads = [gradient_from_parts(suffix[l], prefix[l], d) for l in range(1, L + 1)]
     for l, g in enumerate(grads, start=1):
-        if not np.isfinite(g).all():
+        if not _all_finite(g):
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
     total_g2 = sum(float(np.sum(g * g)) for g in grads)
     loss_before = _objective(pred, y, lf) + run.c
     for l in range(1, L + 1):
         new_w = net.layers[l - 1] - eta * grads[l - 1]
-        if not np.isfinite(new_w).all():
+        if not _all_finite(new_w):
             raise RuntimeError(
                 f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
             )
@@ -626,8 +631,7 @@ def run_gd(
     The network is updated in place.  Each iteration is one of ``_drive``'s
     sweeps, so the target is checked after every iteration.
     """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    _check_gd_eta(eta)
     run = _reduce(net, data, lf, oracle_objective)
     state = SweepState(depth=net.depth)
     meta = {"policy": f"gd_const:{eta!r}", **(meta or {})}

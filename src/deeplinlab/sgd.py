@@ -142,8 +142,7 @@ def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> Sam
 
 def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float) -> float:
     """The stochastic step's learning rate for sampled example *i*."""
-    if not 0 < eta < 2:
-        raise ValueError("eta must lie in (0, 2)")
+    _check_eta(eta)
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
     ell = state.layer_to_update()
@@ -252,8 +251,7 @@ def floor_brackets(
     infinite condition number, or a tracker that saw no iteration, marks
     the bracket unavailable.
     """
-    if not 0 < eta < 2:
-        raise ValueError("eta must lie in (0, 2)")
+    _check_eta(eta)
     if tracker is None:
         tracker = BoundsTracker()
         ell = state.layer_to_update()
@@ -307,6 +305,7 @@ def bcsgd_step(
     Square loss only (the sampling scheme and rate are derived for it).
     """
     _require_l2(lf)
+    _check_eta(eta)
     a, bx = _factors(net, data.x, state.layer_to_update())
     run = _plain(net, data, lf, oracle_objective)
     ranks = _ranks(net, _svals(data.x), data.x.shape)
@@ -318,6 +317,12 @@ def _require_l2(lf: LossFunction) -> None:
         raise ValueError("BCSGD is defined for the square loss")
 
 
+def _check_eta(eta: float) -> None:
+    """The one check of a BCSGD rate scale, run before any work."""
+    if not 0 < eta < 2:
+        raise ValueError("eta must lie in (0, 2)")
+
+
 def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None):
     """One stochastic step from the sweep's factors, ended by ``optim._descend``.
 
@@ -327,10 +332,9 @@ def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None)
     ``optim._ranks``: r_x capped by the widths below the layer
     (``_bx_rank``) conditions B X in the rate and in the *tracker*'s
     update when one is given, and r conditions A there.  *bx_svals*, when
-    given, are the singular values of *bx*.
+    given, are the singular values of *bx*.  The caller has checked *eta*
+    (``_check_eta``).
     """
-    if not 0 < eta < 2:
-        raise ValueError("eta must lie in (0, 2)")
     ell = state.layer_to_update()
     q = run.q
     weights = _bx_column_weights(bx, q)
@@ -381,6 +385,7 @@ def run_bcsgd(
     conditions the rate and the tracker, and they are B X's own at layer 1.
     """
     _require_l2(lf)
+    _check_eta(eta)
     state = SweepState(depth=net.depth, ordering=ordering)
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)

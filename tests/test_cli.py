@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields, replace
+
 import pytest
 
 from deeplinlab.cli import (
@@ -141,6 +144,10 @@ def _writing_argv(tmp_path, command, out):
     return ["batch", str(config)]
 
 
+def _no_compute(cfg):  # stands in for build_dataset, the first step of every run
+    raise AssertionError("the run started")
+
+
 @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
 def test_out_into_a_missing_directory_creates_it(tmp_path, capsys, command):
     out = tmp_path / "nodir" / "sub" / "run.csv"
@@ -156,15 +163,77 @@ def test_out_under_a_regular_file_exits_two_before_any_compute(
 ):
     blocker = tmp_path / "afile"
     blocker.write_text("")
-
-    def compute(cfg):  # the first step of every writing command's run
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(cli, "build_dataset", compute)
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
     assert main(_writing_argv(tmp_path, command, blocker / "run.csv")) == 2
     assert "cannot create the directory of --out" in capsys.readouterr().err
     assert blocker.read_text() == ""
     assert set(tmp_path.iterdir()) <= {blocker, tmp_path / "run.cfg"}
+
+
+FIELD_TEXTS = {  # RunConfig field: (its text as a flag or a config value, parsed)
+    "d_in": ("6", 6),
+    "d_out": ("2", 2),
+    "m": ("20", 20),
+    "data_seed": ("3", 3),
+    "spectrum": ("shaped", "shaped"),
+    "spectrum_seed": ("4", 4),
+    "csv": ("data.csv", "data.csv"),
+    "depth": ("3", 3),
+    "width": ("auto", None),
+    "dims": ("6,3,6,2", (6, 3, 6, 2)),
+    "init": ("orth-identity", "orth-identity"),
+    "seed": ("5", 5),
+    "loss": ("lp:4", "lp:4"),
+    "policy": ("theory:0.5", "theory:0.5"),
+    "order": ("asc", "asc"),
+    "sweeps": ("7", 7),
+    "target": ("-inf", -math.inf),
+    "rank": ("auto", None),
+    "out": ("run.csv", "run.csv"),
+    "snapshots": ("2", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "key,raw,value",
+    [(f.name, *FIELD_TEXTS[f.name]) for f in fields(RunConfig)]  # every run key
+    + [("width", "12", 12), ("rank", "3", 3)],
+)
+def test_flag_and_config_key_build_equal_configs(tmp_path, key, raw, value):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {raw}\n")
+    parser = cli.build_parser()
+    flag = f"--{key.replace('_', '-')}={raw}"  # = keeps -inf a value
+    from_flag = cli._config_from_args(parser.parse_args(["train", flag]))
+    from_file = cli._config_from_args(parser.parse_args(["train", "--config", str(config)]))
+    assert from_flag == from_file == replace(RunConfig(), **{key: value})
+
+
+@pytest.mark.parametrize("key,value", [("init", "glorot"), ("spectrum", "bogus"), ("order", "up")])
+@pytest.mark.parametrize("command,source", [
+    (command, source)
+    for command in sorted([*WRITING_COMMANDS, "oracle"])
+    for source in (["config"] if command == "batch" else ["flag", "config"])
+])
+def test_values_outside_their_sets_exit_two_before_any_compute(
+    tmp_path, capsys, monkeypatch, command, source, key, value
+):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    out = tmp_path / "new" / "run.csv"
+    if command == "batch":
+        argv = _writing_argv(tmp_path, command, out)
+        with open(argv[1], "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+    else:
+        argv = [*WRITING_COMMANDS.get(command, ["oracle", *SMALL_RUN]), "--out", str(out)]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
 
 
 def test_gen_data_needs_out(capsys):
@@ -390,16 +459,27 @@ def test_train_divergence_exits_one_with_iteration_and_layer(tmp_path, capsys, r
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value", [("seeds", "0"), ("seeds", "-1"), ("sweeps", "0")])
-def test_bcsgd_rejects_empty_runs(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("change,message", [
+    pytest.param({"--seeds": "0"}, "seeds >= 1", id="seeds-0"),
+    pytest.param({"--seeds": "-1"}, "seeds >= 1", id="seeds--1"),
+    pytest.param({"--sweeps": "0"}, "sweeps >= 1", id="sweeps-0"),
+    pytest.param({"--eta": "2.5"}, "eta must lie in (0, 2)", id="eta-2.5"),
+    pytest.param({"--loss": "lp:4", "--policy": "lp:4"}, "requires the l2 loss", id="loss-lp:4"),
+])
+def test_bcsgd_rejects_empty_runs(tmp_path, capsys, monkeypatch, change, message):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
     args = [
         "bcsgd", "--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2",
         "--eta", "0.5", "--sweeps", "3", "--seeds", "2",
-        "--out", str(tmp_path / "sgd.csv"),
+        "--out", str(tmp_path / "sub" / "sgd.csv"),
     ]
-    args[args.index(f"--{flag}") + 1] = value
+    for flag, value in change.items():
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
     assert main(args) == 2
-    assert f"{flag} >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -475,14 +555,19 @@ def test_bcsgd_bottleneck_chain_brackets_by_the_rates_rank(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_gd_rejects_empty_runs(tmp_path, capsys, value):
+@pytest.mark.parametrize("flag,value,message", [
+    pytest.param("--iters", "0", "iters >= 1", id="0"),
+    pytest.param("--iters", "-3", "iters >= 1", id="-3"),
+    pytest.param("--eta", "-1", "eta must be >= 0", id="eta--1"),
+])
+def test_gd_rejects_empty_runs(tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
     code = main([
         "gd", "--d-in", "6", "--d-out", "2", "--m", "20", "--depth", "3",
-        "--iters", value, "--out", str(tmp_path / "gd.csv"),
+        flag, value, "--out", str(tmp_path / "sub" / "gd.csv"),
     ])
     assert code == 2
-    assert "iters >= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
