@@ -91,7 +91,7 @@ class RunConfig:
     sweeps: int = 100
     target: float = 1e-10
     rank: int | None = _key(None, "oracle rank, or auto for the chain's narrowest width")
-    out: str = "trajectory.csv"
+    out: str | None = _key("trajectory.csv", "output path (gen-data has no default)")
     snapshots: int = 0
 
     def dimension_chain(self) -> tuple:
@@ -100,7 +100,11 @@ class RunConfig:
         width = self.width if self.width is not None else max(self.d_in, self.d_out)
         return (self.d_in,) + (width,) * (self.depth - 1) + (self.d_out,)
 
-    def validate(self) -> None:
+    def validate(self, check_policy: bool = True) -> None:
+        """The one value check.  Only ``train`` uses ``policy``; the other
+        commands pass *check_policy* False (``gd`` and ``bcsgd`` take their
+        rate from ``--eta``), so they neither parse it nor match it
+        against the loss."""
         if self.dims is None and self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
         chain = self.dimension_chain()
@@ -115,13 +119,14 @@ class RunConfig:
         if self.sweeps < 0:
             raise ConfigError("sweeps must be >= 0")
         lf = parse_loss(self.loss)
-        policy = parse_policy(self.policy)
-        if policy.kind in ("theory_l2", "optimal_l2") and lf.power != 2:
-            raise ConfigError(f"policy {self.policy!r} needs the l2 loss")
-        if policy.kind == "near_optimal_lp" and policy.p != lf.power:
-            raise ConfigError(
-                f"policy {self.policy!r} does not match loss {self.loss!r}"
-            )
+        if check_policy:
+            policy = parse_policy(self.policy)
+            if policy.kind in ("theory_l2", "optimal_l2") and lf.power != 2:
+                raise ConfigError(f"policy {self.policy!r} needs the l2 loss")
+            if policy.kind == "near_optimal_lp" and policy.p != lf.power:
+                raise ConfigError(
+                    f"policy {self.policy!r} does not match loss {self.loss!r}"
+                )
         if self.init.replace("-", "_") not in _INITS:
             raise ConfigError(f"unknown init {self.init!r} (one of {', '.join(_INITS)})")
         if self.spectrum not in ("none", "shaped"):
@@ -192,10 +197,10 @@ def _make_out_dir(out) -> None:
         raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
 
 
-def _prepare(cfg: RunConfig) -> tuple[Dataset, losses.LossFunction, float]:
-    """Validate *cfg* and create its output directory; return its dataset,
-    loss and reference optimum."""
-    cfg.validate()
+def _prepare(cfg: RunConfig, check_policy: bool = True) -> tuple[Dataset, losses.LossFunction, float]:
+    """Validate *cfg* (``validate(check_policy)``) and create its output
+    directory; return its dataset, loss and reference optimum."""
+    cfg.validate(check_policy)
     _make_out_dir(cfg.out)
     data = build_dataset(cfg)
     lf = parse_loss(cfg.loss)
@@ -262,7 +267,12 @@ def emit_trajectory_csv(traj: Trajectory, path) -> None:
     """Write the trajectory: ``#`` meta lines, header, one row per step.
 
     Floats are written with ``repr`` so a read-back is lossless.
+    ``dist_display`` is ``max(dist_after, DISPLAY_FLOOR)``, whose first
+    argument wins unless the floor is greater: then that row reuses the
+    ``dist_after`` text instead of formatting the same float twice.
     """
+    floor = losses.DISPLAY_FLOOR
+    floor_text = repr(floor)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(traj.meta):
             fh.write(f"# {key}={traj.meta[key]!r}\n")
@@ -273,9 +283,10 @@ def emit_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for r in traj.records:
             gamma = "" if r.gamma_bound is None else repr(r.gamma_bound)
+            dist = repr(r.dist_after)
             fh.write(
                 f"{r.iteration},{r.sweep},{r.layer},{r.lr!r},{r.loss_after!r},"
-                f"{r.dist_after!r},{max(r.dist_after, losses.DISPLAY_FLOOR)!r},"
+                f"{dist},{floor_text if floor > r.dist_after else dist},"
                 f"{gamma},{r.grad_frobenius!r}\n"
             )
 
@@ -342,17 +353,17 @@ def read_trajectory_csv(path) -> Trajectory:
 
 
 def _cmd_gen_data(args) -> int:
-    if args.out is None:
-        raise ConfigError("gen-data needs --out")
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, RunConfig(out=None))  # no default path to write
+    if cfg.out is None:
+        raise ConfigError("gen-data needs --out (or an out key in --config)")
     cfg.csv = None
-    cfg.validate()
-    _make_out_dir(args.out)
+    cfg.validate(check_policy=False)
+    _make_out_dir(cfg.out)
     dataset = build_dataset(cfg)
-    write_csv(args.out, dataset)
+    write_csv(cfg.out, dataset)
     sv = np.linalg.svd(dataset.x, compute_uv=False)
     kappa = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    print(f"wrote {dataset.m} examples to {args.out} (kappa(X)={kappa:.4g})")
+    print(f"wrote {dataset.m} examples to {cfg.out} (kappa(X)={kappa:.4g})")
     return 0
 
 
@@ -367,7 +378,7 @@ def _cmd_gd(args) -> int:
         raise ConfigError(f"gd needs iters >= 1, got {args.iters}")
     if args.eta is not None:
         _check_gd_eta(args.eta)
-    data, lf, oracle_obj = _prepare(cfg)
+    data, lf, oracle_obj = _prepare(cfg, check_policy=False)
     net = build_network(cfg)
     eta = args.eta
     if eta is None:
@@ -396,7 +407,7 @@ def _cmd_bcsgd(args) -> int:
     sgd._check_eta(args.eta)
     if parse_loss(cfg.loss).power != 2:
         raise ConfigError("bcsgd requires the l2 loss")
-    data, lf, oracle_obj = _prepare(cfg)
+    data, lf, oracle_obj = _prepare(cfg, check_policy=False)
     ordering = "ascending" if cfg.order == "asc" else "descending"
     aggregate = sgd.BoundsTracker()
     tails = []
@@ -435,7 +446,7 @@ def _cmd_bcsgd(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate()
+    cfg.validate(check_policy=False)
     data = build_dataset(cfg)
     sol = rank_constrained_solution(data.x, data.y, _oracle_rank(cfg))
     print(
@@ -517,8 +528,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+def _config_from_args(args, cfg: RunConfig | None = None) -> RunConfig:
+    """*cfg* (default ``RunConfig()``) with the ``--config`` file's keys and
+    then the flags given applied to it."""
+    cfg = RunConfig() if cfg is None else cfg
     if args.config:
         _apply_config_file(cfg, args.config)
     for name in _CFG_FIELDS:
@@ -569,9 +582,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv) -> list:
+    """``--flag -1e-5`` as ``--flag=-1e-5``: argparse reads a token that
+    starts with ``-`` as an option unless it is a plain decimal (``-1``,
+    ``-0.5``), so ``--target -1e-5`` and ``--target -inf`` would lack their
+    value.  A number that follows a long flag is that flag's value, as
+    after ``=`` and in a config line."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        takes_value = prev.startswith("--") and prev != "--" and "=" not in prev
+        if takes_value and tok.startswith("-") and _is_number(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

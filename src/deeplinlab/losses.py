@@ -124,7 +124,7 @@ def gradient_from_parts(a: np.ndarray, bx: np.ndarray, d: np.ndarray) -> np.ndar
     *a* is the above-layer product W_{L:(l+1)}, *bx* is W_{(l-1):1} X and
     *d* is the d_out x m derivative matrix (the transpose of J).
     """
-    return a.T @ d @ bx.T
+    return a.T.dot(d).dot(bx.T)
 
 
 def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> np.ndarray:

@@ -28,6 +28,17 @@ with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 no step touches an m-wide matrix.  The public single-step functions train
 the full network on the full data (``_plain``).  BCGD and BCSGD steps end
 in one update tail, ``_descend``.
+
+Every matrix product on a step's path (``_sweep``, ``_prefixes``,
+``_suffixes``, the BCGD, GD and BCSGD steps, ``losses.gradient_from_parts``)
+is written ``a.dot(b)``, left to right as ``a @ b @ c`` associates
+(``a.dot(b).dot(c)``): at the 32 x 32 sizes of a deep narrow chain it
+dispatches in about half the time of ``@``, and on the operands these steps
+form (C- or F-contiguous matrices, their transposes, rows of Q) it gives
+the same bits.  The operands are contiguous when the layers and the data
+are, as every constructor of the package makes them; on a strided view
+(``W[:k, :k']`` passed in as a layer) the bits may differ from ``@``'s.
+``tests/test_dot_dispatch.py`` pins both the bits and the contiguity.
 """
 
 from __future__ import annotations
@@ -217,7 +228,7 @@ def _lr_from_parts(
             return 0.0
         return (policy.eta if kind == "theory_l2" else 1.0) / denom
     g2 = float(_sum(g * g, axis=None))
-    agbx = a @ g @ bx
+    agbx = a.dot(g).dot(bx)
     denom = float(_sum(agbx * agbx, axis=None))
     if kind == "near_optimal_general":
         denom *= float(_max(lf.curvature(pred, y), axis=None)) if pred.size else 0.0
@@ -240,7 +251,7 @@ def compute_lr(
     """Learning rate the policy would use for the state's next update."""
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
-    pred = a @ net.layers[ell - 1] @ bx
+    pred = a.dot(net.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
     return _lr_from_parts(policy, lf, _spectra(policy, a, bx), a, bx, pred, data.y, g)
 
@@ -377,7 +388,7 @@ def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> 
     ell = state.layer_to_update()
     w = run.work.layers[ell - 1]
     y, lf = run.samples.y, run.lf
-    pred = a @ w @ bx
+    pred = a.dot(w).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, y))
     g_flat = g.ravel("K")
     grad_fro = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm(g, "fro"), bit for bit
@@ -418,7 +429,7 @@ def _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma=None
             f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
         )
     run.work.layers[ell - 1] = new_w
-    loss_after = _objective(a @ new_w @ bx, run.samples.y, run.lf) + run.c
+    loss_after = _objective(a.dot(new_w).dot(bx), run.samples.y, run.lf) + run.c
     record = _record(
         run, iteration, state.sweep + 1, ell, lr, loss_before, loss_after, grad_fro, gamma,
         sample_index,
@@ -492,7 +503,7 @@ def _suffixes(net: Network) -> list:
     s = [None] * (L + 1)
     s[L] = np.eye(net.dims[-1])
     for l in range(L - 1, 0, -1):
-        s[l] = s[l + 1] @ net.layers[l]
+        s[l] = s[l + 1].dot(net.layers[l])
     return s
 
 
@@ -502,7 +513,7 @@ def _prefixes(net: Network, x: np.ndarray) -> list:
     p = [None] * (L + 1)
     p[1] = x
     for l in range(2, L + 1):
-        p[l] = net.layers[l - 2] @ p[l - 1]
+        p[l] = net.layers[l - 2].dot(p[l - 1])
     return p
 
 
@@ -517,12 +528,12 @@ def _sweep(net: Network, x: np.ndarray, ordering: str):
         stale, running = _suffixes(net), x
         for ell in range(1, net.depth + 1):
             yield ell, stale[ell], running
-            running = net.layers[ell - 1] @ running
+            running = net.layers[ell - 1].dot(running)
     else:
         stale, running = _prefixes(net, x), np.eye(net.dims[-1])
         for ell in range(net.depth, 0, -1):
             yield ell, running, stale[ell]
-            running = running @ net.layers[ell - 1]
+            running = running.dot(net.layers[ell - 1])
 
 
 def run_bcgd(
@@ -593,7 +604,7 @@ def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord
     step = state.sweep + 1 if state else 1
     suffix = _suffixes(net)
     prefix = _prefixes(net, x)
-    pred = suffix[1] @ net.layers[0] @ prefix[1]
+    pred = suffix[1].dot(net.layers[0]).dot(prefix[1])
     d = lf.deriv(pred, y)
     grads = [gradient_from_parts(suffix[l], prefix[l], d) for l in range(1, L + 1)]
     for l, g in enumerate(grads, start=1):
@@ -608,7 +619,7 @@ def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord
                 f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
             )
         net.layers[l - 1] = new_w
-    loss_after = _objective(end_to_end(net) @ x, y, lf) + run.c
+    loss_after = _objective(end_to_end(net).dot(x), y, lf) + run.c
     record = _record(run, step, step, 0, float(eta), loss_before, loss_after, math.sqrt(total_g2))
     if state is not None:
         for _ in range(state.depth):

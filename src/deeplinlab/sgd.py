@@ -108,9 +108,9 @@ def _bx_column_weights(bx: np.ndarray, q: np.ndarray | None = None) -> np.ndarra
     and with no n x m array.
     """
     if q is not None:
-        rows = q @ (bx.T @ bx)
+        rows = q.dot(bx.T.dot(bx))
         return np.sum(rows * rows, axis=1)
-    weights = np.sum(bx * ((bx @ bx.T) @ bx), axis=0)
+    weights = np.sum(bx * bx.dot(bx.T).dot(bx), axis=0)
     return np.maximum(weights, 0.0, out=weights)
 
 
@@ -350,14 +350,14 @@ def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None)
         tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
     lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = run.work.layers[ell - 1]
-    pred = a @ w @ bx
+    pred = a.dot(w).dot(bx)
     loss_before = _objective(pred, run.samples.y, run.lf) + run.c
     if q is None:
         col, pred_i = bx[:, i], pred[:, i]
     else:
         q_i = q[i]
-        col, pred_i = bx @ q_i, pred @ q_i
-    grad_i = np.outer(a.T @ (pred_i - run.data.y[:, i]), col)
+        col, pred_i = bx.dot(q_i), pred.dot(q_i)
+    grad_i = np.outer(a.T.dot(pred_i - run.data.y[:, i]), col)
     grad_fro = float(np.linalg.norm(grad_i, "fro"))
     return _descend(run, state, ell, a, w, bx, lr, grad_i, grad_fro, loss_before, sample_index=i)
 

@@ -135,7 +135,18 @@ def gamma_factor(
 def _gamma_from_spectra(
     a_svals, a_shape, bx_svals, bx_shape, eta: float, r: int, r_x: int
 ) -> float:
-    """``gamma_factor`` from the singular values of A and B X (and their shapes)."""
+    """``gamma_factor`` from the singular values of A and B X (and their shapes).
+
+    B X is conditioned by its r_x-th singular value, r_x the rank of X,
+    even above a bottleneck narrower than r_x, where B X cannot carry that
+    rank: there the bound is 1, vacuous, as acceptance 9 requires.  The
+    contraction it states, ``dist_after <= dist_before * gamma^2``, rests
+    on B X carrying X's rank; a bound from a capped rank would be finite
+    with no theorem behind it, and ``verify`` would audit runs against it.
+    The BCSGD rate and bracket tracker cap the rank at what B X can carry
+    (``sgd._bx_rank``) for another reason: the rate must train every
+    layer, and the bracket must bound the floor the chain can reach.
+    """
     ka = math.inf if r > min(a_shape) else _kappa_r_from_svals(a_svals, a_shape, r)
     kb = math.inf if r_x > min(bx_shape) else _kappa_r_from_svals(bx_svals, bx_shape, r_x)
     denom = ka * ka * kb * kb

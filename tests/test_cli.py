@@ -241,6 +241,61 @@ def test_gen_data_needs_out(capsys):
     assert "gen-data needs --out" in capsys.readouterr().err
 
 
+def test_dist_display_is_max_of_dist_and_floor(tmp_path):
+    from deeplinlab.losses import DISPLAY_FLOOR
+    from deeplinlab.optim import StepRecord, Trajectory
+
+    floor = DISPLAY_FLOOR
+    dists = [1.0, floor, math.nextafter(floor, 0.0), 0.0, -0.0, -2.8e-16, math.nan, math.inf, -math.inf]
+    records = [StepRecord(i, 1, 1, 0.1, 1.0, 1.0, 0.0, d, 1.0) for i, d in enumerate(dists, start=1)]
+    cli.emit_trajectory_csv(Trajectory(records), tmp_path / "d.csv")
+    lines = [l for l in (tmp_path / "d.csv").read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in lines[1:]]
+    assert [(row[5], row[6]) for row in rows] == [(repr(d), repr(max(d, floor))) for d in dists]
+
+
+def test_gen_data_takes_out_from_config(tmp_path, capsys):
+    (tmp_path / "g.cfg").write_text(f"d_in = 6\nd_out = 2\nm = 20\nout = {tmp_path / 'cfg.csv'}\n")
+    assert main(["gen-data", "--config", str(tmp_path / "g.cfg")]) == 0
+    assert main(["gen-data", "--d-in", "6", "--d-out", "2", "--m", "20",
+                 "--out", str(tmp_path / "flag.csv")]) == 0
+    assert (tmp_path / "cfg.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    # the flag still overrides the file
+    assert main(["gen-data", "--config", str(tmp_path / "g.cfg"),
+                 "--out", str(tmp_path / "over.csv")]) == 0
+    assert (tmp_path / "over.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-5", "-inf", "-2"])
+def test_negative_flag_value_parses_as_a_value(tmp_path, value):
+    # argparse alone takes "-1e-5" and "-inf" for options ("expected one argument")
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    args, _ = base_args(tmp_path)
+    at = args.index("--target")
+    del args[at : at + 2]
+    assert main([*args[:-1], str(spaced), "--target", value]) == 0
+    assert main([*args[:-1], str(joined), f"--target={value}"]) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    assert len(read_trajectory_csv(spaced).records) == 3 * 4  # no distance reaches the target
+
+
+@pytest.mark.parametrize("command", ["gd", "bcsgd", "gen-data", "oracle"])
+def test_only_train_checks_the_policy(tmp_path, command):
+    # gd and bcsgd take their rate from --eta, gen-data and oracle train
+    # nothing: a policy that would not suit the loss is no error for them
+    argv = WRITING_COMMANDS.get(command) or ["oracle", *SMALL_RUN]
+    runs = []
+    for extra in ([], ["--policy", "lp:4"]):
+        out = tmp_path / str(len(runs)) / "r.csv"
+        code = main([*argv, "--out", str(out), *extra])  # bcsgd's tiny run fails its bracket: 1
+        runs.append((code, [f.read_bytes() for f in sorted(out.parent.glob("*"))]))
+    assert runs[0] == runs[1] and runs[0][0] != 2
+    if command != "bcsgd":  # the default policy (optimal) needs l2, yet these run lp:4
+        assert main([*argv, "--out", str(tmp_path / "lp.csv"), "--loss", "lp:4"]) == 0
+    # train keeps the check
+    assert main(["train", *SMALL_RUN, "--out", str(tmp_path / "t.csv"), "--policy", "lp:4"]) == 2
+
+
 def test_snapshots_spot_check(tmp_path):
     cfg = RunConfig(
         d_in=6, d_out=2, m=20, data_seed=13, depth=3, seed=1,
