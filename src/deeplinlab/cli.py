@@ -38,7 +38,7 @@ from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normaliz
 from .initializers import InitScheme, initialize
 from .network import Network, save_network, width_ok
 from .optim import LrPolicy, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
-from .oracle import optimal_loss, rank_constrained_solution
+from .oracle import rank_constrained_solution, reference_objective  # perfbench calls cli.reference_objective
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
 
@@ -248,19 +248,6 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
         f"wall_time_s={elapsed:.3f} out={cfg.out}"
     )
     return traj
-
-
-def reference_objective(data: Dataset, lf: losses.LossFunction, n_star: int) -> float:
-    """The optimum's tracked-objective value for distance bookkeeping.
-
-    For the square loss this is the minimized ||W X - Y||_F^2 itself; for
-    other losses the square-loss optimum W* is evaluated under the run's
-    objective (the reference the real-data experiments plot against).
-    """
-    if lf.power == 2:
-        return optimal_loss(data.x, data.y, n_star)
-    w_star = rank_constrained_solution(data.x, data.y, n_star).w_star
-    return losses._objective(w_star @ data.x, data.y, lf)
 
 
 def emit_trajectory_csv(traj: Trajectory, path) -> None:

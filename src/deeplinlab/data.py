@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix
+from .matcore import _contiguous, as_matrix
 
 __all__ = [
     "Dataset",
@@ -35,8 +35,8 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
-        x = as_matrix(self.x, "X")
-        y = as_matrix(self.y, "Y")
+        x = _contiguous(as_matrix(self.x, "X"))
+        y = _contiguous(as_matrix(self.y, "Y"))
         if x.shape[1] != y.shape[1]:
             raise ValueError(f"X has {x.shape[1]} columns but Y has {y.shape[1]}")
         if x.shape[1] < 1:

@@ -52,6 +52,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _contiguous(m: np.ndarray) -> np.ndarray:
+    """*m* itself when C- or F-contiguous, else one C-contiguous copy.
+
+    ``a.dot(b)`` and ``a @ b`` give the same bits on contiguous storage but
+    can differ on a strided view (a row slice ``big[:k, :m]``), so the
+    network and the dataset store their matrices this way.
+    """
+    return m if m.flags.c_contiguous or m.flags.f_contiguous else np.ascontiguousarray(m)
+
+
 def rank_tolerance(shape: tuple[int, int], sigma_max: float) -> float:
     """Singular values at or below this threshold count as zero."""
     return max(shape) * sigma_max * _EPS

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import _all_finite, as_matrix
+from .matcore import _all_finite, _contiguous, as_matrix
 
 __all__ = [
     "Network",
@@ -34,7 +34,7 @@ class Network:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        self.layers = [as_matrix(w, f"layer {i + 1}") for i, w in enumerate(self.layers)]
+        self.layers = [_contiguous(as_matrix(w, f"layer {i + 1}")) for i, w in enumerate(self.layers)]
         for i in range(1, len(self.layers)):
             if self.layers[i].shape[1] != self.layers[i - 1].shape[0]:
                 raise ValueError(

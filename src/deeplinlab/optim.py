@@ -35,9 +35,9 @@ is written ``a.dot(b)``, left to right as ``a @ b @ c`` associates
 (``a.dot(b).dot(c)``): at the 32 x 32 sizes of a deep narrow chain it
 dispatches in about half the time of ``@``, and on the operands these steps
 form (C- or F-contiguous matrices, their transposes, rows of Q) it gives
-the same bits.  The operands are contiguous when the layers and the data
-are, as every constructor of the package makes them; on a strided view
-(``W[:k, :k']`` passed in as a layer) the bits may differ from ``@``'s.
+the same bits.  The operands are contiguous because the layers and the
+data are: ``Network`` and ``Dataset`` copy a strided view (``W[:k, :k']``,
+on which the bits may differ from ``@``'s) once, into contiguous storage.
 ``tests/test_dot_dispatch.py`` pins both the bits and the contiguity.
 """
 
@@ -52,7 +52,7 @@ from .data import Dataset
 from .losses import LossFunction, _objective, gradient_from_parts
 from .matcore import _all_finite, numeric_rank, spectral_summary
 from .network import Network, _factors, _head_blocks, end_to_end
-from .oracle import optimal_loss
+from .oracle import reference_objective
 from . import theory
 
 __all__ = [
@@ -256,10 +256,12 @@ def compute_lr(
     return _lr_from_parts(policy, lf, _spectra(policy, a, bx), a, bx, pred, data.y, g)
 
 
-def _resolve_oracle(net: Network, data: Dataset, oracle_objective) -> float:
+def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
+    """*oracle_objective*, else ``oracle.reference_objective`` at the rank of
+    the chain's narrowest width (what the CLI uses without ``--rank``)."""
     if oracle_objective is not None:
         return float(oracle_objective)
-    return optimal_loss(data.x, data.y, min(net.dims))
+    return reference_objective(data, lf, min(net.dims))
 
 
 @dataclass(frozen=True)
@@ -295,7 +297,7 @@ class _Run:
 
 def _plain(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
     """The unreduced run of the public single-step functions: *net* on *data*."""
-    return _Run(net, net, data, data, None, 0.0, _resolve_oracle(net, data, oracle_objective), lf)
+    return _Run(net, net, data, data, None, 0.0, _resolve_oracle(net, data, lf, oracle_objective), lf)
 
 
 def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
@@ -315,7 +317,7 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     the constant c every objective adds and Q (m x d_in) for the square
     loss with m > d_in; else ``samples`` is *data*, c is 0.0 and q is None.
     """
-    oracle_obj = _resolve_oracle(net, data, oracle_objective)
+    oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
     blocks = _head_blocks(net)
     samples, c, q = _compressed_samples(data, lf) or (data, 0.0, None)
     work = net if blocks is None else Network(blocks)

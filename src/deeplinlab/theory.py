@@ -7,17 +7,18 @@ Three groups of machinery:
 * the basin constants for layer-wise training near the optimum: the
   layer-drift radius R_L, the shape factor h(L), the constant c, and the
   per-sweep rate 1 - eta / (5 kappa^2(X));
-* ``verify_trajectory``, which replays a recorded run against the
-  per-step bound dist_after <= dist_before * gamma^2, and
-  ``audit_trajectory``, which picks the check a run's rate policy
-  guarantees (that bound, the optimal step's exact drop, or a loss that
-  never increases).
+* one replay pass (``_replay``) that holds each recorded step to the bounds
+  its rate policy guarantees and fails any bound a NaN enters:
+  ``verify_trajectory`` (dist_after <= dist_before * gamma^2, per step and
+  cumulatively) and ``audit_trajectory``, which also checks the optimal
+  step's exact drop or a loss that never increases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -34,12 +35,14 @@ __all__ = [
     "drift_radius",
     "gamma_factor",
     "min_depth_one_sweep",
-    "verify_drop_identity",
-    "verify_monotone",
     "verify_trajectory",
 ]
 
 DROP_RTOL = 1e-8  # acceptance 3: |drop - lr ||G||_F^2| <= 1e-8 loss_before
+# Slack of the gamma and monotone bounds: REL_SLACK |base| (dist_before, the cumulative
+# bound or loss_before) plus PEAK_SLACK times the run's largest dist_before or loss_before.
+REL_SLACK = 1e-10
+PEAK_SLACK = 1e-14
 
 
 def drift_radius(depth: int) -> float:
@@ -78,6 +81,28 @@ class BasinConstants:
     gamma_sweep: float
 
 
+def _basin_inputs(x, w_star) -> tuple[float, float, float]:
+    """``(kappa^2(X), sigma_min(W* X), sigma_min(W* X) / ||X||_2)``: the inputs
+    of the basin constant c, after the checks both basin functions share."""
+    xs = spectral_summary(x)
+    if xs.numeric_rank < np.asarray(x).shape[0]:
+        raise ValueError("basin constants need a full-row-rank X")
+    kappa2 = (xs.spectral_norm / xs.singular_values[-1]) ** 2
+    wx_smin = float(singular_values(np.asarray(w_star) @ np.asarray(x))[-1])
+    sigma_tilde = wx_smin / xs.spectral_norm
+    if sigma_tilde <= 0:
+        raise ValueError("sigma_min(W* X) must be positive")
+    return kappa2, wx_smin, sigma_tilde
+
+
+def _basin_c(kappa2: float, sigma_tilde: float, h_l: float) -> float:
+    """c = 1 + kappa^2 (1 + sqrt(1 + 4 h(L) sigma~ / kappa^2)) / (2 h(L) sigma~)."""
+    return 1.0 + kappa2 * (
+        (1.0 + math.sqrt(1.0 + 4.0 * h_l * sigma_tilde / kappa2))
+        / (2.0 * h_l * sigma_tilde)
+    )
+
+
 def basin_constants(x, w_star, depth: int, eta: float) -> BasinConstants:
     """Basin radius and per-sweep contraction for layer-wise training.
 
@@ -87,22 +112,11 @@ def basin_constants(x, w_star, depth: int, eta: float) -> BasinConstants:
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
-    xs = spectral_summary(x)
-    if xs.numeric_rank < np.asarray(x).shape[0]:
-        raise ValueError("basin constants need a full-row-rank X")
-    kappa2 = (xs.spectral_norm / xs.singular_values[-1]) ** 2
-    wx_smin = float(singular_values(np.asarray(w_star) @ np.asarray(x))[-1])
-    sigma_tilde = wx_smin / xs.spectral_norm
-    r_l = drift_radius(depth)
+    kappa2, _wx_smin, sigma_tilde = _basin_inputs(x, w_star)
     h_l = basin_factor(depth)
-    if sigma_tilde <= 0:
-        raise ValueError("sigma_min(W* X) must be positive")
-    c = 1.0 + kappa2 * (
-        (1.0 + math.sqrt(1.0 + 4.0 * h_l * sigma_tilde / kappa2))
-        / (2.0 * h_l * sigma_tilde)
-    )
+    c = _basin_c(kappa2, sigma_tilde, h_l)
     return BasinConstants(
-        r_l=r_l,
+        r_l=drift_radius(depth),
         h_l=h_l,
         c=c,
         sigma_tilde_min=sigma_tilde,
@@ -166,20 +180,14 @@ def min_depth_one_sweep(x, w_star, initial_dist: float, eta: float) -> int:
         raise ValueError("eta must lie in (0, 1]")
     if initial_dist <= 0:
         return 1
-    xs = spectral_summary(x)
-    if xs.numeric_rank < np.asarray(x).shape[0]:
-        raise ValueError("depth bound needs a full-row-rank X")
-    kappa2 = (xs.spectral_norm / xs.singular_values[-1]) ** 2
-    wx_smin = float(singular_values(np.asarray(w_star) @ np.asarray(x))[-1])
-    if wx_smin <= 0:
-        raise ValueError("sigma_min(W* X) must be positive")
+    kappa2, wx_smin, sigma_tilde = _basin_inputs(x, w_star)
     base = 1.0 - eta / kappa2
     if base <= 0:
         return 1  # a single well-conditioned sweep contracts to zero
     log_base = math.log(base)
     depth = 1
     for _ in range(100):
-        c = basin_constants(x, w_star, depth, eta).c
+        c = _basin_c(kappa2, sigma_tilde, basin_factor(depth))
         ratio = wx_smin / (c * initial_dist)
         if ratio >= 1.0:
             new_depth = 1
@@ -216,14 +224,30 @@ def _records(traj) -> list:
     return traj.records if hasattr(traj, "records") else list(traj)
 
 
-def verify_trajectory(traj, gammas=None, rel_slack: float = 1e-10) -> AuditReport:
+def _replay(records, step_bounds) -> AuditReport:
+    """Replay *records* against ``step_bounds(idx, rec)``, the bounds of step
+    *idx* as ``(value, limit, fields)`` triples.  A bound fails unless
+    ``value <= limit``, so a NaN on either side fails it; each failure is
+    recorded as ``{"step", "iteration", "layer", **fields}``.
+    """
+    report = AuditReport(n_steps=len(records))
+    for idx, rec in enumerate(records):
+        for value, limit, fields in step_bounds(idx, rec):
+            if not value <= limit:
+                report.violations.append(
+                    {"step": idx, "iteration": rec.iteration, "layer": rec.layer, **fields}
+                )
+    return report
+
+
+def verify_trajectory(traj, gammas=None) -> AuditReport:
     """Check dist_after <= dist_before * gamma^2 per step and cumulatively.
 
     *traj* is a Trajectory (or any object with ``records``); *gammas*
     defaults to the per-record ``gamma_bound`` values.  Steps with
     gamma >= 1 are counted as vacuous (the bound still holds, it just
-    guarantees nothing).  The slack is ``rel_slack * dist_before`` plus
-    an absolute guard tied to the largest distance seen, which keeps
+    guarantees nothing).  The slack is ``REL_SLACK * dist_before`` plus
+    ``PEAK_SLACK`` times the largest distance seen, which keeps
     floating-point jitter at converged scales from raising violations.
     """
     records = _records(traj)
@@ -236,98 +260,35 @@ def verify_trajectory(traj, gammas=None, rel_slack: float = 1e-10) -> AuditRepor
         raise ValueError(
             f"{len(gammas)} gammas for {len(records)} records"
         )
-    report = AuditReport(n_steps=len(records))
     if not records:
-        return report
-    peak = max(max(r.dist_before for r in records), 0.0)
-    atol = 1e-14 * peak
-    cum_bound = records[0].dist_before
-    for idx, (rec, gamma) in enumerate(zip(records, gammas)):
-        if gamma >= 1.0:
-            report.vacuous_steps += 1
-        bound = rec.dist_before * gamma * gamma + rel_slack * abs(rec.dist_before) + atol
-        if rec.dist_after > bound:
-            report.violations.append(
-                {
-                    "step": idx,
-                    "iteration": rec.iteration,
-                    "layer": rec.layer,
-                    "dist_before": rec.dist_before,
-                    "dist_after": rec.dist_after,
-                    "gamma": gamma,
-                    "bound": bound,
-                }
-            )
-        cum_bound = cum_bound * gamma * gamma
-        cum_limit = cum_bound + rel_slack * abs(cum_bound) + atol
-        if rec.dist_after > cum_limit:
-            report.violations.append(
-                {
-                    "step": idx,
-                    "iteration": rec.iteration,
-                    "layer": rec.layer,
-                    "dist_after": rec.dist_after,
-                    "gamma": gamma,
-                    "bound": cum_limit,
-                    "cumulative": True,
-                }
-            )
+        return AuditReport(n_steps=0)
+    atol = PEAK_SLACK * max(max(r.dist_before for r in records), 0.0)
+    # cum_bounds[i + 1]: the first dist_before times the gamma^2 of steps 0..i
+    cum_bounds = list(accumulate(gammas, lambda c, g: c * g * g, initial=records[0].dist_before))
+
+    def step_bounds(idx, rec):
+        gamma, cum_bound = gammas[idx], cum_bounds[idx + 1]
+        bound = rec.dist_before * gamma * gamma + REL_SLACK * abs(rec.dist_before) + atol
+        cum_limit = cum_bound + REL_SLACK * abs(cum_bound) + atol
+        return (
+            (rec.dist_after, bound, {"dist_before": rec.dist_before,
+             "dist_after": rec.dist_after, "gamma": gamma, "bound": bound}),
+            (rec.dist_after, cum_limit, {"dist_after": rec.dist_after,
+             "gamma": gamma, "bound": cum_limit, "cumulative": True}),
+        )
+
+    report = _replay(records, step_bounds)
+    report.vacuous_steps = sum(1 for g in gammas if g >= 1.0)
     return report
 
 
-def verify_drop_identity(traj, rtol: float = DROP_RTOL) -> AuditReport:
-    """Check the optimal step's exact drop ``loss_after = loss_before - lr ||G||_F^2``.
-
-    The guarantee of the optimal_l2 policy (the square loss's exact line
-    search); each step may miss it by ``rtol * |loss_before|``.
-    """
-    records = _records(traj)
-    report = AuditReport(n_steps=len(records))
-    for idx, rec in enumerate(records):
-        expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
-        limit = rtol * abs(rec.loss_before)
-        if not abs(rec.loss_after - expected) <= limit:
-            report.violations.append(
-                {
-                    "step": idx,
-                    "iteration": rec.iteration,
-                    "layer": rec.layer,
-                    "loss_before": rec.loss_before,
-                    "loss_after": rec.loss_after,
-                    "expected": expected,
-                    "limit": limit,
-                }
-            )
-    return report
-
-
-def verify_monotone(traj, rel_slack: float = 1e-10) -> AuditReport:
-    """Check that the loss never increases from one step to the next.
-
-    The guarantee of convex_safe and near_optimal_general under the
-    square loss, whose curvature bound holds globally.  The slack is
-    ``verify_trajectory``'s, taken on losses: ``rel_slack * |loss_before|``
-    plus ``1e-14`` times the largest loss seen.
-    """
-    records = _records(traj)
-    report = AuditReport(n_steps=len(records))
-    if not records:
-        return report
-    atol = 1e-14 * max(abs(r.loss_before) for r in records)
-    for idx, rec in enumerate(records):
-        bound = rec.loss_before + rel_slack * abs(rec.loss_before) + atol
-        if not rec.loss_after <= bound:
-            report.violations.append(
-                {
-                    "step": idx,
-                    "iteration": rec.iteration,
-                    "layer": rec.layer,
-                    "loss_before": rec.loss_before,
-                    "loss_after": rec.loss_after,
-                    "bound": bound,
-                }
-            )
-    return report
+def _drop_bounds(idx, rec):
+    """The optimal step's exact drop ``loss_after = loss_before - lr ||G||_F^2``,
+    missed by at most ``DROP_RTOL * |loss_before|``."""
+    expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
+    limit = DROP_RTOL * abs(rec.loss_before)
+    return ((abs(rec.loss_after - expected), limit, {"loss_before": rec.loss_before,
+             "loss_after": rec.loss_after, "expected": expected, "limit": limit}),)
 
 
 def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -> AuditReport:
@@ -335,19 +296,28 @@ def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -
 
     *policy* is the ``LrPolicy`` kind and *loss* the loss name the run
     recorded.  optimal_l2 is held to the exact drop identity, convex_safe
-    and near_optimal_general under the l2 loss to a loss that never
-    increases, theory_l2 (or an unnamed policy with recorded gamma
-    bounds) to ``verify_trajectory``.  Any other policy guarantees nothing
-    checkable: ValueError.  Steps with rate 0 (a denominator below the
-    floor skips the step) are counted as skipped.
+    and near_optimal_general under the l2 loss (whose curvature bound holds
+    globally) to a loss that never increases, within ``verify_trajectory``'s
+    slack taken on losses, theory_l2 (or an unnamed policy with recorded
+    gamma bounds) to ``verify_trajectory``.  Any other policy guarantees
+    nothing checkable: ValueError.  Steps with rate 0 (a denominator below
+    the floor skips the step) are counted as skipped.
     """
+    records = _records(traj)
     if policy == "optimal_l2":
-        report = verify_drop_identity(traj)
+        report = _replay(records, _drop_bounds)
     elif policy in ("convex_safe", "near_optimal_general") and loss == "l2":
-        report = verify_monotone(traj)
+        atol = PEAK_SLACK * max((abs(r.loss_before) for r in records), default=0.0)
+
+        def step_bounds(idx, rec):
+            bound = rec.loss_before + REL_SLACK * abs(rec.loss_before) + atol
+            return ((rec.loss_after, bound, {"loss_before": rec.loss_before,
+                     "loss_after": rec.loss_after, "bound": bound}),)
+
+        report = _replay(records, step_bounds)
     elif policy in (None, "theory_l2"):
         report = verify_trajectory(traj)
     else:
         raise ValueError(f"policy {policy!r} with loss {loss!r} has no checkable guarantee")
-    report.skipped_steps = sum(1 for r in _records(traj) if r.lr == 0.0)
+    report.skipped_steps = sum(1 for r in records if r.lr == 0.0)
     return report

@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -699,3 +700,61 @@ def test_verify_policy_without_guarantee_exits_two(tmp_path, capsys, policy, los
     path = _verify_run(tmp_path, policy, loss=loss)
     assert main(["verify", "--trajectory", str(path)]) == 2
     assert "no checkable guarantee" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("column", [5, 7])  # dist_to_opt_raw, gamma_bound
+def test_verify_flags_nan_in_the_first_row(tmp_path, capsys, column):
+    path = tmp_path / "v.csv"
+    cfg = RunConfig(
+        d_in=6, d_out=2, m=20, data_seed=17, depth=2, seed=3,
+        policy="theory:1.0", sweeps=5, target=0.0, out=str(path),
+    )
+    run_experiment(cfg)
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    parts = lines[first].split(",")
+    parts[column] = "nan"
+    lines[first] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--trajectory", str(path)]) == 1
+    assert "VIOLATION(S)" in capsys.readouterr().out
+
+
+# Written by ``deeplinlab train --d-in 6 --d-out 2 --m 20 --data-seed 17
+# --seed 3 --sweeps 4 --target 0`` with ``--depth 3 --policy optimal`` and
+# ``--depth 3 --policy convex``, and, for theory, ``--depth 2 --policy
+# theory:1.0 --sweeps 5``: fixed files, so the audit's output depends on no BLAS.
+VERIFY_RUNS = Path(__file__).parent / "data"
+GOLDEN_VERIFY = {
+    "theory": (5, lambda dist, _: dist * 10 + 1.0, """\
+audit over 10 step(s): 2 VIOLATION(S)
+  violation at step 1: {'step': 1, 'iteration': 2, 'layer': 1, 'dist_before': 0.26630140107842737, \
+'dist_after': 2.5052026487021912, 'gamma': 0.8948135886318582, 'bound': 0.2132252306000242}
+  violation at step 1: {'step': 1, 'iteration': 2, 'layer': 1, 'dist_after': 2.5052026487021912, \
+'gamma': 0.8948135886318582, 'bound': 0.33347592173961, 'cumulative': True}
+"""),
+    "optimal": (3, lambda lr, _: lr * 1.001, """\
+audit over 12 step(s): 1 VIOLATION(S)
+  violation at step 1: {'step': 1, 'iteration': 2, 'layer': 2, 'loss_before': 36.727757449630815, \
+'loss_after': 35.16214829279483, 'expected': 35.160582683638, 'limit': 3.6727757449630813e-07}
+"""),
+    "convex": (4, lambda _, before: before * (1 + 1e-6), """\
+audit over 12 step(s): 1 VIOLATION(S)
+  violation at step 1: {'step': 1, 'iteration': 2, 'layer': 2, 'loss_before': 39.67368050170221, \
+'loss_after': 39.673720175382705, 'bound': 39.673680505670085}
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VERIFY))
+def test_verify_golden_output(tmp_path, capsys, name):
+    """The full stdout and exit code of ``verify`` on a run and on the run
+    with one field bumped (theory: a distance, optimal: a rate, convex: a loss)."""
+    column, change, want = GOLDEN_VERIFY[name]
+    src = VERIFY_RUNS / f"verify_{name}.csv"
+    assert main(["verify", "--trajectory", str(src)]) == 0
+    n_rows = sum(1 for line in src.read_text().splitlines() if line[:1].isdigit())
+    assert capsys.readouterr().out == f"audit over {n_rows} step(s): OK\n"
+    _tamper_row(src, tmp_path / "bad.csv", column, change)
+    assert main(["verify", "--trajectory", str(tmp_path / "bad.csv")]) == 1
+    assert capsys.readouterr().out == want

@@ -21,9 +21,12 @@ slice ``W[:k, :k']`` of a larger layer is one: on such operands (as the
 right factor of a product, transposed, in a matrix-vector product or in a
 Gram) ``dot`` and ``@`` differ in the last bits for some shapes.  The step
 path never multiplies one: ``network._head_blocks`` copies the head
-blocks, and the package's constructors build contiguous layers and data.
-The last test pins that: every layer, sample matrix and factor a runner
-trains on is C- or F-contiguous.
+blocks, and ``Network`` and ``Dataset`` store every matrix C- or
+F-contiguous, copying a strided view once.  The last two tests pin that:
+every layer, sample matrix and factor a runner trains on is C- or
+F-contiguous, also when the layers and the data are passed in as row-slice
+views, and a run on such views gives the bits of the same run on
+contiguous copies of them.
 """
 
 import numpy as np
@@ -34,6 +37,7 @@ from deeplinlab import optim
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, write_csv
 from deeplinlab.initializers import KINDS, InitScheme, initialize
 from deeplinlab.losses import l2, lp
+from deeplinlab.network import Network
 
 dims = st.integers(1, 130)
 layouts = st.sampled_from(("c", "t"))
@@ -97,17 +101,32 @@ def _contiguous(a: np.ndarray) -> bool:
     return a.flags.c_contiguous or a.flags.f_contiguous
 
 
+def _row_slice(a: np.ndarray) -> np.ndarray:
+    """The values of *a* (two rows or more) as the row-slice view
+    ``big[:rows, :cols]`` of a wider matrix, neither C- nor F-contiguous."""
+    big = np.zeros((a.shape[0] + 1, a.shape[1] + 3))
+    big[: a.shape[0], : a.shape[1]] = a
+    view = big[: a.shape[0], : a.shape[1]]
+    assert not _contiguous(view)
+    return view
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("m", [3, 40])  # m > d_in compresses the samples
-@pytest.mark.parametrize("source", ["synthetic", "csv"])
+@pytest.mark.parametrize("source", ["synthetic", "csv", "view"])  # view: row-slice layers and data
 def test_step_operands_are_contiguous(tmp_path, kind, m, source):
     dims_chain = (5, 9, 9, 2)  # wider than max(d_in, d_out): head blocks where block-diagonal
     data = Dataset(x=gen_input_gaussian(5, m, 1), y=gen_output_uniform(2, m, 2))
     if source == "csv":
         write_csv(tmp_path / "d.csv", data)
         data = load_normalize_csv(tmp_path / "d.csv", 5, 2)
+    if source == "view":
+        data = Dataset(x=_row_slice(data.x), y=_row_slice(data.y))
     for lf in (l2(), lp(4)):
-        run = optim._reduce(initialize(InitScheme(kind), dims_chain, seed=3), data, lf, None)
+        net = initialize(InitScheme(kind), dims_chain, seed=3)
+        if source == "view":
+            net = Network([_row_slice(w) for w in net.layers])
+        run = optim._reduce(net, data, lf, None)
         operands = [*run.work.layers, run.samples.x, run.samples.y]
         if run.q is not None:
             operands.append(run.q)
@@ -115,3 +134,22 @@ def test_step_operands_are_contiguous(tmp_path, kind, m, source):
             operands += [f for _ell, a, bx in optim._sweep(run.work, run.samples.x, ordering)
                          for f in (a, bx)]
         assert all(_contiguous(a) for a in operands)
+
+
+def test_row_slice_inputs_train_like_contiguous_copies():
+    # m <= d_in keeps the samples uncompressed: X reaches every step as stored
+    rng = np.random.default_rng(0)
+    for draw in range(40):
+        d_in = int(rng.integers(2, 40))
+        m, d_out = int(rng.integers(2, d_in + 1)), int(rng.integers(2, 6))
+        chain = (d_in, *rng.integers(2, 12, size=draw % 3), d_out)
+        x, y = rng.normal(size=(d_in, m)), rng.normal(size=(d_out, m))
+        layers = initialize(InitScheme("random"), chain, seed=draw).layers
+        runs = []
+        for wrap in (_row_slice, np.array):  # the view, then a contiguous copy
+            traj = optim.run_bcgd(
+                Network([wrap(w) for w in layers]), Dataset(x=wrap(x), y=y), l2(),
+                optim.LrPolicy("optimal_l2"), max_sweeps=2, target_dist=0.0,
+            )
+            runs.append([(r.lr, r.loss_after, r.dist_after, r.grad_frobenius) for r in traj.records])
+        assert runs[0] == runs[1], (draw, chain, m)

@@ -204,7 +204,11 @@ def test_as_matrix_accepts_entries_whose_squares_overflow():
     a[0, 0] = -1e200
     for m in _layouts(a):
         assert as_matrix(m) is m
-        assert Network([m]).layers[0] is m
+    c_order, f_order, strided = _layouts(a)
+    assert Network([c_order]).layers[0] is c_order
+    assert Network([f_order]).layers[0] is f_order
+    copy = Network([strided]).layers[0]  # a strided view is stored as one contiguous copy
+    assert copy.flags.c_contiguous and np.array_equal(copy, strided)
 
 
 def test_as_matrix_accepts_empty_and_checks_shape_first():

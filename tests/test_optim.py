@@ -19,7 +19,7 @@ from deeplinlab.optim import (
     run_bcgd,
     run_gd,
 )
-from deeplinlab.oracle import optimal_loss
+from deeplinlab.oracle import optimal_loss, reference_objective
 
 
 def make_data(d_in=6, d_out=3, m=20, seed=0):
@@ -442,3 +442,19 @@ def test_run_bcsgd_runs_every_sweep():
     assert len(traj) == tracker.iterations == 5 * net.depth
     assert all(r.dist_after < 0.0 for r in traj.records)
     assert [r.sweep for r in traj.records[:: net.depth]] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("runner", ["run_bcgd", "run_gd"])
+def test_runners_default_to_the_reference_objective_of_their_loss(runner):
+    # the reference the CLI measures against: the square-loss optimum
+    # evaluated under lp(4), not the square loss's minimum
+    data = make_data(d_in=6, d_out=2, m=30, seed=41)
+    net = initialize(InitScheme("random"), (6, 6, 2), seed=42)
+    lf = lp(4)
+    traj = {
+        "run_bcgd": lambda: run_bcgd(net, data, lf, LrPolicy("near_optimal_lp", p=4), max_sweeps=1),
+        "run_gd": lambda: run_gd(net, data, lf, 1e-4, max_iters=1),
+    }[runner]()
+    want = reference_objective(data, lf, 2)
+    assert want != optimal_loss(data.x, data.y, 2)
+    assert traj.meta["oracle_objective"] == want

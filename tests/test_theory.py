@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,3 +232,26 @@ def test_audit_counts_skipped_steps():
     assert not audit_trajectory(bumped, "optimal_l2", "l2").ok
     plain = verify_trajectory(traj, gammas=[1.0] * 4)
     assert plain.skipped_steps == 0 and "skipped" not in plain.summary()
+
+
+@pytest.mark.parametrize(
+    "policy, fields",
+    [
+        ("theory_l2", ("dist_before", "dist_after", "gamma_bound")),
+        ("optimal_l2", ("loss_before", "loss_after", "lr", "grad_frobenius")),
+        ("convex_safe", ("loss_before", "loss_after")),
+    ],
+)
+def test_a_nan_fails_every_audit(policy, fields):
+    # both steps meet every bound: the exact drop, a falling loss and
+    # dist_after <= dist_before * 0.99^2, per step and cumulatively
+    records = [
+        replace(_record(1, 0.5, 10.0, 9.5), gamma_bound=0.99),
+        replace(_record(2, 0.25, 9.5, 9.25), gamma_bound=0.99),
+    ]
+    assert audit_trajectory(Trajectory(records=records), policy, "l2").ok
+    for name in fields:
+        for row in range(2):
+            nan_row = replace(records[row], **{name: math.nan})
+            bad = Trajectory(records=[nan_row if i == row else r for i, r in enumerate(records)])
+            assert not audit_trajectory(bad, policy, "l2").ok, (name, row)
