@@ -37,7 +37,7 @@ from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
 from .initializers import InitScheme, initialize
 from .network import Network, save_network, width_ok
-from .optim import LrPolicy, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
+from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
 from .oracle import rank_constrained_solution, reference_objective  # perfbench calls cli.reference_objective
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
@@ -284,8 +284,6 @@ def read_trajectory_csv(path) -> Trajectory:
     ``meta`` holds each ``# key=value`` line's value parsed back from its
     ``repr`` (the raw text when it is no Python literal, such as ``nan``).
     """
-    from .optim import StepRecord
-
     meta: dict = {}
     records = []
     prev_loss = math.nan

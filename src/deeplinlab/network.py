@@ -9,6 +9,7 @@ partial product ``W_{i:j}`` follows the convention that an empty range
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -68,9 +69,33 @@ def partial_product(net: Network, i: int, j: int) -> np.ndarray:
     return prod
 
 
+def _suffixes(net: Network):
+    """Yields ``A = W_{L:(ell+1)}`` for ell = L..1, left to right from the
+    identity: ``I``, ``I W_L``, ``(I W_L) W_(L-1)``, ...  Each product is
+    formed when asked for, from ``net.layers[ell]`` as it is then."""
+    a = np.eye(net.dims[-1])
+    yield a
+    for l in range(net.depth - 1, 0, -1):
+        a = a.dot(net.layers[l])
+        yield a
+
+
+def _prefixes(net: Network, x: np.ndarray):
+    """Yields ``B X = W_{(ell-1):1} X`` for ell = 1..L: ``X``, ``W_1 X``,
+    ``W_2 (W_1 X)``, ...; each formed when asked for, as in ``_suffixes``."""
+    bx = x
+    yield bx
+    for l in range(net.depth - 1):
+        bx = net.layers[l].dot(bx)
+        yield bx
+
+
 def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, B X)`` around layer *ell*: ``W_{L:(ell+1)}`` and ``W_{(ell-1):1} X``."""
-    return partial_product(net, net.depth, ell + 1), partial_product(net, ell - 1, 1) @ x
+    """``(A, B X)`` around layer *ell*, ``W_{L:(ell+1)}`` and ``W_{(ell-1):1} X``:
+    ``_suffixes`` and ``_prefixes`` stopped at *ell*, as ``optim._sweep`` forms them."""
+    above = islice(_suffixes(net), net.depth - ell, None)
+    below = islice(_prefixes(net, x), ell - 1, None)
+    return next(above), next(below)
 
 
 def _head_blocks(net: Network) -> list | None:

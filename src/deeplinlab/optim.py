@@ -25,20 +25,18 @@ reduction, each part taken only when it changes nothing but rounding.  A
 block-diagonal chain trains only its head blocks, and a square-loss run
 with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 ``X^T = Q R`` plus the constant residual of Y outside X's row space, so
-no step touches an m-wide matrix.  The public single-step functions train
-the full network on the full data (``_plain``).  BCGD and BCSGD steps end
-in one update tail, ``_descend``.
+no step touches an m-wide matrix.  ``_drive`` numbers the sweeps and
+``_sweep`` picks each step's layer.  The public single-step functions run
+the same step code (``_single_step``) on the full network and data
+(``_plain``), from the factors ``_sweep`` would hand out
+(``network._factors``): where ``_reduce`` engages nothing they give a
+run's records bit for bit.  BCGD and BCSGD steps end in ``_descend``.
 
-Every matrix product on a step's path (``_sweep``, ``_prefixes``,
-``_suffixes``, the BCGD, GD and BCSGD steps, ``losses.gradient_from_parts``)
-is written ``a.dot(b)``, left to right as ``a @ b @ c`` associates
-(``a.dot(b).dot(c)``): at the 32 x 32 sizes of a deep narrow chain it
-dispatches in about half the time of ``@``, and on the operands these steps
-form (C- or F-contiguous matrices, their transposes, rows of Q) it gives
-the same bits.  The operands are contiguous because the layers and the
-data are: ``Network`` and ``Dataset`` copy a strided view (``W[:k, :k']``,
-on which the bits may differ from ``@``'s) once, into contiguous storage.
-``tests/test_dot_dispatch.py`` pins both the bits and the contiguity.
+Every matrix product on a step's path is written ``a.dot(b)``, left to
+right as ``a @ b @ c`` associates: on the C- or F-contiguous operands the
+steps form (``Network`` and ``Dataset`` copy a strided view once) it gives
+the bits of ``@`` in about half its dispatch time at 32 x 32, as
+``tests/test_dot_dispatch.py`` pins.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import numpy as np
 from .data import Dataset
 from .losses import LossFunction, _objective, gradient_from_parts
 from .matcore import _all_finite, numeric_rank, spectral_summary
-from .network import Network, _factors, _head_blocks, end_to_end
+from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
 from . import theory
 
@@ -86,9 +84,15 @@ _max = np.maximum.reduce
 _SPECTRAL_KINDS = ("theory_l2", "convex_safe")  # rate needs ||A||_2 and ||B X||_2
 
 
+def _check_ordering(ordering: str) -> None:
+    """The one check of a sweep ordering, run before any work."""
+    if ordering not in ORDERINGS:
+        raise ValueError(f"ordering must be one of {ORDERINGS}")
+
+
 @dataclass
 class SweepState:
-    """Multi-index bookkeeping for one BCGD run.
+    """Multi-index bookkeeping for the single-step functions.
 
     ``position`` is the 1-based slot within the current sweep; the layer
     it maps to depends on the ordering.  After a full sweep every entry
@@ -102,8 +106,7 @@ class SweepState:
     position: int = 1
 
     def __post_init__(self):
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}")
+        _check_ordering(self.ordering)
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.multi_index is None:
@@ -178,9 +181,6 @@ class Trajectory:
 
     def losses(self) -> np.ndarray:
         return np.array([r.loss_after for r in self.records])
-
-    def dists(self) -> np.ndarray:
-        return np.array([r.dist_after for r in self.records])
 
     def final_dist(self) -> float:
         return self.records[-1].dist_after if self.records else math.nan
@@ -345,8 +345,8 @@ def _compressed_samples(data: Dataset, lf: LossFunction):
 
 
 def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_sweep_end=None):
-    """The run loop of every runner: up to *sweeps* calls of ``sweep()``,
-    each returning the records of one sweep (of one iteration for GD).
+    """The run loop of every runner: ``sweep(s)`` for s = 1..*sweeps*, each
+    call returning the records of sweep s (of iteration s for GD).
 
     The trajectory's meta is the full chain's ``dims``, the loss and the
     oracle objective, then *meta*, whose keys win.  Stop rule: the run
@@ -363,7 +363,7 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     records = traj.records
     try:
         for done in range(1, sweeps + 1):
-            records.extend(sweep())
+            records.extend(sweep(done))
             if on_sweep_end is not None:
                 run.write_back()
                 on_sweep_end(done, run.net)
@@ -374,12 +374,12 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     return traj
 
 
-def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> StepRecord:
-    """Update the state's layer of ``run.work`` from its factors on
-    ``run.samples``; *ranks* = (r, r_x) records the theory_l2 gamma bound,
-    built from the same spectra as the rate, with A taken as ``n_L x
-    n_ell`` and B X as ``n_(ell-1) x m`` of the full chain in its rank
-    tolerance.
+def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy, ranks) -> StepRecord:
+    """BCGD iteration *iteration* (of sweep *sweep*): update layer *ell* of
+    ``run.work`` from its factors on ``run.samples``; *ranks* = (r, r_x)
+    records the theory_l2 gamma bound, built from the same spectra as the
+    rate, with A taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` of
+    the full chain in its rank tolerance.
 
     The gradient G must be finite, or RuntimeError names the iteration and
     the layer.  ``||G||_F^2`` is computed on every step (it is the recorded
@@ -387,7 +387,6 @@ def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> 
     entrywise ``np.isfinite(G).all()`` run, so a finite G whose squared
     norm overflows passes on to ``_descend``'s update check.
     """
-    ell = state.layer_to_update()
     w = run.work.layers[ell - 1]
     y, lf = run.samples.y, run.lf
     pred = a.dot(w).dot(bx)
@@ -396,7 +395,7 @@ def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> 
     grad_fro = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm(g, "fro"), bit for bit
     if not math.isfinite(grad_fro) and not np.isfinite(g).all():
         raise RuntimeError(
-            f"non-finite gradient at iteration {state.iteration + 1}, "
+            f"non-finite gradient at iteration {iteration}, "
             f"layer {ell} (loss so far {_objective(pred, y, lf) + run.c:.6g})"
         )
     spectra = _spectra(policy, a, bx)
@@ -408,22 +407,20 @@ def _step_core(run: _Run, state: SweepState, policy: LrPolicy, a, bx, ranks) -> 
             a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
             bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
         )
-    loss_before = _objective(pred, y, lf) + run.c
-    return _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma)
+    return _descend(run, ell, iteration, sweep, a, w, bx, pred, lr, g, grad_fro, gamma)
 
 
-def _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma=None,
+def _descend(run, ell, iteration, sweep, a, w, bx, pred, lr, g, grad_fro, gamma=None,
              sample_index=None) -> StepRecord:
     """The tail of every BCGD and BCSGD step: replace layer *ell* of
-    ``run.work`` (now *w*) by ``w - lr * g``, record the step and advance
-    the state.  *sample_index* marks a BCSGD step.
+    ``run.work`` (now *w*, predicting *pred*) by ``w - lr * g`` and record
+    the step of *iteration* and *sweep*; *sample_index* marks BCSGD.
 
-    The updated layer must be finite (``matcore._all_finite``: its sum of
-    squares on every step, the entrywise test only when that sum is not
-    finite), or RuntimeError names the iteration and the layer; the layer
-    is replaced only after this check.  ``_record`` then checks the loss.
+    The updated layer must be finite (``matcore._all_finite``), or
+    RuntimeError names the iteration and the layer; the layer is replaced
+    only after this check, and ``_record`` then checks the loss.
     """
-    iteration = state.iteration + 1
+    loss_before = _objective(pred, run.samples.y, run.lf) + run.c
     new_w = w - lr * g
     if not _all_finite(new_w):
         raise RuntimeError(
@@ -432,12 +429,9 @@ def _descend(run, state, ell, a, w, bx, lr, g, grad_fro, loss_before, gamma=None
         )
     run.work.layers[ell - 1] = new_w
     loss_after = _objective(a.dot(new_w).dot(bx), run.samples.y, run.lf) + run.c
-    record = _record(
-        run, iteration, state.sweep + 1, ell, lr, loss_before, loss_after, grad_fro, gamma,
-        sample_index,
+    return _record(
+        run, iteration, sweep, ell, lr, loss_before, loss_after, grad_fro, gamma, sample_index
     )
-    state.advance()
-    return record
 
 
 def _record(run, iteration, sweep, layer, lr, loss_before, loss_after, grad_fro, gamma=None,
@@ -476,11 +470,21 @@ def bcgd_step(
 
     All other layers are untouched; the state's multi-index advances by
     the updated layer's unit vector.  The contraction bound is recorded
-    for the theory_l2 policy (its rate guarantee applies there).
+    for the theory_l2 policy (its rate guarantee applies there).  The
+    step is ``run_bcgd``'s, with the theory_l2 ranks taken at this state.
     """
-    a, bx = _factors(net, data.x, state.layer_to_update())
     run = _plain(net, data, lf, oracle_objective)
-    return _step_core(run, state, policy, a, bx, _gamma_ranks(run, policy))
+    return _single_step(state, run, _step_core, policy, _gamma_ranks(run, policy))
+
+
+def _single_step(state: SweepState, run: _Run, core, *args) -> StepRecord:
+    """The runner's *core* at the state's next layer, on the factors ``_sweep``
+    would hand out there, numbered from the state, which then advances."""
+    ell = state.layer_to_update()
+    a, bx = _factors(run.work, run.samples.x, ell)
+    record = core(run, ell, state.iteration + 1, state.sweep + 1, a, bx, *args)
+    state.advance()
+    return record
 
 
 def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
@@ -499,43 +503,17 @@ def _ranks(net: Network, x_svals: np.ndarray, x_shape: tuple[int, int]) -> tuple
     return spectral_summary(net.layers[-1]).numeric_rank, numeric_rank(x_svals, x_shape)
 
 
-def _suffixes(net: Network) -> list:
-    """``s[l] = W_{L:(l+1)}`` for l = 1..L, ``s[L]`` the identity (``s[0]`` unused)."""
-    L = net.depth
-    s = [None] * (L + 1)
-    s[L] = np.eye(net.dims[-1])
-    for l in range(L - 1, 0, -1):
-        s[l] = s[l + 1].dot(net.layers[l])
-    return s
-
-
-def _prefixes(net: Network, x: np.ndarray) -> list:
-    """``p[l] = W_{(l-1):1} X`` for l = 1..L, ``p[1] = X`` (``p[0]`` unused)."""
-    L = net.depth
-    p = [None] * (L + 1)
-    p[1] = x
-    for l in range(2, L + 1):
-        p[l] = net.layers[l - 2].dot(p[l - 1])
-    return p
-
-
 def _sweep(net: Network, x: np.ndarray, ordering: str):
-    """One sweep's factors: yields ``(ell, A, B X)`` before each layer update.
-
-    The side not visited yet is built from the layers at the sweep start
-    (they do not change before their turn); the visited side is advanced
-    through ``net.layers[ell - 1]`` after the caller has replaced it.
+    """One sweep's factors ``(ell, A, B X)``, before each layer update: the
+    one source of a runner's layers.  The side not visited yet is built from
+    the layers at the sweep start (they do not change before their turn);
+    the visited side is formed through ``net.layers[ell - 1]`` only after the
+    caller has replaced it (``network._suffixes``, ``_prefixes``).
     """
+    L = net.depth
     if ordering == "ascending":
-        stale, running = _suffixes(net), x
-        for ell in range(1, net.depth + 1):
-            yield ell, stale[ell], running
-            running = net.layers[ell - 1].dot(running)
-    else:
-        stale, running = _prefixes(net, x), np.eye(net.dims[-1])
-        for ell in range(net.depth, 0, -1):
-            yield ell, running, stale[ell]
-            running = running.dot(net.layers[ell - 1])
+        return zip(range(1, L + 1), list(_suffixes(net))[::-1], _prefixes(net, x))
+    return zip(range(L, 0, -1), _suffixes(net), list(_prefixes(net, x))[::-1])
 
 
 def run_bcgd(
@@ -560,15 +538,13 @@ def run_bcgd(
     policies that need them (theory_l2 shares them between its rate and
     its gamma bound).  The theory_l2 ranks are taken once per run.
     """
-    state = SweepState(depth=net.depth, ordering=ordering)  # checks ordering before the oracle
+    _check_ordering(ordering)
     run = _reduce(net, data, lf, oracle_objective)
     ranks = _gamma_ranks(run, policy)
 
-    def sweep():
-        return [
-            _step_core(run, state, policy, a, bx, ranks)
-            for _ell, a, bx in _sweep(run.work, run.samples.x, ordering)
-        ]
+    def sweep(s):
+        steps = enumerate(_sweep(run.work, run.samples.x, ordering), start=(s - 1) * net.depth + 1)
+        return [_step_core(run, ell, it, s, a, bx, policy, ranks) for it, (ell, a, bx) in steps]
 
     meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}
     return _drive(run, meta, max_sweeps, sweep, target_dist, on_sweep_end)
@@ -586,10 +562,16 @@ def gd_step(
 
     All gradients are evaluated at the pre-step weights before any layer
     changes, so the result does not depend on layer order.  A non-finite
-    gradient, update or loss raises RuntimeError naming the GD iteration.
+    gradient, update or loss raises RuntimeError naming the GD iteration
+    (one past the *state*'s sweeps; the state then advances one sweep).
     """
     _check_gd_eta(eta)
-    return _gd_step_core(_plain(net, data, lf, oracle_objective), eta, state)
+    step = state.sweep + 1 if state else 1
+    record = _gd_step_core(_plain(net, data, lf, oracle_objective), step, eta)
+    if state is not None:
+        for _ in range(state.depth):
+            state.advance()
+    return record
 
 
 def _check_gd_eta(eta: float) -> None:
@@ -598,17 +580,16 @@ def _check_gd_eta(eta: float) -> None:
         raise ValueError("eta must be >= 0")
 
 
-def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord:
-    """``gd_step`` on ``run.work`` and ``run.samples``.  The caller has
-    checked *eta* (``_check_gd_eta``)."""
+def _gd_step_core(run: _Run, step: int, eta: float) -> StepRecord:
+    """GD iteration *step* on ``run.work`` and ``run.samples``; the caller
+    has checked *eta* (``_check_gd_eta``)."""
     net, x, y, lf = run.work, run.samples.x, run.samples.y, run.lf
     L = net.depth
-    step = state.sweep + 1 if state else 1
-    suffix = _suffixes(net)
-    prefix = _prefixes(net, x)
-    pred = suffix[1].dot(net.layers[0]).dot(prefix[1])
+    suffix = list(_suffixes(net))[::-1]  # W_{L:(l+1)} for l = 1..L
+    prefix = list(_prefixes(net, x))
+    pred = suffix[0].dot(net.layers[0]).dot(prefix[0])
     d = lf.deriv(pred, y)
-    grads = [gradient_from_parts(suffix[l], prefix[l], d) for l in range(1, L + 1)]
+    grads = [gradient_from_parts(a, bx, d) for a, bx in zip(suffix, prefix)]
     for l, g in enumerate(grads, start=1):
         if not _all_finite(g):
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
@@ -622,11 +603,7 @@ def _gd_step_core(run: _Run, eta: float, state: SweepState | None) -> StepRecord
             )
         net.layers[l - 1] = new_w
     loss_after = _objective(end_to_end(net).dot(x), y, lf) + run.c
-    record = _record(run, step, step, 0, float(eta), loss_before, loss_after, math.sqrt(total_g2))
-    if state is not None:
-        for _ in range(state.depth):
-            state.advance()
-    return record
+    return _record(run, step, step, 0, float(eta), loss_before, loss_after, math.sqrt(total_g2))
 
 
 def run_gd(
@@ -646,9 +623,8 @@ def run_gd(
     """
     _check_gd_eta(eta)
     run = _reduce(net, data, lf, oracle_objective)
-    state = SweepState(depth=net.depth)
     meta = {"policy": f"gd_const:{eta!r}", **(meta or {})}
-    return _drive(run, meta, max_iters, lambda: [_gd_step_core(run, eta, state)], target_dist)
+    return _drive(run, meta, max_iters, lambda step: [_gd_step_core(run, step, eta)], target_dist)
 
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:

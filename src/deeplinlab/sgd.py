@@ -10,15 +10,12 @@ can carry: r_x (the numeric rank of X) capped by every width below the
 target layer.  In a chain wider than rank(X) the smallest singular value
 of B X would be rounding noise or 0, and the layer would not train.
 
-``run_bcsgd`` trains on ``optim._reduce``'s exact problem reduction: the
-head chain of a block-diagonal network and, for m > d_in, the compressed
-samples ``(R^T, Y Q)`` of ``X^T = Q R``.  With ``C = B R^T`` and q_i the
-i-th row of Q, the weight of example i is ``||C^T C q_i||^2``, its column
-``B x_i = C q_i``, and the loss ``||A W C - Y Q||_F^2 + c``.  A step then
-costs O(n^2 d_in + m d_in^2) plus the SVDs of the n x d_in C and of A:
-nothing n x m is built, only the m weights it samples from.  Without
-compression (m <= d_in) the weights come from the n x n Gram of B X, and a
-step costs O(n^2 m).
+``run_bcsgd`` trains on ``optim._reduce``'s exact problem reduction (the
+head chain, and for m > d_in the samples ``(R^T, Y Q)`` of ``X^T = Q R``):
+a step costs O(n^2 d_in + m d_in^2) plus the SVDs of A and the n x d_in
+``C = B R^T``, or O(n^2 m) uncompressed.  ``bcsgd_step`` takes that step
+from a ``SweepState``, and ``sampling_distribution``, ``bcsgd_lr`` and
+``floor_brackets`` see the state as the step does (``_evaluate``).
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -31,10 +28,9 @@ kappa^4(A) kt^4(B X) and inf of kt^4(B X) (kt the scaled condition
 number), and gamma_upp / gamma_low the run's extreme per-iteration
 contraction factors.  A is conditioned by its r-th singular value (r the
 numeric rank of the top layer, at most n_L) and B X by its k-th, the same
-k as the rate's.  The bounds assume those
-sup/inf stay finite and away from the degenerate values; a run that
-transits near a rank-deficient partial product yields a
-finite-but-vacuous (or outright unavailable) bracket.
+k as the rate's.  A run that nears a rank-deficient partial product gets
+a vacuous or unavailable bracket: an infinite condition number (also one
+whose square overflows) makes the constants infinite and gamma 1.
 """
 
 from __future__ import annotations
@@ -45,18 +41,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossFunction, _objective
-from .matcore import numeric_rank
+from .losses import LossFunction
 from .network import Network, _factors
 from .optim import (
     StepRecord,
     SweepState,
     Trajectory,
+    _check_ordering,
     _descend,
     _drive,
     _plain,
     _ranks,
     _reduce,
+    _single_step,
     _svals,
     _sweep,
 )
@@ -86,9 +83,13 @@ class SampleDist:
         object.__setattr__(self, "probs", p)
 
     def sample(self, rng: np.random.Generator) -> int:
-        """Inverse-CDF draw; cheap and reproducible for desk-scale m."""
-        idx = np.searchsorted(np.cumsum(self.probs), rng.random(), side="right")
-        return int(min(idx, self.probs.size - 1))
+        return _draw(self.probs, rng)
+
+
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF draw from *probs*; cheap and reproducible for desk-scale m."""
+    idx = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
+    return int(min(idx, probs.size - 1))
 
 
 def _bx_column_weights(bx: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
@@ -127,17 +128,34 @@ def _rate(sa: np.ndarray, sb: np.ndarray, k: int, eta: float, weight: float) -> 
     return float(sb[k - 1] ** 2 / sa[0] ** 2) * eta / weight
 
 
-def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
-    """The importance distribution over examples for the state's next update."""
+def _evaluate(net: Network, ell: int, a, bx, q, ranks, eta=None, tracker=None, bx_svals=None):
+    """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell*: the
+    weights, their sum (ValueError unless positive and finite), the singular
+    values of A and B X (*bx_svals*, if given) and ``k = _bx_rank``, with
+    *ranks* = (r, r_x); a *tracker* folds in the step's constants."""
+    weights = _bx_column_weights(bx, q)
+    mass = float(weights.sum())
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"degenerate state at layer {ell}: sampling mass {mass!r}")
+    sa, sb = _svals(a), (_svals(bx) if bx_svals is None else bx_svals)
+    k = _bx_rank(net, ell, ranks[1])
+    if tracker is not None:
+        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
+    return weights, mass, sa, sb, k
+
+
+def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=None):
+    """``_evaluate`` at the state's next layer, as a step from the state sees it."""
     ell = state.layer_to_update()
-    _, bx = _factors(net, data.x, ell)
-    weights = _bx_column_weights(bx)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError(
-            f"degenerate state: ||W_({ell - 1}:1) X||_F = 0, sampling undefined"
-        )
-    return SampleDist(probs=weights / total)
+    a, bx = _factors(net, data.x, ell)
+    return _evaluate(net, ell, a, bx, None, _ranks(net, _svals(data.x), data.x.shape), eta, tracker)
+
+
+def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
+    """The importance distribution over examples for the state's next
+    update: the one ``bcsgd_step`` draws from."""
+    weights, mass = _at_state(net, data, state)[:2]
+    return SampleDist(probs=weights / mass)
 
 
 def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float) -> float:
@@ -145,13 +163,11 @@ def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float)
     _check_eta(eta)
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
-    ell = state.layer_to_update()
-    a, bx = _factors(net, data.x, ell)
-    weight = float(_bx_column_weights(bx)[i])
+    weights, _mass, sa, sb, k = _at_state(net, data, state)
+    weight = float(weights[i])
     if weight <= 0.0:
         raise ValueError(f"sampled column {i} has zero weight")
-    k = _bx_rank(net, ell, numeric_rank(_svals(data.x), data.x.shape))
-    return _rate(_svals(a), _svals(bx), k, eta, weight)
+    return _rate(sa, sb, k, eta, weight)
 
 
 @dataclass
@@ -169,21 +185,19 @@ class BoundsTracker:
         ranks: tuple[int, int],
     ) -> None:
         """Fold in one step's constants, conditioning A by its r-th and B X
-        by its k-th singular value, *ranks* = (r, k): r from
-        ``optim._ranks`` and k = ``_bx_rank``, the rank B X can carry.  In
-        a chain wider than the rank of X the smallest singular value of
-        B X is rounding noise (or exactly 0), and below a bottleneck
-        narrower than rank(X) so is its r_x-th."""
+        by its k-th singular value, *ranks* = (r, k): r from ``optim._ranks``
+        and k = ``_bx_rank``, the rank B X can carry (its smaller singular
+        values are rounding noise or 0)."""
         r, k = ranks
         a_r, bx_r = _sval(a_svals, r), _sval(bx_svals, k)
         ka2 = _ratio_sq(a_svals[0], a_r)
         kb2 = _ratio_sq(bx_svals[0], bx_r)
-        kt4 = _ratio_sq(bx_fro, bx_r) ** 2
-        product = (ka2**2) * kt4
+        kt4 = _square(_ratio_sq(bx_fro, bx_r))
+        product = _square(ka2) * kt4
         self.m_upp = max(self.m_upp, product)
         self.m_low = min(self.m_low, kt4)
-        self.gamma_upp = max(self.gamma_upp, _gamma_upp(eta, ka2, kt4))
-        self.gamma_low = min(self.gamma_low, _gamma_low(eta, kb2, kt4))
+        self.gamma_upp = max(self.gamma_upp, _gamma(eta, ka2, kt4))
+        self.gamma_low = min(self.gamma_low, _gamma(eta, kb2, kt4 / _square(kb2)))
         self.iterations += 1
 
     def merge(self, other: "BoundsTracker") -> None:
@@ -199,22 +213,25 @@ def _sval(s: np.ndarray, r: int) -> float:
     return float(s[r - 1]) if 1 <= r <= s.size else 0.0
 
 
-def _ratio_sq(num: float, den: float) -> float:
-    if den <= 0.0:
+def _square(v: float) -> float:
+    """``v ** 2``, or inf where that overflows (Python's float power raises)."""
+    try:
+        return v**2
+    except OverflowError:
         return math.inf
-    return float(num / den) ** 2
 
 
-def _gamma_upp(eta: float, ka2: float, kt4: float) -> float:
-    if not math.isfinite(ka2) or not math.isfinite(kt4):
+def _ratio_sq(num: float, den: float) -> float:
+    return math.inf if den <= 0.0 else _square(float(num / den))
+
+
+def _gamma(eta: float, k2: float, d: float) -> float:
+    """``1 - (1 - (1 - eta / k2)^2) / d``, gamma_upp from (kappa^2(A), kt^4(B X))
+    and gamma_low from (kappa^2(B X), kt^4 / kappa^4 of B X); 1 where either
+    is infinite (or *d*, at least 1 in exact arithmetic, underflows to 0)."""
+    if not (math.isfinite(k2) and 0.0 < d < math.inf):
         return 1.0
-    return 1.0 - (1.0 - (1.0 - eta / ka2) ** 2) / kt4
-
-
-def _gamma_low(eta: float, kb2: float, kt4: float) -> float:
-    if not math.isfinite(kb2) or not math.isfinite(kt4):
-        return 1.0
-    return 1.0 - (1.0 - (1.0 - eta / kb2) ** 2) / (kt4 / kb2**2)
+    return 1.0 - (1.0 - (1.0 - eta / k2) ** 2) / d
 
 
 @dataclass(frozen=True)
@@ -254,16 +271,7 @@ def floor_brackets(
     _check_eta(eta)
     if tracker is None:
         tracker = BoundsTracker()
-        ell = state.layer_to_update()
-        a, bx = _factors(net, data.x, ell)
-        r, r_x = _ranks(net, _svals(data.x), data.x.shape)
-        tracker.update(
-            np.linalg.svd(a, compute_uv=False),
-            np.linalg.svd(bx, compute_uv=False),
-            float(np.linalg.norm(bx, "fro")),
-            eta,
-            (r, _bx_rank(net, ell, r_x)),
-        )
+        _at_state(net, data, state, eta, tracker)
     L = net.depth
     oracle_loss = float(oracle_loss)
     available = (
@@ -303,13 +311,13 @@ def bcsgd_step(
     """One stochastic iteration: sample i ~ pi, rank-one update one layer.
 
     Square loss only (the sampling scheme and rate are derived for it).
+    The step is ``run_bcsgd``'s, drawn from ``sampling_distribution``.
     """
     _require_l2(lf)
     _check_eta(eta)
-    a, bx = _factors(net, data.x, state.layer_to_update())
     run = _plain(net, data, lf, oracle_objective)
     ranks = _ranks(net, _svals(data.x), data.x.shape)
-    return _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks)
+    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker, ranks)
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -323,35 +331,21 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 2)")
 
 
-def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None):
-    """One stochastic step from the sweep's factors, ended by ``optim._descend``.
+def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals=None):
+    """BCSGD iteration *iteration* (of sweep *sweep*) at layer *ell*, from
+    the sweep's factors, ended by ``optim._descend``.
 
-    With compression (``run.q`` not None) *bx* is ``C = B R^T``: the
-    weights are ||C^T C q_i||^2, example i's column is ``C q_i`` and its
-    target the original ``y_i`` of ``run.data``.  *ranks* = (r, r_x) from
-    ``optim._ranks``: r_x capped by the widths below the layer
-    (``_bx_rank``) conditions B X in the rate and in the *tracker*'s
-    update when one is given, and r conditions A there.  *bx_svals*, when
-    given, are the singular values of *bx*.  The caller has checked *eta*
-    (``_check_eta``).
+    With compression (``run.q`` not None) *bx* is ``C = B R^T``, example i's
+    column ``C q_i`` and its target the original ``y_i`` of ``run.data``.
+    *ranks* = (r, r_x) from ``optim._ranks`` condition A and B X in the rate
+    and the *tracker* (see ``_evaluate``).  The caller has checked *eta*.
     """
-    ell = state.layer_to_update()
     q = run.q
-    weights = _bx_column_weights(bx, q)
-    total = float(weights.sum())
-    if total <= 0.0:
-        raise ValueError(f"degenerate state at layer {ell}: zero sampling mass")
-    dist = SampleDist(probs=weights / total)
-    i = dist.sample(rng)
-    sa = np.linalg.svd(a, compute_uv=False)
-    sb = np.linalg.svd(bx, compute_uv=False) if bx_svals is None else bx_svals
-    k = _bx_rank(run.work, ell, ranks[1])
-    if tracker is not None:
-        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
+    weights, mass, sa, sb, k = _evaluate(run.work, ell, a, bx, q, ranks, eta, tracker, bx_svals)
+    i = _draw(weights / mass, rng)
     lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = run.work.layers[ell - 1]
     pred = a.dot(w).dot(bx)
-    loss_before = _objective(pred, run.samples.y, run.lf) + run.c
     if q is None:
         col, pred_i = bx[:, i], pred[:, i]
     else:
@@ -359,7 +353,9 @@ def _bcsgd_step_core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None)
         col, pred_i = bx.dot(q_i), pred.dot(q_i)
     grad_i = np.outer(a.T.dot(pred_i - run.data.y[:, i]), col)
     grad_fro = float(np.linalg.norm(grad_i, "fro"))
-    return _descend(run, state, ell, a, w, bx, lr, grad_i, grad_fro, loss_before, sample_index=i)
+    return _descend(
+        run, ell, iteration, sweep, a, w, bx, pred, lr, grad_i, grad_fro, sample_index=i
+    )
 
 
 def run_bcsgd(
@@ -386,20 +382,21 @@ def run_bcsgd(
     """
     _require_l2(lf)
     _check_eta(eta)
-    state = SweepState(depth=net.depth, ordering=ordering)
+    _check_ordering(ordering)
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
     x_svals = _svals(run.samples.x)
     ranks = _ranks(net, x_svals, data.x.shape)
 
-    def sweep():
+    def sweep(s):
+        steps = enumerate(_sweep(run.work, run.samples.x, ordering), start=(s - 1) * net.depth + 1)
         return [
             _bcsgd_step_core(
-                run, state, eta, rng, a, bx, tracker, ranks,
+                run, ell, it, s, a, bx, eta, rng, tracker, ranks,
                 x_svals if ell == 1 else None,  # B X is X at layer 1
             )
-            for ell, a, bx in _sweep(run.work, run.samples.x, ordering)
+            for it, (ell, a, bx) in steps
         ]
 
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}

@@ -285,7 +285,10 @@ def verify_trajectory(traj, gammas=None) -> AuditReport:
 def _drop_bounds(idx, rec):
     """The optimal step's exact drop ``loss_after = loss_before - lr ||G||_F^2``,
     missed by at most ``DROP_RTOL * |loss_before|``."""
-    expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
+    try:
+        expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
+    except OverflowError:  # ||G||_F^2 beyond the float range: an infinite drop, none at rate 0
+        expected = rec.loss_before - rec.lr * math.inf if rec.lr else rec.loss_before
     limit = DROP_RTOL * abs(rec.loss_before)
     return ((abs(rec.loss_after - expected), limit, {"loss_before": rec.loss_before,
              "loss_after": rec.loss_after, "expected": expected, "limit": limit}),)

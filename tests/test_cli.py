@@ -758,3 +758,19 @@ def test_verify_golden_output(tmp_path, capsys, name):
     _tamper_row(src, tmp_path / "bad.csv", column, change)
     assert main(["verify", "--trajectory", str(tmp_path / "bad.csv")]) == 1
     assert capsys.readouterr().out == want
+
+
+def test_verify_reports_an_overflowing_drop_as_a_violation(tmp_path, capsys):
+    # ||G||_F = 1e200 in the first row of an optimal run: its square is beyond
+    # the float range, so the drop it states is infinite and the row violates it
+    lines = (VERIFY_RUNS / "verify_optimal.csv").read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    parts = lines[first].split(",")
+    parts[8] = "1e200"  # grad_frobenius
+    lines[first] = ",".join(parts)
+    path = tmp_path / "big.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--trajectory", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("audit over 12 step(s): 1 VIOLATION(S)\n")
+    assert "'step': 0" in out and "'expected': -inf" in out

@@ -1,7 +1,7 @@
 """``a.dot(b)`` gives the bits of ``a @ b`` on every operand the step path forms.
 
 Every matrix product on a runner's step path is written ``a.dot(b)``:
-``optim._sweep``, ``_prefixes``, ``_suffixes``, ``_step_core``,
+``optim._sweep``, ``network._prefixes`` and ``_suffixes``, ``_step_core``,
 ``_lr_from_parts``, ``_descend``, ``_gd_step_core``,
 ``losses.gradient_from_parts``, ``sgd._bcsgd_step_core`` and
 ``sgd._bx_column_weights``.  At the 4 x 32 and 32 x 32 sizes of a deep

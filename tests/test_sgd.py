@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deeplinlab import optim, sgd
+from deeplinlab import network, optim, sgd
 from deeplinlab.data import Dataset, gen_input_gaussian
 from deeplinlab.initializers import InitScheme, initialize, random_orthogonal
 from deeplinlab.losses import l2, lp
@@ -237,8 +237,7 @@ def test_floor_brackets_condition_bx_by_the_rank_it_can_carry():
     state.advance()
     state.advance()  # next update: layer 3, B X = W_2 W_1 X
     bracket = floor_brackets(net, data, state, 0.5, 1.0)
-    a = partial_product(net, 3, 4)
-    bx = partial_product(net, 2, 1) @ data.x
+    a, bx = network._factors(net, data.x, 3)  # the factors a step from this state takes
     sa, sb = np.linalg.svd(a, compute_uv=False), np.linalg.svd(bx, compute_uv=False)
     assert sb[5] <= 1e-12 * sb[0] < sb[2]
     tracker = BoundsTracker()
@@ -387,3 +386,50 @@ def test_bcsgd_trajectory_matches_example_gram_kernel(monkeypatch):
     for a, b in zip(new, old):
         assert a.loss_after == pytest.approx(b.loss_after, rel=1e-12)
         assert a.lr == pytest.approx(b.lr, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "a_svals, bx_svals, bx_fro",
+    [
+        ([1.0, 1e-160], [1.0, 0.5], 1.2),  # kappa^2(A) = 1e320: _ratio_sq overflows
+        ([1.0, 0.5], [1.0, 1e-80], 1.0),  # kt^2(B X) = 1e160, whose square kt^4 overflows
+    ],
+)
+def test_bounds_tracker_saturates_where_a_square_overflows(a_svals, bx_svals, bx_fro):
+    tracker = BoundsTracker()
+    tracker.update(np.array(a_svals), np.array(bx_svals), bx_fro, 0.5, (2, 2))
+    assert tracker.m_upp == math.inf and tracker.gamma_upp == 1.0
+    assert tracker.iterations == 1
+
+
+def test_floor_brackets_unavailable_where_the_condition_number_squares_overflow():
+    # layer 2 sees B X = diag(1, 1e-80) X: kt^4(B X) is about 1e320
+    rng = np.random.default_rng(40)
+    data = Dataset(x=rng.normal(size=(2, 6)), y=rng.normal(size=(2, 6)))
+    net = Network([np.diag([1.0, 1e-80]), rng.normal(size=(2, 2))])
+    state = SweepState(depth=2)
+    state.advance()
+    bracket = floor_brackets(net, data, state, 0.5, 1.0)
+    assert not bracket.available
+    assert bracket.gamma_upp == 1.0 and bracket.floor_upper == math.inf
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("x, mass", [(np.ones((2, 3)), "inf"), (np.eye(2, 3), "nan")])
+def test_every_bcsgd_view_rejects_a_non_finite_mass_alike(x, mass):
+    # layer 2 sees B X = 1e160 X: its Gram overflows, so the weights are inf,
+    # or inf * 0 = nan where X has zeros; a zero mass is rejected the same way
+    net = Network([1e160 * np.eye(2), np.eye(2)])
+    data = Dataset(x=x, y=np.zeros((2, 3)))
+    state = SweepState(depth=2)
+    state.advance()
+    message = f"degenerate state at layer 2: sampling mass {mass}"
+    for call in (
+        lambda: sampling_distribution(net, data, state),
+        lambda: bcsgd_lr(net, data, state, 0, 0.5),
+        lambda: floor_brackets(net, data, state, 0.5, 1.0),
+        lambda: bcsgd_step(net, data, l2(), state, 0.5, np.random.default_rng(0), 0.0),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert state.iteration == 1  # no step was taken

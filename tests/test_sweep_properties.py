@@ -111,18 +111,20 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     core = optim._step_core
     checked = []
 
-    def step(run, state, policy_, a, bx, ranks_):
-        ell = state.layer_to_update()
+    def step(run, ell, iteration, sweep, a, bx, policy_, ranks_):
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, run.samples, ell, a, bx)
         assert run.data.m == data.m  # distances and rank tolerances use the true m
         # the bound is the one on the original data: sigma(B X) = sigma(B R^T)
+        state = optim.SweepState(depth=run.work.depth, ordering=ordering)
+        while state.layer_to_update() != ell:
+            state.advance()
         expected = (
             theory.gamma_factor(run.work, data, state, policy_.eta, *ranks)
             if ranks is not None
             else None
         )
-        record = core(run, state, policy_, a, bx, ranks_)
+        record = core(run, ell, iteration, sweep, a, bx, policy_, ranks_)
         if expected is None:
             assert record.gamma_bound is None
         else:
@@ -159,8 +161,7 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(run, state, eta, rng, a, bx, tracker, ranks_, bx_svals=None):
-        ell = state.layer_to_update()
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_, bx_svals=None):
         samples, q, c = run.samples, run.q, run.c
         assert run.data is data  # targets y_i and the distances' m stay on the original data
         if compressed is None:
@@ -176,7 +177,7 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
         if bx_svals is not None:
             assert bx_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
         checked.append(ell)
-        return core(run, state, eta, rng, a, bx, tracker, ranks_, bx_svals)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_, bx_svals)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -267,8 +268,7 @@ def _recording_cancellation(figures):
     apart in the loss."""
     core = sgd._bcsgd_step_core
 
-    def step(run, state, eta, rng, a, bx, tracker, ranks, bx_svals=None):
-        ell = state.layer_to_update()
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals=None):
         sb = np.linalg.svd(bx, compute_uv=False)
         net_, x = run.work, run.samples.x
         sigma = sb[sgd._bx_rank(net_, ell, ranks[1]) - 1]
@@ -276,7 +276,7 @@ def _recording_cancellation(figures):
         below = _norm_product(net_.layers[: ell - 1] + [x]) / sigma if sigma > 0 else 0.0
         above = _norm_product(net_.layers[ell:]) / norm_a if norm_a > 0 else 0.0
         figures.append(max(below, above))
-        return core(run, state, eta, rng, a, bx, tracker, ranks, bx_svals)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals)
 
     return step
 

@@ -234,6 +234,17 @@ def test_audit_counts_skipped_steps():
     assert plain.skipped_steps == 0 and "skipped" not in plain.summary()
 
 
+def test_drop_audit_takes_an_overflowing_square_as_an_infinite_drop():
+    # (1e200)^2 overflows: at a positive rate the stated drop is infinite
+    # (expected -inf, a violation); at rate 0 there is no drop at all
+    moved = _record(1, 0.5, 10.0, 9.5, grad=1e200)
+    report = audit_trajectory(Trajectory(records=[moved]), "optimal_l2", "l2")
+    assert [v["expected"] for v in report.violations] == [-math.inf]
+    skipped = _record(1, 0.0, 10.0, 10.0, grad=1e200)
+    report = audit_trajectory(Trajectory(records=[skipped]), "optimal_l2", "l2")
+    assert report.ok and report.skipped_steps == 1
+
+
 @pytest.mark.parametrize(
     "policy, fields",
     [
