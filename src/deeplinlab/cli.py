@@ -35,7 +35,7 @@ import numpy as np
 
 from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
-from .initializers import InitScheme, initialize
+from .initializers import KINDS, InitScheme, initialize
 from .network import Network, save_network, width_ok
 from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
 from .oracle import rank_constrained_solution, reference_objective  # perfbench calls cli.reference_objective
@@ -59,9 +59,6 @@ class ConfigError(Exception):
     pass
 
 
-_INITS = ("orthogonal", "orth_identity", "identity", "balanced", "random")
-
-
 def _key(default, help: str):
     """A RunConfig field with the help text of its ``--flag``."""
     return field(default=default, metadata={"help": help})
@@ -83,7 +80,7 @@ class RunConfig:
     depth: int = 5
     width: int | None = _key(None, "hidden width, or auto for max(d_in, d_out)")
     dims: tuple | None = _key(None, "comma-separated dimension chain n0,...,nL")
-    init: str = _key("orth_identity", " | ".join(_INITS))
+    init: str = _key("orth_identity", " | ".join(KINDS))
     seed: int = 0
     loss: str = _key("l2", "l2 or lp:<p>")
     policy: str = _key("optimal", "theory:<eta>|optimal|convex|general|lp:<p>|const:<eta>")
@@ -116,8 +113,12 @@ class RunConfig:
             )
         if self.order not in ("asc", "desc"):
             raise ConfigError("order must be asc or desc")
-        if self.sweeps < 0:
-            raise ConfigError("sweeps must be >= 0")
+        lows = {"m": 1, "sweeps": 0, "snapshots": 0, "seed": 0, "data_seed": 0, "spectrum_seed": 0}
+        if self.rank is not None:
+            lows["rank"] = 1
+        for key, low in lows.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
         lf = parse_loss(self.loss)
         if check_policy:
             policy = parse_policy(self.policy)
@@ -127,8 +128,8 @@ class RunConfig:
                 raise ConfigError(
                     f"policy {self.policy!r} does not match loss {self.loss!r}"
                 )
-        if self.init.replace("-", "_") not in _INITS:
-            raise ConfigError(f"unknown init {self.init!r} (one of {', '.join(_INITS)})")
+        if self.init.replace("-", "_") not in KINDS:
+            raise ConfigError(f"unknown init {self.init!r} (one of {', '.join(KINDS)})")
         if self.spectrum not in ("none", "shaped"):
             raise ConfigError("spectrum must be none or shaped")
 

@@ -99,11 +99,11 @@ def sample_spectrum(n: int, seed: int, low: float = 1e-5) -> np.ndarray:
     return low + rng.uniform(0.0, 1.0, size=n)
 
 
-def write_csv(path, dataset: Dataset, header: bool = True) -> None:
-    """Write a dataset in the one-example-per-line CSV layout."""
+def write_csv(path, dataset: Dataset) -> None:
+    """Write a dataset in the one-example-per-line CSV layout, after a
+    ``# d_in= d_out= m=`` comment line."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# d_in={dataset.d_in} d_out={dataset.d_out} m={dataset.m}\n")
+        fh.write(f"# d_in={dataset.d_in} d_out={dataset.d_out} m={dataset.m}\n")
         for i in range(dataset.m):
             fields = [repr(float(v)) for v in dataset.x[:, i]] + [
                 repr(float(v)) for v in dataset.y[:, i]

@@ -157,11 +157,11 @@ def error_report(
     distance is (objective - oracle_loss) / m; the display value applies
     the 1e-10 visualization floor.
     """
-    obj = residual_objective(net, data, lf)
-    raw = (obj - float(oracle_loss)) / data.m
-    resid = predictions(net, data) - data.y
+    pred = predictions(net, data)
+    raw = (_objective(pred, data.y, lf) - float(oracle_loss)) / data.m
+    resid = pred - data.y
     return ErrorReport(
-        total_loss=total_loss(net, data, lf),
+        total_loss=float(np.sum(lf.value(pred, data.y))),
         dist_to_opt=raw,
         dist_display=max(raw, DISPLAY_FLOOR),
         residual_frobenius=float(np.linalg.norm(resid, "fro")),

@@ -26,9 +26,10 @@ block-diagonal chain trains only its head blocks, and a square-loss run
 with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 ``X^T = Q R`` plus the constant residual of Y outside X's row space, so
 no step touches an m-wide matrix.  ``_drive`` numbers the sweeps and
-``_sweep`` picks each step's layer.  The public single-step functions run
-the same step code (``_single_step``) on the full network and data
-(``_plain``), from the factors ``_sweep`` would hand out
+``_sweep`` picks each step's layer; BCGD and BCSGD runs differ only in the
+step core their ``_layerwise`` sweep runs.  The public single-step
+functions run the same step code (``_single_step``) on the full network
+and data (``_plain``), from the factors ``_sweep`` would hand out
 (``network._factors``): where ``_reduce`` engages nothing they give a
 run's records bit for bit.  BCGD and BCSGD steps end in ``_descend``.
 
@@ -90,6 +91,11 @@ def _check_ordering(ordering: str) -> None:
         raise ValueError(f"ordering must be one of {ORDERINGS}")
 
 
+def _layer_order(depth: int, ordering: str) -> range:
+    """The one layer order of a sweep: 1..L ascending, L..1 descending."""
+    return range(1, depth + 1) if ordering == "ascending" else range(depth, 0, -1)
+
+
 @dataclass
 class SweepState:
     """Multi-index bookkeeping for the single-step functions.
@@ -107,18 +113,16 @@ class SweepState:
 
     def __post_init__(self):
         _check_ordering(self.ordering)
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+        if not 1 <= self.position <= self.depth:  # implies depth >= 1
+            raise ValueError(f"need 1 <= position <= depth, got {self.position} and {self.depth}")
         if self.multi_index is None:
             self.multi_index = [0] * self.depth
         if len(self.multi_index) != self.depth:
             raise ValueError("multi_index length must equal depth")
 
     def layer_to_update(self) -> int:
-        """The 1-based layer index the next iteration touches."""
-        if self.ordering == "ascending":
-            return self.position
-        return self.depth - self.position + 1
+        """The 1-based layer index the next iteration touches (``_layer_order``)."""
+        return _layer_order(self.depth, self.ordering)[self.position - 1]
 
     @property
     def iteration(self) -> int:
@@ -126,11 +130,9 @@ class SweepState:
         return self.sweep * self.depth + self.position - 1
 
     def advance(self) -> None:
-        position = self.position
-        ascending = self.ordering == "ascending"
-        self.multi_index[position - 1 if ascending else self.depth - position] += 1
-        if position < self.depth:
-            self.position = position + 1
+        self.multi_index[self.layer_to_update() - 1] += 1
+        if self.position < self.depth:
+            self.position += 1
         else:
             self.position = 1
             self.sweep += 1
@@ -149,8 +151,8 @@ class LrPolicy:
             if self.eta is None or not 0 < self.eta < 2:
                 raise ValueError("theory_l2 needs 0 < eta < 2")
         if self.kind == "constant":
-            if self.eta is None or self.eta < 0:
-                raise ValueError("constant policy needs eta >= 0")
+            if self.eta is None or not 0 <= self.eta < math.inf:
+                raise ValueError("constant policy needs eta >= 0 and finite")
         if self.kind == "near_optimal_lp":
             if self.p is None or self.p < 2 or self.p % 2 != 0:
                 raise ValueError("near_optimal_lp needs an even p >= 2")
@@ -488,32 +490,45 @@ def _single_step(state: SweepState, run: _Run, core, *args) -> StepRecord:
 
 
 def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
-    """``_ranks`` for the theory_l2 gamma bound, X's singular values taken
-    from ``run.samples``; None for the other policies."""
+    """``_ranks`` of ``run.samples`` for the theory_l2 gamma bound; None for
+    the other policies."""
     if policy.kind != "theory_l2":
         return None
-    return _ranks(run.net, _svals(run.samples.x), run.data.x.shape)
+    return _ranks(run.net, run.samples.x, run.data.x.shape)[1]
 
 
-def _ranks(net: Network, x_svals: np.ndarray, x_shape: tuple[int, int]) -> tuple[int, int]:
-    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of X,
-    the ranks A and B X are conditioned by.  *x_svals* are X's singular
-    values (those of the compressed R^T serve: they are X's up to
-    rounding), ranked at X's own *x_shape*."""
-    return spectral_summary(net.layers[-1]).numeric_rank, numeric_rank(x_svals, x_shape)
+def _ranks(net: Network, x: np.ndarray, x_shape: tuple[int, int]):
+    """``(x_svals, (r, r_x))``: the singular values of the run's samples *x*
+    (X, or the compressed R^T: B X at layer 1), and the numeric ranks of the
+    top layer (at most n_L) and of X, ranked at X's own *x_shape*, that A
+    and B X are conditioned by.  The one take of X's spectrum."""
+    x_svals = _svals(x)
+    return x_svals, (spectral_summary(net.layers[-1]).numeric_rank, numeric_rank(x_svals, x_shape))
 
 
 def _sweep(net: Network, x: np.ndarray, ordering: str):
-    """One sweep's factors ``(ell, A, B X)``, before each layer update: the
-    one source of a runner's layers.  The side not visited yet is built from
-    the layers at the sweep start (they do not change before their turn);
-    the visited side is formed through ``net.layers[ell - 1]`` only after the
-    caller has replaced it (``network._suffixes``, ``_prefixes``).
+    """One sweep's factors ``(ell, A, B X)`` in ``_layer_order``, before each
+    layer update: the one source of a runner's layers and of GD's factors.
+    The side not visited yet is built from the layers at the sweep start
+    (they do not change before their turn); the visited side is formed
+    through ``net.layers[ell - 1]`` only after the caller has replaced it
+    (``network._suffixes``, ``_prefixes``).  At layer 1, B X is *x* itself.
     """
-    L = net.depth
+    layers = _layer_order(net.depth, ordering)
     if ordering == "ascending":
-        return zip(range(1, L + 1), list(_suffixes(net))[::-1], _prefixes(net, x))
-    return zip(range(L, 0, -1), _suffixes(net), list(_prefixes(net, x))[::-1])
+        return zip(layers, list(_suffixes(net))[::-1], _prefixes(net, x))
+    return zip(layers, _suffixes(net), list(_prefixes(net, x))[::-1])
+
+
+def _layerwise(run: _Run, ordering: str, core, *args):
+    """The ``sweep(s)`` that ``_drive`` calls for a layer-wise runner (BCGD,
+    BCSGD): ``core(run, ell, iteration, s, A, B X, *args)`` at each of
+    ``_sweep``'s layers, iterations numbered from ``(s - 1) * depth + 1``."""
+    def sweep(s):
+        steps = enumerate(_sweep(run.work, run.samples.x, ordering), (s - 1) * run.work.depth + 1)
+        return [core(run, ell, it, s, a, bx, *args) for it, (ell, a, bx) in steps]
+
+    return sweep
 
 
 def run_bcgd(
@@ -540,12 +555,7 @@ def run_bcgd(
     """
     _check_ordering(ordering)
     run = _reduce(net, data, lf, oracle_objective)
-    ranks = _gamma_ranks(run, policy)
-
-    def sweep(s):
-        steps = enumerate(_sweep(run.work, run.samples.x, ordering), start=(s - 1) * net.depth + 1)
-        return [_step_core(run, ell, it, s, a, bx, policy, ranks) for it, (ell, a, bx) in steps]
-
+    sweep = _layerwise(run, ordering, _step_core, policy, _gamma_ranks(run, policy))
     meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}
     return _drive(run, meta, max_sweeps, sweep, target_dist, on_sweep_end)
 
@@ -575,28 +585,26 @@ def gd_step(
 
 
 def _check_gd_eta(eta: float) -> None:
-    """The one check of a GD rate, run before any work."""
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    """The one check of a GD rate, run before any work: finite and >= 0."""
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be >= 0 and finite, got {eta!r}")
 
 
 def _gd_step_core(run: _Run, step: int, eta: float) -> StepRecord:
     """GD iteration *step* on ``run.work`` and ``run.samples``; the caller
     has checked *eta* (``_check_gd_eta``)."""
     net, x, y, lf = run.work, run.samples.x, run.samples.y, run.lf
-    L = net.depth
-    suffix = list(_suffixes(net))[::-1]  # W_{L:(l+1)} for l = 1..L
-    prefix = list(_prefixes(net, x))
-    pred = suffix[0].dot(net.layers[0]).dot(prefix[0])
+    factors = list(_sweep(net, x, "ascending"))  # (l, A, B X) for l = 1..L, none moved yet
+    pred = factors[0][1].dot(net.layers[0]).dot(x)  # B X at layer 1 is x
     d = lf.deriv(pred, y)
-    grads = [gradient_from_parts(a, bx, d) for a, bx in zip(suffix, prefix)]
+    grads = [gradient_from_parts(a, bx, d) for _l, a, bx in factors]
     for l, g in enumerate(grads, start=1):
         if not _all_finite(g):
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
     total_g2 = sum(float(np.sum(g * g)) for g in grads)
     loss_before = _objective(pred, y, lf) + run.c
-    for l in range(1, L + 1):
-        new_w = net.layers[l - 1] - eta * grads[l - 1]
+    for l, g in enumerate(grads, start=1):
+        new_w = net.layers[l - 1] - eta * g
         if not _all_finite(new_w):
             raise RuntimeError(
                 f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"

@@ -50,12 +50,12 @@ from .optim import (
     _check_ordering,
     _descend,
     _drive,
+    _layerwise,
     _plain,
     _ranks,
     _reduce,
     _single_step,
     _svals,
-    _sweep,
 )
 
 __all__ = [
@@ -128,16 +128,17 @@ def _rate(sa: np.ndarray, sb: np.ndarray, k: int, eta: float, weight: float) -> 
     return float(sb[k - 1] ** 2 / sa[0] ** 2) * eta / weight
 
 
-def _evaluate(net: Network, ell: int, a, bx, q, ranks, eta=None, tracker=None, bx_svals=None):
+def _evaluate(net: Network, ell: int, a, bx, q, x_svals, ranks, eta=None, tracker=None):
     """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell*: the
     weights, their sum (ValueError unless positive and finite), the singular
-    values of A and B X (*bx_svals*, if given) and ``k = _bx_rank``, with
-    *ranks* = (r, r_x); a *tracker* folds in the step's constants."""
+    values of A and B X (*x_svals* at layer 1, where B X is the samples' X)
+    and ``k = _bx_rank``, with ``(x_svals, ranks)`` from ``optim._ranks``; a
+    *tracker* folds in the step's constants."""
     weights = _bx_column_weights(bx, q)
     mass = float(weights.sum())
     if not 0.0 < mass < math.inf:
         raise ValueError(f"degenerate state at layer {ell}: sampling mass {mass!r}")
-    sa, sb = _svals(a), (_svals(bx) if bx_svals is None else bx_svals)
+    sa, sb = _svals(a), (x_svals if ell == 1 else _svals(bx))
     k = _bx_rank(net, ell, ranks[1])
     if tracker is not None:
         tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
@@ -148,7 +149,7 @@ def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=
     """``_evaluate`` at the state's next layer, as a step from the state sees it."""
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
-    return _evaluate(net, ell, a, bx, None, _ranks(net, _svals(data.x), data.x.shape), eta, tracker)
+    return _evaluate(net, ell, a, bx, None, *_ranks(net, data.x, data.x.shape), eta, tracker)
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -316,8 +317,9 @@ def bcsgd_step(
     _require_l2(lf)
     _check_eta(eta)
     run = _plain(net, data, lf, oracle_objective)
-    ranks = _ranks(net, _svals(data.x), data.x.shape)
-    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker, ranks)
+    return _single_step(
+        state, run, _bcsgd_step_core, eta, rng, tracker, *_ranks(net, data.x, data.x.shape)
+    )
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -331,17 +333,18 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 2)")
 
 
-def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals=None):
+def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks):
     """BCSGD iteration *iteration* (of sweep *sweep*) at layer *ell*, from
     the sweep's factors, ended by ``optim._descend``.
 
     With compression (``run.q`` not None) *bx* is ``C = B R^T``, example i's
     column ``C q_i`` and its target the original ``y_i`` of ``run.data``.
-    *ranks* = (r, r_x) from ``optim._ranks`` condition A and B X in the rate
-    and the *tracker* (see ``_evaluate``).  The caller has checked *eta*.
+    ``(x_svals, ranks)`` from ``optim._ranks`` of ``run.samples`` give B X's
+    spectrum at layer 1 and the ranks (r, r_x) that condition A and B X in
+    the rate and the *tracker* (``_evaluate``).  The caller has checked *eta*.
     """
     q = run.q
-    weights, mass, sa, sb, k = _evaluate(run.work, ell, a, bx, q, ranks, eta, tracker, bx_svals)
+    weights, mass, sa, sb, k = _evaluate(run.work, ell, a, bx, q, x_svals, ranks, eta, tracker)
     i = _draw(weights / mass, rng)
     lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = run.work.layers[ell - 1]
@@ -373,12 +376,11 @@ def run_bcsgd(
 
     Returns the trajectory and the tracker holding the run's sup/inf of
     the bracket constants.  The network is updated in place, in the one
-    run loop ``optim._drive``, on the factors of ``optim._sweep``; every
-    run makes all its *sweeps* (no target).  The samples drawn, rates,
-    losses and tracker constants are those of the full run up to rounding.
-    X's singular values are computed once per call, from R^T when
-    compressed: they give the rank r_x (at X's ``d_in x m`` shape) that
-    conditions the rate and the tracker, and they are B X's own at layer 1.
+    run loop ``optim._drive``, by the sweep ``optim._layerwise`` builds, as
+    ``run_bcgd``'s is; every run makes all its *sweeps* (no target).  The
+    samples drawn, rates, losses and tracker constants are those of the full
+    run up to rounding.  X's singular values are taken once per call
+    (``optim._ranks``), from R^T when compressed.
     """
     _require_l2(lf)
     _check_eta(eta)
@@ -386,18 +388,7 @@ def run_bcsgd(
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
-    x_svals = _svals(run.samples.x)
-    ranks = _ranks(net, x_svals, data.x.shape)
-
-    def sweep(s):
-        steps = enumerate(_sweep(run.work, run.samples.x, ordering), start=(s - 1) * net.depth + 1)
-        return [
-            _bcsgd_step_core(
-                run, ell, it, s, a, bx, eta, rng, tracker, ranks,
-                x_svals if ell == 1 else None,  # B X is X at layer 1
-            )
-            for it, (ell, a, bx) in steps
-        ]
-
+    x_ranks = _ranks(net, run.samples.x, data.x.shape)
+    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker, *x_ranks)
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
     return _drive(run, meta, sweeps, sweep), tracker

@@ -220,10 +220,6 @@ class AuditReport:
         return f"audit over {self.n_steps} step(s): {status}{note}"
 
 
-def _records(traj) -> list:
-    return traj.records if hasattr(traj, "records") else list(traj)
-
-
 def _replay(records, step_bounds) -> AuditReport:
     """Replay *records* against ``step_bounds(idx, rec)``, the bounds of step
     *idx* as ``(value, limit, fields)`` triples.  A bound fails unless
@@ -250,7 +246,7 @@ def verify_trajectory(traj, gammas=None) -> AuditReport:
     ``PEAK_SLACK`` times the largest distance seen, which keeps
     floating-point jitter at converged scales from raising violations.
     """
-    records = _records(traj)
+    records = traj.records
     if gammas is None:
         gammas = [r.gamma_bound for r in records]
         if any(g is None for g in gammas):
@@ -306,7 +302,7 @@ def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -
     nothing checkable: ValueError.  Steps with rate 0 (a denominator below
     the floor skips the step) are counted as skipped.
     """
-    records = _records(traj)
+    records = traj.records
     if policy == "optimal_l2":
         report = _replay(records, _drop_bounds)
     elif policy in ("convex_safe", "near_optimal_general") and loss == "l2":

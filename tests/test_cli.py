@@ -237,6 +237,35 @@ def test_values_outside_their_sets_exit_two_before_any_compute(
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("rank", "0"), ("m", "0"), ("seed", "-1"), ("data-seed", "-1"), ("spectrum-seed", "-1"),
+    ("snapshots", "-1"),
+])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS.keys() - {"batch"}))
+def test_values_below_their_range_exit_two_before_the_out_directory(
+    tmp_path, capsys, monkeypatch, command, key, value
+):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    out = tmp_path / "new" / "run.csv"
+    assert main([*WRITING_COMMANDS[command], "--out", str(out), f"--{key}", value]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key.replace("-", "_") in err
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", *SMALL_RUN, "--policy", "const:nan"],
+    ["train", *SMALL_RUN, "--policy", "const:inf"],
+    ["gd", *SMALL_RUN, "--eta", "nan"],
+    ["gd", *SMALL_RUN, "--eta", "inf"],
+], ids=["const:nan", "const:inf", "gd-nan", "gd-inf"])
+def test_non_finite_rates_exit_two_before_any_compute(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    assert main([*argv, "--out", str(tmp_path / "new" / "run.csv")]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
 def test_gen_data_needs_out(capsys):
     assert main(["gen-data", "--d-in", "6", "--d-out", "2", "--m", "20"]) == 2
     assert "gen-data needs --out" in capsys.readouterr().err

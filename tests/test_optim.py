@@ -190,6 +190,13 @@ def test_sweep_state_multi_index():
         SweepState(depth=2, ordering="sideways")
 
 
+@pytest.mark.parametrize("depth,position", [(3, 0), (3, 4), (3, -1), (0, 1)])
+def test_sweep_state_rejects_a_slot_outside_its_sweep(depth, position):
+    # slot -1 or 0 would index the layer order from its end
+    with pytest.raises(ValueError, match="position"):
+        SweepState(depth=depth, position=position)
+
+
 def test_run_bcgd_stops_at_target():
     data = make_data(seed=23)
     net = initialize(InitScheme("orth_identity"), (6, 6, 6, 3), seed=24)

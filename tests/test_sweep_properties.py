@@ -161,7 +161,7 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_, bx_svals=None):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks_):
         samples, q, c = run.samples, run.q, run.c
         assert run.data is data  # targets y_i and the distances' m stay on the original data
         if compressed is None:
@@ -172,12 +172,10 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, samples, ell, a, bx)
         assert ranks_ == ranks
-        # X's singular values, handed over for layer 1 (B X is X, or R^T)
-        assert (bx_svals is not None) == (ell == 1)
-        if bx_svals is not None:
-            assert bx_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
+        # X's singular values (of X, or R^T), B X's own at layer 1, on every step
+        assert x_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
         checked.append(ell)
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_, bx_svals)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks_)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -268,7 +266,7 @@ def _recording_cancellation(figures):
     apart in the loss."""
     core = sgd._bcsgd_step_core
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals=None):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks):
         sb = np.linalg.svd(bx, compute_uv=False)
         net_, x = run.work, run.samples.x
         sigma = sb[sgd._bx_rank(net_, ell, ranks[1]) - 1]
@@ -276,7 +274,7 @@ def _recording_cancellation(figures):
         below = _norm_product(net_.layers[: ell - 1] + [x]) / sigma if sigma > 0 else 0.0
         above = _norm_product(net_.layers[ell:]) / norm_a if norm_a > 0 else 0.0
         figures.append(max(below, above))
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks, bx_svals)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks)
 
     return step
 
