@@ -119,6 +119,8 @@ class RunConfig:
         for key, low in lows.items():
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if math.isnan(self.target):  # no distance compares to it: the run would never stop
+            raise ConfigError(f"target must be a number, got {self.target}")
         lf = parse_loss(self.loss)
         if check_policy:
             policy = parse_policy(self.policy)
@@ -398,11 +400,11 @@ def _cmd_bcsgd(args) -> int:
     aggregate = sgd.BoundsTracker()
     tails = []
     out = Path(cfg.out)
+    net = build_network(cfg)  # every seed trains a copy; the bracket reads only its depth
     for k in range(args.seeds):
         run_seed = cfg.seed + k
-        net = build_network(cfg)
         traj, tracker = sgd.run_bcsgd(
-            net, data, lf, args.eta, cfg.sweeps, run_seed,
+            net.copy(), data, lf, args.eta, cfg.sweeps, run_seed,
             ordering=ordering, oracle_objective=oracle_obj,
             meta={"init": cfg.init},
         )
@@ -412,7 +414,7 @@ def _cmd_bcsgd(args) -> int:
         sq_dists = np.array([r.loss_after - oracle_obj for r in traj.records])
         tails.append(float(sq_dists[len(sq_dists) // 2 :].mean()))
         print(f"seed {run_seed}: tail_mean_sq_dist={tails[-1]!r} -> {path}")
-    bracket = sgd.floor_brackets(  # with a tracker it reads only net.depth
+    bracket = sgd.floor_brackets(
         net, data, SweepState(depth=net.depth, ordering=ordering),
         args.eta, oracle_obj, tracker=aggregate,
     )

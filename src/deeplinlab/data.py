@@ -12,10 +12,11 @@ so identical seeds reproduce identical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .matcore import _contiguous, as_matrix
+from .matcore import _contiguous, _svals, as_matrix
 
 __all__ = [
     "Dataset",
@@ -29,14 +30,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training pairs as column-major matrices: X is d_in x m, Y is d_out x m."""
+    """Training pairs as column-major matrices: X is d_in x m, Y is d_out x m.
+
+    A read-only value: X and Y are read-only copies (``_frozen``), so no
+    later write to the arrays it was built from reaches it, and it caches
+    what every run on it derives from X alone: the sample compression
+    (``_compressed``) and the singular values of X (``_x_svals``).
+    """
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = _contiguous(as_matrix(self.x, "X"))
-        y = _contiguous(as_matrix(self.y, "Y"))
+        x = _frozen(self.x, "X")
+        y = _frozen(self.y, "Y")
         if x.shape[1] != y.shape[1]:
             raise ValueError(f"X has {x.shape[1]} columns but Y has {y.shape[1]}")
         if x.shape[1] < 1:
@@ -55,6 +62,41 @@ class Dataset:
     @property
     def d_out(self) -> int:
         return self.y.shape[0]
+
+    @cached_property
+    def _compressed(self) -> tuple["Dataset", float, np.ndarray]:
+        """``(Dataset(R^T, Y Q), c, Q)`` from the reduced QR ``X^T = Q R``.
+
+        Q (m x d_in) has orthonormal columns, so for the square loss
+        ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2 + c`` with
+        ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient ``A^T (A W B X - Y)
+        (B X)^T`` equals its compressed twin, and B X and B R^T have the same
+        singular values and the same ``||A G B X||_F``.  Example i's column
+        is ``B x_i = B R^T q_i``, q_i the i-th row of Q.  c is taken as the
+        residual's own squared norm, not as the difference ``||Y||^2 -
+        ||Y Q||^2``, which would cancel.  ``optim._reduce`` decides when it
+        is used (the square loss with m > d_in).
+        """
+        q, r = np.linalg.qr(self.x.T)
+        q.flags.writeable = False
+        yq = self.y @ q
+        resid = self.y - yq @ q.T
+        return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
+
+    @cached_property
+    def _x_svals(self) -> np.ndarray:
+        """The singular values of X, nonincreasing (``optim._ranks``); read-only."""
+        s = _svals(self.x)
+        s.flags.writeable = False
+        return s
+
+
+def _frozen(a, name: str) -> np.ndarray:
+    """A read-only copy of *a*, validated by ``as_matrix`` and laid out as
+    ``_contiguous`` lays it out."""
+    m = _contiguous(as_matrix(a, name)).copy(order="K")
+    m.flags.writeable = False
+    return m
 
 
 def gen_input_gaussian(d_in: int, m: int, seed: int) -> np.ndarray:

@@ -35,7 +35,7 @@ run's records bit for bit.  BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates: on the C- or F-contiguous operands the
-steps form (``Network`` and ``Dataset`` copy a strided view once) it gives
+steps form (``Network`` and ``Dataset`` store a strided view as a copy) it gives
 the bits of ``@`` in about half its dispatch time at 32 x 32, as
 ``tests/test_dot_dispatch.py`` pins.
 """
@@ -49,7 +49,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, _objective, gradient_from_parts
-from .matcore import _all_finite, numeric_rank, spectral_summary
+from .matcore import _all_finite, _fro, _svals, numeric_rank
 from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
 from . import theory
@@ -188,11 +188,6 @@ class Trajectory:
         return self.records[-1].dist_after if self.records else math.nan
 
 
-def _svals(a: np.ndarray) -> np.ndarray:
-    """Singular values of *a*, nonincreasing; ``[0.0]`` for an empty matrix."""
-    return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
-
-
 def _spectra(policy: LrPolicy, a: np.ndarray, bx: np.ndarray):
     """One step's spectra cache: the singular values of A and B X, or None
     when the policy does not need them."""
@@ -318,6 +313,8 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     Sample part: ``_compressed_samples`` gives ``samples`` = ``(R^T, Y Q)``,
     the constant c every objective adds and Q (m x d_in) for the square
     loss with m > d_in; else ``samples`` is *data*, c is 0.0 and q is None.
+    The compression is *data*'s cached ``Dataset._compressed``, so every run
+    on one dataset shares one QR.
     """
     oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
     blocks = _head_blocks(net)
@@ -327,23 +324,11 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
 
 
 def _compressed_samples(data: Dataset, lf: LossFunction):
-    """``(Dataset(R^T, Y Q), c, Q)`` from the reduced QR ``X^T = Q R``, or None.
-
-    Engages only for the square loss with ``m > d_in``.  Q (m x d_in) has
-    orthonormal columns, so ``||A W B X - Y||_F^2 = ||A W B R^T - Y Q||_F^2
-    + c`` with ``c = ||Y - Y Q Q^T||_F^2``, the layer gradient
-    ``A^T (A W B X - Y) (B X)^T`` equals its compressed twin, and B X and
-    B R^T have the same singular values and the same ``||A G B X||_F``.
-    Example i's column is ``B x_i = B R^T q_i``, q_i the i-th row of Q.
-    c is taken as the residual's own squared norm, not as the difference
-    ``||Y||^2 - ||Y Q||^2``, which would cancel.
-    """
+    """``data._compressed``, the exact sample compression ``(Dataset(R^T, Y Q),
+    c, Q)``, where it engages: for the square loss with ``m > d_in``; else None."""
     if lf.power != 2 or data.m <= data.d_in:
         return None
-    q, r = np.linalg.qr(data.x.T)
-    yq = data.y @ q
-    resid = data.y - yq @ q.T
-    return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
+    return data._compressed
 
 
 def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_sweep_end=None):
@@ -393,8 +378,7 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy, ranks)
     y, lf = run.samples.y, run.lf
     pred = a.dot(w).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, y))
-    g_flat = g.ravel("K")
-    grad_fro = math.sqrt(g_flat.dot(g_flat))  # np.linalg.norm(g, "fro"), bit for bit
+    grad_fro = _fro(g)
     if not math.isfinite(grad_fro) and not np.isfinite(g).all():
         raise RuntimeError(
             f"non-finite gradient at iteration {iteration}, "
@@ -494,16 +478,18 @@ def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
     the other policies."""
     if policy.kind != "theory_l2":
         return None
-    return _ranks(run.net, run.samples.x, run.data.x.shape)[1]
+    return _ranks(run.net, run.samples, run.data.x.shape)[1]
 
 
-def _ranks(net: Network, x: np.ndarray, x_shape: tuple[int, int]):
-    """``(x_svals, (r, r_x))``: the singular values of the run's samples *x*
-    (X, or the compressed R^T: B X at layer 1), and the numeric ranks of the
-    top layer (at most n_L) and of X, ranked at X's own *x_shape*, that A
-    and B X are conditioned by.  The one take of X's spectrum."""
-    x_svals = _svals(x)
-    return x_svals, (spectral_summary(net.layers[-1]).numeric_rank, numeric_rank(x_svals, x_shape))
+def _ranks(net: Network, samples: Dataset, x_shape: tuple[int, int]):
+    """``(x_svals, (r, r_x))``: the singular values of the run's *samples*'
+    X (X, or the compressed R^T: B X at layer 1), and the numeric ranks of
+    the top layer (at most n_L) and of X, ranked at X's own *x_shape*, that
+    A and B X are conditioned by.  X's spectrum is the samples' cached
+    ``Dataset._x_svals``, taken once per dataset."""
+    x_svals = samples._x_svals
+    top = net.layers[-1]
+    return x_svals, (numeric_rank(_svals(top), top.shape), numeric_rank(x_svals, x_shape))
 
 
 def _sweep(net: Network, x: np.ndarray, ordering: str):
@@ -637,4 +623,4 @@ def run_gd(
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:
     """The literature reference rate n_L / (3 L ||X||^2) for plain GD."""
-    return net.dims[-1] / (3.0 * net.depth * float(_svals(data.x)[0]) ** 2)
+    return net.dims[-1] / (3.0 * net.depth * float(data._x_svals[0]) ** 2)

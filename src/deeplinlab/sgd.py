@@ -42,6 +42,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
+from .matcore import _fro, _row_sums, _svals
 from .network import Network, _factors
 from .optim import (
     StepRecord,
@@ -55,7 +56,6 @@ from .optim import (
     _ranks,
     _reduce,
     _single_step,
-    _svals,
 )
 
 __all__ = [
@@ -88,7 +88,7 @@ class SampleDist:
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF draw from *probs*; cheap and reproducible for desk-scale m."""
-    idx = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
+    idx = probs.cumsum().searchsorted(rng.random(), side="right")
     return int(min(idx, probs.size - 1))
 
 
@@ -106,11 +106,13 @@ def _bx_column_weights(bx: np.ndarray, q: np.ndarray | None = None) -> np.ndarra
     ``C = B R^T`` of ``X^T = Q R``, so B X = C Q^T and the weight of example
     i is ||C^T C q_i||^2, q_i the i-th row of Q: the squared row norms of
     ``Q (C^T C)``, sums of squares that need no clip, in O(m d_in^2) time
-    and with no n x m array.
+    and with no n x m array.  The rows are squared in place and summed by
+    ``matcore._row_sums``: the bits of ``np.sum(rows * rows, axis=1)``.
     """
     if q is not None:
         rows = q.dot(bx.T.dot(bx))
-        return np.sum(rows * rows, axis=1)
+        rows *= rows
+        return _row_sums(rows)
     weights = np.sum(bx * bx.dot(bx.T).dot(bx), axis=0)
     return np.maximum(weights, 0.0, out=weights)
 
@@ -141,7 +143,7 @@ def _evaluate(net: Network, ell: int, a, bx, q, x_svals, ranks, eta=None, tracke
     sa, sb = _svals(a), (x_svals if ell == 1 else _svals(bx))
     k = _bx_rank(net, ell, ranks[1])
     if tracker is not None:
-        tracker.update(sa, sb, float(np.linalg.norm(bx, "fro")), eta, (ranks[0], k))
+        tracker.update(sa, sb, _fro(bx), eta, (ranks[0], k))
     return weights, mass, sa, sb, k
 
 
@@ -149,7 +151,7 @@ def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=
     """``_evaluate`` at the state's next layer, as a step from the state sees it."""
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
-    return _evaluate(net, ell, a, bx, None, *_ranks(net, data.x, data.x.shape), eta, tracker)
+    return _evaluate(net, ell, a, bx, None, *_ranks(net, data, data.x.shape), eta, tracker)
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -318,7 +320,7 @@ def bcsgd_step(
     _check_eta(eta)
     run = _plain(net, data, lf, oracle_objective)
     return _single_step(
-        state, run, _bcsgd_step_core, eta, rng, tracker, *_ranks(net, data.x, data.x.shape)
+        state, run, _bcsgd_step_core, eta, rng, tracker, *_ranks(net, data, data.x.shape)
     )
 
 
@@ -355,7 +357,7 @@ def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_sva
         q_i = q[i]
         col, pred_i = bx.dot(q_i), pred.dot(q_i)
     grad_i = np.outer(a.T.dot(pred_i - run.data.y[:, i]), col)
-    grad_fro = float(np.linalg.norm(grad_i, "fro"))
+    grad_fro = _fro(grad_i)
     return _descend(
         run, ell, iteration, sweep, a, w, bx, pred, lr, grad_i, grad_fro, sample_index=i
     )
@@ -379,8 +381,9 @@ def run_bcsgd(
     run loop ``optim._drive``, by the sweep ``optim._layerwise`` builds, as
     ``run_bcgd``'s is; every run makes all its *sweeps* (no target).  The
     samples drawn, rates, losses and tracker constants are those of the full
-    run up to rounding.  X's singular values are taken once per call
-    (``optim._ranks``), from R^T when compressed.
+    run up to rounding.  The QR of X^T and X's singular values (of R^T when
+    compressed; ``optim._ranks``) are cached on *data*, so runs of several
+    seeds on one dataset take them once.
     """
     _require_l2(lf)
     _check_eta(eta)
@@ -388,7 +391,7 @@ def run_bcsgd(
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
-    x_ranks = _ranks(net, run.samples.x, data.x.shape)
+    x_ranks = _ranks(net, run.samples, data.x.shape)
     sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker, *x_ranks)
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
     return _drive(run, meta, sweeps, sweep), tracker

@@ -266,6 +266,40 @@ def test_non_finite_rates_exit_two_before_any_compute(tmp_path, capsys, monkeypa
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nan_target_exits_two_before_the_out_directory(tmp_path, capsys, monkeypatch, source):
+    # no distance compares to nan: the run would never stop at its target
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    argv = ["train", *SMALL_RUN, "--out", str(tmp_path / "new" / "run.csv")]
+    if source == "flag":
+        argv += ["--target", "nan"]
+    else:
+        (tmp_path / "run.cfg").write_text("target = nan\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "target" in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_bcsgd_seeds_equal_single_seed_runs(tmp_path, monkeypatch):
+    # compressed samples (m > d_in), tall enough for the column-ufunc row sums, and
+    # an init that --seed does not move; seeds 1 and 2 of one call run on the warm
+    # dataset cache, each --seeds 1 call on a cold one
+    common = ["--d-in", "4", "--d-out", "2", "--m", "300", "--depth", "3", "--width", "4",
+              "--init", "identity", "--sweeps", "3", "--eta", "0.5"]
+    builds = []
+    build_network = cli.build_network
+    monkeypatch.setattr(cli, "build_network", lambda cfg: builds.append(cfg) or build_network(cfg))
+    main(["bcsgd", *common, "--seeds", "3", "--out", str(tmp_path / "all" / "s.csv")])
+    assert len(builds) == 1  # one network; every seed trains a copy
+    for seed in (0, 1, 2):
+        main(["bcsgd", *common, "--seeds", "1", "--seed", str(seed),
+              "--out", str(tmp_path / "one" / "s.csv")])
+        name = f"s_seed{seed}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_gen_data_needs_out(capsys):
     assert main(["gen-data", "--d-in", "6", "--d-out", "2", "--m", "20"]) == 2
     assert "gen-data needs --out" in capsys.readouterr().err

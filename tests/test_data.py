@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,36 @@ def test_reshape_spectrum_rank_equals_target_count():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((2, 3)), y=np.zeros((1, 4)))
+
+
+def test_dataset_is_read_only():
+    data = Dataset(x=gen_input_gaussian(3, 7, seed=0), y=gen_output_uniform(2, 7, seed=1))
+    for a in (data.x, data.y):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.x = np.zeros((3, 7))
+
+
+def test_dataset_keeps_its_values_when_the_source_changes():
+    x, y = gen_input_gaussian(3, 7, seed=0), gen_output_uniform(2, 7, seed=1)
+    sources = {  # each source keeps its contiguous layout; a strided view is stored C-ordered
+        "C": (x, y),
+        "F": (np.asfortranarray(x), np.asfortranarray(y)),
+        "view": (np.hstack([x, x])[:, :7], np.hstack([y, y])[:, :7]),
+    }
+    for layout, (sx, sy) in sources.items():
+        kept_x, kept_y = sx.copy(), sy.copy()
+        data = Dataset(x=sx, y=sy)
+        compressed = data._compressed[0].x.copy()
+        sx[...] = 0.0
+        sy[...] = 0.0
+        assert np.array_equal(data.x, kept_x) and np.array_equal(data.y, kept_y), layout
+        assert np.array_equal(data._compressed[0].x, compressed)
+        assert data.x.flags.f_contiguous == (layout == "F")
+        assert data.x.flags.c_contiguous == (layout != "F")
 
 
 def test_normalize_two_points(tmp_path):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deeplinlab.matcore import (
+    _column_sums,
+    _row_sums,
     as_matrix,
     compact_svd,
     cond_numbers,
@@ -216,3 +219,35 @@ def test_as_matrix_accepts_empty_and_checks_shape_first():
     assert Network([np.zeros((2, 0))]).dims == (0, 2)
     with pytest.raises(ValueError, match="must be 2-D"):
         as_matrix(np.array([np.nan]), "X")
+
+
+@st.composite
+def _summands(draw, rows, cols):
+    """A C-contiguous rows x cols matrix: entries of either sign with
+    magnitudes within 1e-300 to 1e300 (sums may overflow to inf), and some
+    exact zeros of either sign.  The magnitudes span under one decade, a
+    few or all 600, so the order of the additions shows in the rounding."""
+    r, c = draw(rows), draw(cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.floats(-300, 300))
+    high = min(300.0, low + draw(st.sampled_from([0.5, 4.0, 600.0])))
+    a = rng.choice([-1.0, 1.0], size=(r, c)) * 10.0 ** rng.uniform(low, high, size=(r, c))
+    zeros = rng.random((r, c)) < draw(st.sampled_from([0.0, 0.1, 1.0]))
+    a[zeros] = np.copysign(0.0, a[zeros])  # -0.0 too: numpy's sums start from +0.0
+    return a
+
+
+# widths 1-300: sequential below 8, 8 accumulators up to 128, halves above
+@settings(max_examples=300, deadline=None)
+@given(_summands(st.integers(1, 64), st.integers(1, 300)))
+def test_column_sums_are_numpys_row_sums_bit_for_bit(a):
+    ref = np.add.reduce(a, axis=1)
+    assert _column_sums(a).tobytes() == ref.tobytes()
+    assert _row_sums(a).tobytes() == ref.tobytes()
+
+
+# tall and narrow: the shapes _row_sums hands to _column_sums
+@settings(max_examples=100, deadline=None)
+@given(_summands(st.integers(64, 1200), st.integers(1, 9)))
+def test_row_sums_of_tall_arrays_are_numpys_bit_for_bit(a):
+    assert _row_sums(a).tobytes() == np.add.reduce(a, axis=1).tobytes()

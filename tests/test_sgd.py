@@ -370,6 +370,60 @@ def test_compressed_weights_match_example_gram(factors):
     assert np.all(np.abs(weights - _reference_weights(c, q)) <= 1e-12 * scale)
 
 
+# The squared row norms of Q (C^T C), summed as np.sum does it, on both
+# sides of the shape where matcore._row_sums switches to column ufuncs.
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9), d=st.integers(1, 9), extra=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compressed_weights_are_the_squared_row_sums_bit_for_bit(n, d, extra, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d + extra, d)))
+    c = rng.normal(size=(n, d))
+    rows = q.dot(c.T.dot(c))
+    assert sgd._bx_column_weights(c, q).tobytes() == np.sum(rows * rows, axis=1).tobytes()
+
+
+def _recorded(monkeypatch, name):
+    """Record the first argument of every ``np.linalg.<name>`` call."""
+    seen, real = [], getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("m", [4, 40], ids=["uncompressed", "compressed"])
+def test_runs_on_one_dataset_take_its_qr_and_spectrum_once(monkeypatch, m):
+    _, data = make_instance(d_in=5, m=m, depth=3, seed=3)
+    r_t = np.linalg.qr(data.x.T)[1].T
+    net = initialize(InitScheme("random"), (5, 5, 5, 2), seed=4)  # so no B X equals X
+    nets = [net.copy() for _ in range(4)]
+    cold = Dataset(x=data.x, y=data.y)
+    qrs, svds = _recorded(monkeypatch, "qr"), _recorded(monkeypatch, "svd")
+    runs = [run_bcsgd(w, data, l2(), 0.5, 2, seed=k, oracle_objective=0.0)[0]
+            for k, w in enumerate(nets[:3])]
+    state, rng = SweepState(depth=net.depth), np.random.default_rng(0)
+    for _ in range(4):
+        bcsgd_step(nets[3], data, l2(), state, 0.5, rng, oracle_objective=0.0)
+
+    def count(calls, a):
+        return sum(c.shape == a.shape and np.array_equal(c, a) for c in calls)
+
+    compressed = m > data.d_in
+    assert count(qrs, data.x.T) == compressed
+    assert count(svds, data.x) == 1  # the single steps train on X itself
+    if compressed:
+        assert count(svds, r_t) == 1
+    # a run on the warm dataset is the run on a cold one, bit for bit
+    cold_run = run_bcsgd(net, cold, l2(), 0.5, 2, seed=0, oracle_objective=0.0)[0]
+    assert cold_run.records == runs[0].records
+
+
 def test_bcsgd_trajectory_matches_example_gram_kernel(monkeypatch):
     # Same seed, same samples; the tolerances absorb the rounding difference
     # of the two kernels as it propagates through 300 sweeps.
