@@ -74,29 +74,16 @@ def _svals(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=1)`` of a C-contiguous 2-D *a*, bit for bit,
-    taken the faster way for its shape.
-
-    numpy runs one inner loop per row, which costs more than the arithmetic
-    of a short row: on a tall array of at most 8 columns and at least 64
-    rows per column, ``_column_sums`` is faster (at 2000 x 8 about a third
-    of the time, 2-vCPU Xeon, numpy 2.4); elsewhere numpy's reduce is.
-    """
-    rows, cols = a.shape
-    if cols <= 8 and rows >= 64 * cols:
-        return _column_sums(a)
-    return np.add.reduce(a, axis=1)
-
-
 def _column_sums(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=1)`` of a C-contiguous 2-D *a*, bit for bit,
-    in a few ufuncs over its columns instead of one numpy inner loop per row.
+    """``np.add.reduce(a, axis=1)`` of a 2-D *a* of at most 8 columns, bit
+    for bit, in a few ufuncs over its columns instead of one numpy inner
+    loop per row (on 2000 x 8 about a third of the time, 2-vCPU Xeon,
+    numpy 2.4).
 
-    numpy sums each row pairwise: sequentially below 8 entries; up to 128
-    with 8 accumulators, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-    then the rest added in order; above 128 as the sum of two halves cut
-    at a multiple of 8.  The reduction adds that sum to its identity 0.0.
+    numpy sums a row of fewer than 8 entries in order, and a row of 8 as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``; the reduction adds that sum to
+    its identity 0.0.  Wider rows take other orders, which this does not
+    reproduce.
     """
     cols = a.shape[1]
     if cols < 8:
@@ -104,29 +91,10 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
         for i in range(1, cols):
             res += a[:, i]
         return res
-    res = _pairwise_rows(a)
-    res += 0.0
-    return res
-
-
-def _pairwise_rows(a: np.ndarray) -> np.ndarray:
-    """numpy's pairwise sum of each row of *a* (at least 8 columns)."""
-    cols = a.shape[1]
-    if cols > 128:
-        half = cols // 2
-        half -= half % 8
-        return _pairwise_rows(a[:, :half]) + _pairwise_rows(a[:, half:])
-    full = cols - cols % 8
-    r = a[:, :8]
-    if full > 8:
-        r = r.copy()
-        for i in range(8, full, 8):
-            r += a[:, i : i + 8]
-    r = r[:, 0::2] + r[:, 1::2]
+    r = a[:, 0::2] + a[:, 1::2]
     r = r[:, 0::2] + r[:, 1::2]
     res = r[:, 0] + r[:, 1]
-    for i in range(full, cols):
-        res += a[:, i]
+    res += 0.0
     return res
 
 

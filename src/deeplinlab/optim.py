@@ -310,25 +310,16 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     block, so training the head chain is training the full chain, and the
     other blocks stay bitwise as they were.
 
-    Sample part: ``_compressed_samples`` gives ``samples`` = ``(R^T, Y Q)``,
-    the constant c every objective adds and Q (m x d_in) for the square
-    loss with m > d_in; else ``samples`` is *data*, c is 0.0 and q is None.
-    The compression is *data*'s cached ``Dataset._compressed``, so every run
-    on one dataset shares one QR.
+    Sample part: for the square loss with m > d_in, *data*'s cached
+    ``Dataset._compressed`` gives ``samples`` = ``(R^T, Y Q)``, the constant
+    c every objective adds and Q (m x d_in), so every run on one dataset
+    shares one QR; else ``samples`` is *data*, c is 0.0 and q is None.
     """
     oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
     blocks = _head_blocks(net)
-    samples, c, q = _compressed_samples(data, lf) or (data, 0.0, None)
+    samples, c, q = data._compressed if lf.power == 2 and data.m > data.d_in else (data, 0.0, None)
     work = net if blocks is None else Network(blocks)
     return _Run(net, work, samples, data, q, c, oracle_obj, lf)
-
-
-def _compressed_samples(data: Dataset, lf: LossFunction):
-    """``data._compressed``, the exact sample compression ``(Dataset(R^T, Y Q),
-    c, Q)``, where it engages: for the square loss with ``m > d_in``; else None."""
-    if lf.power != 2 or data.m <= data.d_in:
-        return None
-    return data._compressed
 
 
 def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_sweep_end=None):

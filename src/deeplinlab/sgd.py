@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
-from .matcore import _fro, _row_sums, _svals
+from .matcore import _column_sums, _fro, _svals
 from .network import Network, _factors
 from .optim import (
     StepRecord,
@@ -106,13 +106,14 @@ def _bx_column_weights(bx: np.ndarray, q: np.ndarray | None = None) -> np.ndarra
     ``C = B R^T`` of ``X^T = Q R``, so B X = C Q^T and the weight of example
     i is ||C^T C q_i||^2, q_i the i-th row of Q: the squared row norms of
     ``Q (C^T C)``, sums of squares that need no clip, in O(m d_in^2) time
-    and with no n x m array.  The rows are squared in place and summed by
-    ``matcore._row_sums``: the bits of ``np.sum(rows * rows, axis=1)``.
+    and with no n x m array.  The rows are squared in place and summed with
+    the bits of ``np.sum(rows * rows, axis=1)``: by ``matcore._column_sums``
+    when d_in is at most 8, else by numpy.
     """
     if q is not None:
         rows = q.dot(bx.T.dot(bx))
         rows *= rows
-        return _row_sums(rows)
+        return _column_sums(rows) if rows.shape[1] <= 8 else np.add.reduce(rows, axis=1)
     weights = np.sum(bx * bx.dot(bx.T).dot(bx), axis=0)
     return np.maximum(weights, 0.0, out=weights)
 

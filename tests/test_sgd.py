@@ -250,10 +250,11 @@ def test_floor_brackets_condition_bx_by_the_rank_it_can_carry():
 def test_run_bcsgd_on_compressed_samples_matches_original_data(monkeypatch, ordering):
     # m 40 > d_in 8: the run trains on (R^T, Y Q); the reference declines
     net, data = make_instance(d_in=8, m=40, depth=3, seed=26, noise=0.1)
-    assert optim._compressed_samples(data, l2()) is not None
     full = net.copy()
     traj, tracker = run_bcsgd(net, data, l2(), 0.5, 50, seed=27, ordering=ordering)
-    monkeypatch.setattr(optim, "_compressed_samples", lambda data_, lf_: None)
+    assert "_compressed" in vars(data)  # the run took the cached compression
+    # the reference declines: optim._reduce gets the uncompressed triple
+    monkeypatch.setattr(Dataset, "_compressed", property(lambda self: (self, 0.0, None)))
     ref, ref_tracker = run_bcsgd(full, data, l2(), 0.5, 50, seed=27, ordering=ordering)
     assert [r.sample_index for r in traj.records] == [r.sample_index for r in ref.records]
     for got, want in zip(traj.records, ref.records):
@@ -371,7 +372,7 @@ def test_compressed_weights_match_example_gram(factors):
 
 
 # The squared row norms of Q (C^T C), summed as np.sum does it, on both
-# sides of the shape where matcore._row_sums switches to column ufuncs.
+# sides of d_in 8, where the sum switches from matcore._column_sums to numpy.
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 9), d=st.integers(1, 9), extra=st.integers(1, 700),

@@ -25,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset
 from deeplinlab.losses import l2, lp
-from deeplinlab.network import Network, _head_blocks
+from deeplinlab.network import Network
 from deeplinlab.optim import LrPolicy, SweepState, bcgd_step, compute_lr, gd_step, reference_gd_rate, run_bcgd, run_gd
 
 POLICIES = {
@@ -53,7 +53,8 @@ def _problem(dims, m, seed, lf):
     m = m if lf.power != 2 else min(m, dims[0])
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
     net = Network(layers)
-    assert _head_blocks(net) is None and optim._compressed_samples(data, lf) is None
+    run = optim._reduce(net, data, lf, 0.0)
+    assert run.work is net and run.samples is data
     return net, data
 
 

@@ -17,8 +17,8 @@ the head blocks of a block-diagonal chain; it is compared against the
 full-width run that the same call makes when ``network._head_blocks``
 declines.  Its sample compression (square loss, m > d_in) trains on
 ``(R^T, Y Q)`` from the QR of X^T; it is compared against the run on the
-original data that the same call makes when ``optim._compressed_samples``
-declines.
+original data that the same call makes when the compression is declined
+(``Dataset._compressed`` patched to the uncompressed triple).
 """
 
 import numpy as np
@@ -151,8 +151,7 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
 )
 def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     net, data = _problem(dims, m, seed)
-    compressed = optim._compressed_samples(data, l2())
-    assert (compressed is not None) == (m > dims[0])
+    compressed = data._compressed if m > dims[0] else None  # where optim._reduce compresses
     # (r, r_x): the full chain's top layer, and X ranked at its own shape
     ranks = (
         min(spectral_summary(net.layers[-1]).numeric_rank, dims[-1]),
@@ -404,15 +403,15 @@ def test_sample_compression_matches_original_data(dims, scheme, m_offset, seed, 
     rng = np.random.default_rng(seed)
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
     lf = _loss(runner)
-    compressed = optim._compressed_samples(data, lf)
-    assert (compressed is not None) == (lf.power == 2 and m > dims[0])
+    compressed = data._compressed if lf.power == 2 and m > dims[0] else None
 
     gd_eta = reference_gd_rate(net, data)
     full = net.copy()
     fast = _train(runner, net, data, ordering, gd_eta, seed, bcgd_errors=(RuntimeError,))
     figures = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optim, "_compressed_samples", lambda data_, lf_: None)
+        # the reference declines: optim._reduce gets the uncompressed triple
+        mp.setattr(Dataset, "_compressed", property(lambda self: (self, 0.0, None)))
         mp.setattr(sgd, "_bcsgd_step_core", _recording_cancellation(figures))
         ref = _train(runner, full, data, ordering, gd_eta, seed, bcgd_errors=(RuntimeError,))
     if isinstance(ref, Exception):  # a run that diverges must diverge in both
