@@ -349,7 +349,7 @@ def _cmd_gen_data(args) -> int:
     _make_out_dir(cfg.out)
     dataset = build_dataset(cfg)
     write_csv(cfg.out, dataset)
-    sv = np.linalg.svd(dataset.x, compute_uv=False)
+    sv = dataset._x_svals
     kappa = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     print(f"wrote {dataset.m} examples to {cfg.out} (kappa(X)={kappa:.4g})")
     return 0

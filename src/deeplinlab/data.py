@@ -85,7 +85,7 @@ class Dataset:
 
     @cached_property
     def _x_svals(self) -> np.ndarray:
-        """The singular values of X, nonincreasing (``optim._ranks``); read-only."""
+        """X's singular values, nonincreasing (``optim._ranks``, ``_spectra``); read-only."""
         s = _svals(self.x)
         s.flags.writeable = False
         return s
@@ -128,8 +128,8 @@ def reshape_spectrum(a, new_singulars) -> np.ndarray:
         raise ValueError(
             f"need {min(m.shape)} target singular values, got {targets.size}"
         )
-    if np.any(targets <= 0):
-        raise ValueError("target singular values must be positive")
+    if not np.isfinite(targets).all() or np.any(targets <= 0):
+        raise ValueError("target singular values must be finite and positive")
     targets = np.sort(targets)[::-1]
     u, _, vh = np.linalg.svd(m, full_matrices=False)
     return (u * targets) @ vh

@@ -188,12 +188,11 @@ class Trajectory:
         return self.records[-1].dist_after if self.records else math.nan
 
 
-def _spectra(policy: LrPolicy, a: np.ndarray, bx: np.ndarray):
-    """One step's spectra cache: the singular values of A and B X, or None
-    when the policy does not need them."""
-    if policy.kind not in _SPECTRAL_KINDS:
-        return None
-    return _svals(a), _svals(bx)
+def _spectra(samples: Dataset, ell: int, a: np.ndarray, bx: np.ndarray):
+    """The one place a layer-wise step takes singular values: those of A and
+    of B X around layer *ell*.  At layer 1, B X is *samples*' X itself, whose
+    spectrum ``Dataset._x_svals`` caches once per dataset."""
+    return _svals(a), samples._x_svals if ell == 1 else _svals(bx)
 
 
 def _lr_from_parts(
@@ -208,7 +207,7 @@ def _lr_from_parts(
 ) -> float:
     """Learning rate for one step from the factored quantities.
 
-    *spectra* is the step's ``_spectra`` cache; *pred* holds the current
+    *spectra* is the step's ``_spectra`` or None; *pred* holds the current
     predictions (the point the curvature bound is evaluated at); a
     denominator below 1e-300 yields rate 0, the skip-step convention for
     degenerate states.
@@ -250,7 +249,8 @@ def compute_lr(
     a, bx = _factors(net, data.x, ell)
     pred = a.dot(net.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
-    return _lr_from_parts(policy, lf, _spectra(policy, a, bx), a, bx, pred, data.y, g)
+    spectra = _spectra(data, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
+    return _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
 
 
 def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
@@ -375,7 +375,7 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy, ranks)
             f"non-finite gradient at iteration {iteration}, "
             f"layer {ell} (loss so far {_objective(pred, y, lf) + run.c:.6g})"
         )
-    spectra = _spectra(policy, a, bx)
+    spectra = _spectra(run.samples, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g)
     gamma = None
     if ranks is not None:
@@ -469,18 +469,16 @@ def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
     the other policies."""
     if policy.kind != "theory_l2":
         return None
-    return _ranks(run.net, run.samples, run.data.x.shape)[1]
+    return _ranks(run.net, run.samples, run.data.x.shape)
 
 
-def _ranks(net: Network, samples: Dataset, x_shape: tuple[int, int]):
-    """``(x_svals, (r, r_x))``: the singular values of the run's *samples*'
-    X (X, or the compressed R^T: B X at layer 1), and the numeric ranks of
-    the top layer (at most n_L) and of X, ranked at X's own *x_shape*, that
-    A and B X are conditioned by.  X's spectrum is the samples' cached
-    ``Dataset._x_svals``, taken once per dataset."""
-    x_svals = samples._x_svals
+def _ranks(net: Network, samples: Dataset, x_shape: tuple[int, int]) -> tuple[int, int]:
+    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of
+    the run's *samples*' X (X, or the compressed R^T), ranked at X's own
+    *x_shape*, that A and B X are conditioned by.  X's spectrum is the
+    samples' cached ``Dataset._x_svals``, the one ``_spectra`` reads."""
     top = net.layers[-1]
-    return x_svals, (numeric_rank(_svals(top), top.shape), numeric_rank(x_svals, x_shape))
+    return numeric_rank(_svals(top), top.shape), numeric_rank(samples._x_svals, x_shape)
 
 
 def _sweep(net: Network, x: np.ndarray, ordering: str):
@@ -525,9 +523,9 @@ def run_bcgd(
     The network is updated in place; ``_drive`` holds the stop rule and
     when the trained blocks reach *net* and ``on_sweep_end(completed_sweeps,
     net)`` (the snapshot hook).  Each sweep takes its factors ``(A, B X)``
-    from ``_sweep``, so it costs O(L) matrix products; each step computes
-    the singular values of A and B X at most once, and only for the
-    policies that need them (theory_l2 shares them between its rate and
+    from ``_sweep``, so it costs O(L) matrix products; each step takes the
+    singular values of A and B X (``_spectra``) at most once, and only for
+    the policies that need them (theory_l2 shares them between its rate and
     its gamma bound).  The theory_l2 ranks are taken once per run.
     """
     _check_ordering(ordering)

@@ -13,9 +13,9 @@ of B X would be rounding noise or 0, and the layer would not train.
 ``run_bcsgd`` trains on ``optim._reduce``'s exact problem reduction (the
 head chain, and for m > d_in the samples ``(R^T, Y Q)`` of ``X^T = Q R``):
 a step costs O(n^2 d_in + m d_in^2) plus the SVDs of A and the n x d_in
-``C = B R^T``, or O(n^2 m) uncompressed.  ``bcsgd_step`` takes that step
-from a ``SweepState``, and ``sampling_distribution``, ``bcsgd_lr`` and
-``floor_brackets`` see the state as the step does (``_evaluate``).
+``C = B R^T`` (``optim._spectra``), or O(n^2 m) uncompressed.  ``bcsgd_step``
+takes that step from a ``SweepState``, and ``sampling_distribution``,
+``bcsgd_lr`` and ``floor_brackets`` see the state as the step does (``_evaluate``).
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction
-from .matcore import _column_sums, _fro, _svals
+from .matcore import _column_sums, _fro
 from .network import Network, _factors
 from .optim import (
     StepRecord,
@@ -56,6 +56,7 @@ from .optim import (
     _ranks,
     _reduce,
     _single_step,
+    _spectra,
 )
 
 __all__ = [
@@ -78,8 +79,8 @@ class SampleDist:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a nonempty vector")
-        if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probs must be nonnegative and sum to 1")
+        if not np.isfinite(p).all() or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
+            raise ValueError("probs must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "probs", p)
 
     def sample(self, rng: np.random.Generator) -> int:
@@ -131,17 +132,17 @@ def _rate(sa: np.ndarray, sb: np.ndarray, k: int, eta: float, weight: float) -> 
     return float(sb[k - 1] ** 2 / sa[0] ** 2) * eta / weight
 
 
-def _evaluate(net: Network, ell: int, a, bx, q, x_svals, ranks, eta=None, tracker=None):
-    """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell*: the
-    weights, their sum (ValueError unless positive and finite), the singular
-    values of A and B X (*x_svals* at layer 1, where B X is the samples' X)
-    and ``k = _bx_rank``, with ``(x_svals, ranks)`` from ``optim._ranks``; a
+def _evaluate(net: Network, samples: Dataset, ell: int, a, bx, q, ranks, eta=None, tracker=None):
+    """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell* of *net*
+    on *samples*: the weights, their sum (ValueError unless positive and
+    finite), the singular values of A and B X (``optim._spectra``) and
+    ``k = _bx_rank``, with *ranks* = (r, r_x) from ``optim._ranks``; a
     *tracker* folds in the step's constants."""
     weights = _bx_column_weights(bx, q)
     mass = float(weights.sum())
     if not 0.0 < mass < math.inf:
         raise ValueError(f"degenerate state at layer {ell}: sampling mass {mass!r}")
-    sa, sb = _svals(a), (x_svals if ell == 1 else _svals(bx))
+    sa, sb = _spectra(samples, ell, a, bx)
     k = _bx_rank(net, ell, ranks[1])
     if tracker is not None:
         tracker.update(sa, sb, _fro(bx), eta, (ranks[0], k))
@@ -152,7 +153,7 @@ def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=
     """``_evaluate`` at the state's next layer, as a step from the state sees it."""
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
-    return _evaluate(net, ell, a, bx, None, *_ranks(net, data, data.x.shape), eta, tracker)
+    return _evaluate(net, data, ell, a, bx, None, _ranks(net, data, data.x.shape), eta, tracker)
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -320,9 +321,8 @@ def bcsgd_step(
     _require_l2(lf)
     _check_eta(eta)
     run = _plain(net, data, lf, oracle_objective)
-    return _single_step(
-        state, run, _bcsgd_step_core, eta, rng, tracker, *_ranks(net, data, data.x.shape)
-    )
+    ranks = _ranks(net, data, data.x.shape)
+    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker, ranks)
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -336,18 +336,18 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 2)")
 
 
-def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks):
+def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks):
     """BCSGD iteration *iteration* (of sweep *sweep*) at layer *ell*, from
     the sweep's factors, ended by ``optim._descend``.
 
     With compression (``run.q`` not None) *bx* is ``C = B R^T``, example i's
     column ``C q_i`` and its target the original ``y_i`` of ``run.data``.
-    ``(x_svals, ranks)`` from ``optim._ranks`` of ``run.samples`` give B X's
-    spectrum at layer 1 and the ranks (r, r_x) that condition A and B X in
-    the rate and the *tracker* (``_evaluate``).  The caller has checked *eta*.
+    *ranks* = (r, r_x), ``optim._ranks`` of ``run.samples``, condition A and
+    B X in the rate and the *tracker* (``_evaluate``, whose spectra at layer 1
+    are ``run.samples``' cached ones).  The caller has checked *eta*.
     """
     q = run.q
-    weights, mass, sa, sb, k = _evaluate(run.work, ell, a, bx, q, x_svals, ranks, eta, tracker)
+    weights, mass, sa, sb, k = _evaluate(run.work, run.samples, ell, a, bx, q, ranks, eta, tracker)
     i = _draw(weights / mass, rng)
     lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = run.work.layers[ell - 1]
@@ -383,8 +383,8 @@ def run_bcsgd(
     ``run_bcgd``'s is; every run makes all its *sweeps* (no target).  The
     samples drawn, rates, losses and tracker constants are those of the full
     run up to rounding.  The QR of X^T and X's singular values (of R^T when
-    compressed; ``optim._ranks``) are cached on *data*, so runs of several
-    seeds on one dataset take them once.
+    compressed), which the ranks and layer 1's spectra read, are cached on
+    *data*, so runs of several seeds on one dataset take them once.
     """
     _require_l2(lf)
     _check_eta(eta)
@@ -392,7 +392,7 @@ def run_bcsgd(
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
-    x_ranks = _ranks(net, run.samples, data.x.shape)
-    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker, *x_ranks)
+    ranks = _ranks(net, run.samples, data.x.shape)
+    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker, ranks)
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
     return _drive(run, meta, sweeps, sweep), tracker

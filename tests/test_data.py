@@ -78,6 +78,10 @@ def test_reshape_spectrum_roundtrip():
 def test_reshape_spectrum_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
         reshape_spectrum(np.eye(2), [1.0, 0.0])
+    x = np.random.default_rng(16).normal(size=(3, 5))
+    for bad in (np.nan, np.inf):  # an all-NaN or all-inf matrix before the check
+        with pytest.raises(ValueError, match="finite and positive"):
+            reshape_spectrum(x, [bad, 1.0, 1.0])
 
 
 def test_reshape_spectrum_rank_equals_target_count():

@@ -307,6 +307,24 @@ def test_general_policy_equals_optimal_for_square_loss():
     assert b == a  # unit curvature bound: the two formulas coincide
 
 
+@pytest.mark.parametrize("m", [4, 40], ids=["uncompressed", "compressed"])
+@pytest.mark.parametrize("policy", [LrPolicy("theory_l2", eta=1.0), LrPolicy("convex_safe")])
+def test_spectral_runs_take_the_samples_spectrum_once(monkeypatch, policy, m):
+    data = make_data(d_in=5, d_out=2, m=m, seed=40)
+    net = initialize(InitScheme("random"), (5, 5, 5, 2), seed=41)  # so no B X equals X
+    samples = data._compressed[0] if m > data.d_in else data  # what optim._reduce trains on
+    svds, real = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        svds.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    run_bcgd(net, data, l2(), policy, max_sweeps=2, target_dist=-math.inf, oracle_objective=0.0)
+    # layer 1's B X is the samples' X on both sweeps: one SVD, for the cache
+    assert sum(s.shape == samples.x.shape and np.array_equal(s, samples.x) for s in svds) == 1
+
+
 CORES = {"bcgd": (optim, "_step_core"), "gd": (optim, "_gd_step_core"), "bcsgd": (sgd, "_bcsgd_step_core")}
 
 

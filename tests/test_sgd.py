@@ -39,6 +39,9 @@ def test_sample_dist_validation():
         SampleDist(probs=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         SampleDist(probs=np.array([-0.1, 1.1]))
+    for bad in ([0.5, np.nan, 0.5], [np.nan], [np.inf, 0.0], [np.inf, -np.inf, 1.0]):
+        with pytest.raises(ValueError, match="finite"):  # NaN fails no comparison
+            SampleDist(probs=np.array(bad))
     SampleDist(probs=np.array([0.25, 0.75]))
 
 

@@ -72,6 +72,15 @@ def _assert_live_factors(net, data, ell, a, bx):
     assert np.linalg.norm(bx - bx_ref) <= RTOL * bx_scale
 
 
+def _assert_layer_one_spectrum(run, ell, a, bx):
+    """At layer 1, B X is the samples' X itself (R^T when compressed), and the
+    step's spectra give its own singular values bit for bit from the cache."""
+    if ell == 1:
+        assert bx is run.samples.x
+        got = optim._spectra(run.samples, 1, a, bx)[1]
+        assert got.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dims=chains,
@@ -114,6 +123,7 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     def step(run, ell, iteration, sweep, a, bx, policy_, ranks_):
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, run.samples, ell, a, bx)
+        _assert_layer_one_spectrum(run, ell, a, bx)
         assert run.data.m == data.m  # distances and rank tolerances use the true m
         # the bound is the one on the original data: sigma(B X) = sigma(B R^T)
         state = optim.SweepState(depth=run.work.depth, ordering=ordering)
@@ -160,7 +170,7 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks_):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_):
         samples, q, c = run.samples, run.q, run.c
         assert run.data is data  # targets y_i and the distances' m stay on the original data
         if compressed is None:
@@ -171,10 +181,9 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, samples, ell, a, bx)
         assert ranks_ == ranks
-        # X's singular values (of X, or R^T), B X's own at layer 1, on every step
-        assert x_svals.tobytes() == np.linalg.svd(samples.x, compute_uv=False).tobytes()
+        _assert_layer_one_spectrum(run, ell, a, bx)
         checked.append(ell)
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks_)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -265,7 +274,7 @@ def _recording_cancellation(figures):
     apart in the loss."""
     core = sgd._bcsgd_step_core
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks):
         sb = np.linalg.svd(bx, compute_uv=False)
         net_, x = run.work, run.samples.x
         sigma = sb[sgd._bx_rank(net_, ell, ranks[1]) - 1]
@@ -273,7 +282,7 @@ def _recording_cancellation(figures):
         below = _norm_product(net_.layers[: ell - 1] + [x]) / sigma if sigma > 0 else 0.0
         above = _norm_product(net_.layers[ell:]) / norm_a if norm_a > 0 else 0.0
         figures.append(max(below, above))
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, x_svals, ranks)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks)
 
     return step
 
