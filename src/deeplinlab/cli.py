@@ -211,7 +211,12 @@ def _prepare(cfg: RunConfig, check_policy: bool = True) -> tuple[Dataset, losses
 
 
 def run_experiment(cfg: RunConfig) -> Trajectory:
-    """Validate, run, and write the trajectory CSV (plus snapshots)."""
+    """Validate, run, and write the trajectory CSV (plus snapshots).
+
+    With ``--snapshots N`` the network is saved every ``sweeps // N``
+    sweeps, at ``--sweeps``, and at the sweep a run stops at on reaching
+    ``--target`` early.
+    """
     data, lf, oracle_obj = _prepare(cfg)
     net = build_network(cfg)
     policy = parse_policy(cfg.policy)
@@ -225,9 +230,15 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
         snapshot_dir.mkdir(parents=True, exist_ok=True)
         every = max(1, cfg.sweeps // cfg.snapshots)
 
+        def due(sweep_idx: int) -> bool:
+            return sweep_idx % every == 0 or sweep_idx == cfg.sweeps
+
+        def snapshot(sweep_idx: int, current: Network) -> None:
+            save_network(current, snapshot_dir / f"sweep_{sweep_idx:06d}.net")
+
         def on_sweep_end(sweep_idx: int, current: Network) -> None:
-            if sweep_idx % every == 0 or sweep_idx == cfg.sweeps:
-                save_network(current, snapshot_dir / f"sweep_{sweep_idx:06d}.net")
+            if due(sweep_idx):
+                snapshot(sweep_idx, current)
 
     start = time.perf_counter()
     traj = run_bcgd(
@@ -243,9 +254,11 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
         on_sweep_end=on_sweep_end,
     )
     elapsed = time.perf_counter() - start
+    sweeps_done = traj.records[-1].sweep if traj.records else 0
+    if snapshot_dir is not None and sweeps_done and not due(sweeps_done):  # stopped early
+        snapshot(sweeps_done, net)
     emit_trajectory_csv(traj, cfg.out)
     final = traj.final_dist()
-    sweeps_done = traj.records[-1].sweep if traj.records else 0
     print(
         f"final_dist={final!r} sweeps={sweeps_done} iterations={len(traj)} "
         f"wall_time_s={elapsed:.3f} out={cfg.out}"

@@ -85,7 +85,7 @@ class Dataset:
 
     @cached_property
     def _x_svals(self) -> np.ndarray:
-        """X's singular values, nonincreasing (``optim._ranks``, ``_spectra``); read-only."""
+        """X's singular values, nonincreasing (``optim._Run.ranks``, ``_spectra``); read-only."""
         s = _svals(self.x)
         s.flags.writeable = False
         return s

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -188,11 +189,15 @@ class Trajectory:
         return self.records[-1].dist_after if self.records else math.nan
 
 
-def _spectra(samples: Dataset, ell: int, a: np.ndarray, bx: np.ndarray):
+def _spectra(run: _Run, ell: int, a: np.ndarray, bx: np.ndarray):
     """The one place a layer-wise step takes singular values: those of A and
-    of B X around layer *ell*.  At layer 1, B X is *samples*' X itself, whose
-    spectrum ``Dataset._x_svals`` caches once per dataset."""
-    return _svals(a), samples._x_svals if ell == 1 else _svals(bx)
+    of B X around layer *ell* of ``run.work``.  Both ends of the chain are
+    known without an SVD: at the top layer A is the identity on n_L
+    (``network._suffixes``), whose singular values are all 1 (an empty A
+    keeps ``_svals``' ``[0.0]``), and at layer 1 B X is ``run.samples``' X
+    itself, whose spectrum ``Dataset._x_svals`` caches once per dataset."""
+    a_svals = np.ones(len(a)) if ell == run.work.depth and a.size else _svals(a)
+    return a_svals, run.samples._x_svals if ell == 1 else _svals(bx)
 
 
 def _lr_from_parts(
@@ -245,11 +250,12 @@ def compute_lr(
     state: SweepState,
 ) -> float:
     """Learning rate the policy would use for the state's next update."""
+    run = _plain(net, data, lf, math.nan)  # the step's run; no distance, so no optimum
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
     pred = a.dot(net.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
-    spectra = _spectra(data, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
+    spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
     return _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
 
 
@@ -283,6 +289,16 @@ class _Run:
     c: float
     oracle_obj: float
     lf: LossFunction
+
+    @cached_property
+    def ranks(self) -> tuple[int, int]:
+        """``(r, r_x)``: the numeric ranks of *net*'s top layer (at most n_L)
+        and of *samples*' X (X, or the compressed R^T, its spectrum the cached
+        ``Dataset._x_svals`` that ``_spectra`` reads), ranked at *data*'s X
+        shape, that A and B X are conditioned by.  Taken when a run's first
+        step reads them, before it moves its layer: before any layer moves."""
+        top, x_svals = self.net.layers[-1], self.samples._x_svals
+        return numeric_rank(_svals(top), top.shape), numeric_rank(x_svals, self.data.x.shape)
 
     def write_back(self) -> None:
         """Copy the trained head blocks into the top-left of *net*'s layers
@@ -352,10 +368,10 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     return traj
 
 
-def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy, ranks) -> StepRecord:
+def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> StepRecord:
     """BCGD iteration *iteration* (of sweep *sweep*): update layer *ell* of
-    ``run.work`` from its factors on ``run.samples``; *ranks* = (r, r_x)
-    records the theory_l2 gamma bound, built from the same spectra as the
+    ``run.work`` from its factors on ``run.samples``.  A theory_l2 step
+    records its gamma bound from ``run.ranks`` and the same spectra as the
     rate, with A taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` of
     the full chain in its rank tolerance.
 
@@ -375,11 +391,11 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy, ranks)
             f"non-finite gradient at iteration {iteration}, "
             f"layer {ell} (loss so far {_objective(pred, y, lf) + run.c:.6g})"
         )
-    spectra = _spectra(run.samples, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
+    spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g)
     gamma = None
-    if ranks is not None:
-        (a_svals, bx_svals), (r, r_x), layers = spectra, ranks, run.net.layers
+    if policy.kind == "theory_l2":
+        (a_svals, bx_svals), (r, r_x), layers = spectra, run.ranks, run.net.layers
         gamma = theory._gamma_from_spectra(
             a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
             bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
@@ -450,8 +466,7 @@ def bcgd_step(
     for the theory_l2 policy (its rate guarantee applies there).  The
     step is ``run_bcgd``'s, with the theory_l2 ranks taken at this state.
     """
-    run = _plain(net, data, lf, oracle_objective)
-    return _single_step(state, run, _step_core, policy, _gamma_ranks(run, policy))
+    return _single_step(state, _plain(net, data, lf, oracle_objective), _step_core, policy)
 
 
 def _single_step(state: SweepState, run: _Run, core, *args) -> StepRecord:
@@ -462,23 +477,6 @@ def _single_step(state: SweepState, run: _Run, core, *args) -> StepRecord:
     record = core(run, ell, state.iteration + 1, state.sweep + 1, a, bx, *args)
     state.advance()
     return record
-
-
-def _gamma_ranks(run: _Run, policy: LrPolicy) -> tuple[int, int] | None:
-    """``_ranks`` of ``run.samples`` for the theory_l2 gamma bound; None for
-    the other policies."""
-    if policy.kind != "theory_l2":
-        return None
-    return _ranks(run.net, run.samples, run.data.x.shape)
-
-
-def _ranks(net: Network, samples: Dataset, x_shape: tuple[int, int]) -> tuple[int, int]:
-    """``(r, r_x)``: the numeric ranks of the top layer (at most n_L) and of
-    the run's *samples*' X (X, or the compressed R^T), ranked at X's own
-    *x_shape*, that A and B X are conditioned by.  X's spectrum is the
-    samples' cached ``Dataset._x_svals``, the one ``_spectra`` reads."""
-    top = net.layers[-1]
-    return numeric_rank(_svals(top), top.shape), numeric_rank(samples._x_svals, x_shape)
 
 
 def _sweep(net: Network, x: np.ndarray, ordering: str):
@@ -530,7 +528,7 @@ def run_bcgd(
     """
     _check_ordering(ordering)
     run = _reduce(net, data, lf, oracle_objective)
-    sweep = _layerwise(run, ordering, _step_core, policy, _gamma_ranks(run, policy))
+    sweep = _layerwise(run, ordering, _step_core, policy)
     meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}
     return _drive(run, meta, max_sweeps, sweep, target_dist, on_sweep_end)
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .losses import LossFunction
+from .losses import LossFunction, l2
 from .matcore import _column_sums, _fro
 from .network import Network, _factors
 from .optim import (
@@ -53,7 +53,6 @@ from .optim import (
     _drive,
     _layerwise,
     _plain,
-    _ranks,
     _reduce,
     _single_step,
     _spectra,
@@ -132,28 +131,30 @@ def _rate(sa: np.ndarray, sb: np.ndarray, k: int, eta: float, weight: float) -> 
     return float(sb[k - 1] ** 2 / sa[0] ** 2) * eta / weight
 
 
-def _evaluate(net: Network, samples: Dataset, ell: int, a, bx, q, ranks, eta=None, tracker=None):
-    """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell* of *net*
-    on *samples*: the weights, their sum (ValueError unless positive and
-    finite), the singular values of A and B X (``optim._spectra``) and
-    ``k = _bx_rank``, with *ranks* = (r, r_x) from ``optim._ranks``; a
-    *tracker* folds in the step's constants."""
-    weights = _bx_column_weights(bx, q)
+def _evaluate(run, ell: int, a, bx, eta=None, tracker=None):
+    """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell* of
+    ``run.work`` on ``run.samples``: the weights, their sum (ValueError
+    unless positive and finite), the singular values of A and B X
+    (``optim._spectra``) and ``k = _bx_rank``, with (r, r_x) the run's
+    ``ranks``; a *tracker* folds in the step's constants."""
+    weights = _bx_column_weights(bx, run.q)
     mass = float(weights.sum())
     if not 0.0 < mass < math.inf:
         raise ValueError(f"degenerate state at layer {ell}: sampling mass {mass!r}")
-    sa, sb = _spectra(samples, ell, a, bx)
-    k = _bx_rank(net, ell, ranks[1])
+    sa, sb = _spectra(run, ell, a, bx)
+    r, r_x = run.ranks
+    k = _bx_rank(run.work, ell, r_x)
     if tracker is not None:
-        tracker.update(sa, sb, _fro(bx), eta, (ranks[0], k))
+        tracker.update(sa, sb, _fro(bx), eta, (r, k))
     return weights, mass, sa, sb, k
 
 
 def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=None):
     """``_evaluate`` at the state's next layer, as a step from the state sees it."""
+    run = _plain(net, data, l2(), math.nan)  # the step's run; no distance, so no optimum
     ell = state.layer_to_update()
     a, bx = _factors(net, data.x, ell)
-    return _evaluate(net, data, ell, a, bx, None, _ranks(net, data, data.x.shape), eta, tracker)
+    return _evaluate(run, ell, a, bx, eta, tracker)
 
 
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
@@ -190,7 +191,7 @@ class BoundsTracker:
         ranks: tuple[int, int],
     ) -> None:
         """Fold in one step's constants, conditioning A by its r-th and B X
-        by its k-th singular value, *ranks* = (r, k): r from ``optim._ranks``
+        by its k-th singular value, *ranks* = (r, k): r from ``optim._Run.ranks``
         and k = ``_bx_rank``, the rank B X can carry (its smaller singular
         values are rounding noise or 0)."""
         r, k = ranks
@@ -321,8 +322,7 @@ def bcsgd_step(
     _require_l2(lf)
     _check_eta(eta)
     run = _plain(net, data, lf, oracle_objective)
-    ranks = _ranks(net, data, data.x.shape)
-    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker, ranks)
+    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker)
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -336,18 +336,17 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must lie in (0, 2)")
 
 
-def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks):
+def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker):
     """BCSGD iteration *iteration* (of sweep *sweep*) at layer *ell*, from
     the sweep's factors, ended by ``optim._descend``.
 
     With compression (``run.q`` not None) *bx* is ``C = B R^T``, example i's
     column ``C q_i`` and its target the original ``y_i`` of ``run.data``.
-    *ranks* = (r, r_x), ``optim._ranks`` of ``run.samples``, condition A and
-    B X in the rate and the *tracker* (``_evaluate``, whose spectra at layer 1
-    are ``run.samples``' cached ones).  The caller has checked *eta*.
+    The run's ``ranks`` (r, r_x) condition A and B X in the rate and the
+    *tracker* (``_evaluate``).  The caller has checked *eta*.
     """
     q = run.q
-    weights, mass, sa, sb, k = _evaluate(run.work, run.samples, ell, a, bx, q, ranks, eta, tracker)
+    weights, mass, sa, sb, k = _evaluate(run, ell, a, bx, eta, tracker)
     i = _draw(weights / mass, rng)
     lr = _rate(sa, sb, k, eta, float(weights[i]))
     w = run.work.layers[ell - 1]
@@ -392,7 +391,6 @@ def run_bcsgd(
     run = _reduce(net, data, lf, oracle_objective)
     rng = np.random.default_rng(seed)
     tracker = BoundsTracker()
-    ranks = _ranks(net, run.samples, data.x.shape)
-    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker, ranks)
+    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker)
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
     return _drive(run, meta, sweeps, sweep), tracker

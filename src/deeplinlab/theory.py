@@ -171,13 +171,15 @@ def _gamma_from_spectra(
 def min_depth_one_sweep(x, w_star, initial_dist: float, eta: float) -> int:
     """Smallest depth whose first sweep is guaranteed to land in the basin.
 
-    *initial_dist* is ||(W^0 - W*) X||_F.  Because the constant c feeds
-    back through h(L), the bound is iterated to a fixed point (at most
-    100 rounds, monotone increasing).  Returns 1 when the start is
-    already inside the basin.
+    *initial_dist* is ||(W^0 - W*) X||_F, finite (else ValueError).
+    Because the constant c feeds back through h(L), the bound is iterated
+    to a fixed point (at most 100 rounds, monotone increasing).  Returns 1
+    when the start is already inside the basin.
     """
     if not 0 < eta <= 1:
         raise ValueError("eta must lie in (0, 1]")
+    if not math.isfinite(initial_dist):
+        raise ValueError(f"initial_dist must be finite, got {initial_dist!r}")
     if initial_dist <= 0:
         return 1
     kappa2, wx_smin, sigma_tilde = _basin_inputs(x, w_star)

@@ -16,7 +16,7 @@ import numpy as np
 from deeplinlab import cli
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, write_csv
 from deeplinlab.losses import error_report, l2
-from deeplinlab.network import load_network
+from deeplinlab.network import load_network, save_network
 from deeplinlab.oracle import optimal_loss
 
 
@@ -385,6 +385,37 @@ def test_snapshots_spot_check(tmp_path):
         assert report.dist_to_opt == pytest.approx(row.dist_after, rel=1e-9, abs=1e-15)
         checked += 1
     assert checked >= 5
+
+
+def test_snapshots_keep_the_sweep_a_run_stops_at(tmp_path, monkeypatch):
+    saved = []
+
+    def counting(net, path):
+        saved.append(path)
+        save_network(net, path)
+
+    monkeypatch.setattr(cli, "save_network", counting)
+    args = ["train", "--d-in", "3", "--d-out", "2", "--m", "8", "--depth", "3", "--width", "4"]
+
+    def snapshots(name, *extra):
+        out = tmp_path / name / "r.csv"
+        assert main([*args, "--out", str(out), *extra]) == 0
+        snapdir = Path(str(out) + ".snapshots")
+        return {p.name: p.read_bytes() for p in sorted(snapdir.glob("*"))}
+
+    # every 3 sweeps and at --sweeps, as a run that does all its sweeps saves them
+    full = snapshots("full", "--sweeps", "10", "--snapshots", "3", "--target", "-inf")
+    assert list(full) == [f"sweep_{s:06d}.net" for s in (3, 6, 9, 10)]
+    # the target is met at sweep 2, before the first due snapshot: that sweep is saved,
+    # as the run that is asked for 2 sweeps saves it
+    early = snapshots("early", "--sweeps", "10", "--snapshots", "3", "--target", "1e-3")
+    assert early == snapshots("two", "--sweeps", "2", "--snapshots", "1", "--target", "-inf")
+    assert list(early) == ["sweep_000002.net"]
+    # a stop on a due sweep is saved once, and --sweeps 0 saves nothing
+    saved.clear()
+    due = snapshots("due", "--sweeps", "10", "--snapshots", "5", "--target", "1e-3")
+    assert list(due) == ["sweep_000002.net"] and len(saved) == 1
+    assert snapshots("none", "--sweeps", "0", "--snapshots", "3") == {}
 
 
 def test_verify_command_exit_codes(tmp_path):

@@ -325,6 +325,42 @@ def test_spectral_runs_take_the_samples_spectrum_once(monkeypatch, policy, m):
     assert sum(s.shape == samples.x.shape and np.array_equal(s, samples.x) for s in svds) == 1
 
 
+def test_identity_singular_values_are_exactly_one():
+    # at the top layer optim._spectra takes A = I (n_L x n_L) to have these, with no SVD
+    for n in range(1, 131):
+        assert np.linalg.svd(np.eye(n), compute_uv=False).tobytes() == np.ones(n).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 5, 5, 2), (5, 2)], ids=["depth3", "depth1"])
+@pytest.mark.parametrize("ordering", optim.ORDERINGS)
+@pytest.mark.parametrize("runner", ["theory:1", "convex", "optimal", "bcsgd"])
+def test_layerwise_runs_take_no_svd_at_either_end_of_the_chain(monkeypatch, runner, ordering, dims):
+    data = make_data(d_in=5, d_out=2, m=4, seed=42)  # fresh, so X's spectrum is not cached yet
+    net = initialize(InitScheme("random"), dims, seed=43)
+    top = net.layers[-1]
+    svds, real = [], np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        svds.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    if runner == "bcsgd":
+        sgd.run_bcsgd(net, data, l2(), 0.5, 2, seed=0, ordering=ordering, oracle_objective=0.0)
+    else:
+        policy = {"theory:1": LrPolicy("theory_l2", eta=1.0), "convex": LrPolicy("convex_safe"),
+                  "optimal": LrPolicy("optimal_l2")}[runner]
+        run_bcgd(net, data, l2(), policy, ordering=ordering, max_sweeps=2,
+                 target_dist=-math.inf, oracle_objective=0.0)
+    # the top layer's A is the identity and layer 1's B X is X, whose spectrum is cached:
+    # per sweep, A at layers 1..L-1 and B X at layers 2..L; then X's once
+    assert not any(s.shape[0] == s.shape[1] and np.array_equal(s, np.eye(len(s))) for s in svds)
+    ranked = runner in ("theory:1", "bcsgd")  # the ranks (r, r_x): the top layer's once per run
+    assert sum(s is top for s in svds) == ranked
+    steps = 2 * 2 * (len(dims) - 2)
+    assert len(svds) == (0 if runner == "optimal" else steps + 1 + ranked)
+
+
 CORES = {"bcgd": (optim, "_step_core"), "gd": (optim, "_gd_step_core"), "bcsgd": (sgd, "_bcsgd_step_core")}
 
 

@@ -11,8 +11,10 @@ runner.  The state functions agree with those steps too: ``compute_lr``
 gives the next record's rate, ``bcsgd_lr`` at the drawn example its rate,
 and ``sampling_distribution`` the distribution the step draws from.
 
-``run_bcgd`` takes the theory_l2 ranks once per run and ``bcgd_step`` at
-each state; on these problems the two agree.
+Every step reads the ranks (r, r_x) from its run object (``optim._Run.ranks``,
+taken once per run, before any layer moves): ``run_bcgd`` and ``run_bcsgd``
+take them once, and ``bcgd_step`` and ``sgd.bcsgd_step`` at each state; on
+these problems the two agree.
 """
 
 import math

@@ -77,7 +77,7 @@ def _assert_layer_one_spectrum(run, ell, a, bx):
     step's spectra give its own singular values bit for bit from the cache."""
     if ell == 1:
         assert bx is run.samples.x
-        got = optim._spectra(run.samples, 1, a, bx)[1]
+        got = optim._spectra(run, 1, a, bx)[1]
         assert got.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
 
 
@@ -115,12 +115,12 @@ def test_sweep_yields_live_factors_under_any_update(dims, m, seed, ordering, swe
 def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     net, data = _problem(dims, m, seed)
     make_loss, policy = POLICIES[policy_name]
-    # fixed at the run start, from the unreduced data
-    ranks = optim._gamma_ranks(optim._plain(net, data, make_loss(), 0.0), policy)
+    # one pair per run, taken before any layer moves, as on the unreduced data
+    ranks = optim._plain(net, data, make_loss(), 0.0).ranks if policy.kind == "theory_l2" else None
     core = optim._step_core
     checked = []
 
-    def step(run, ell, iteration, sweep, a, bx, policy_, ranks_):
+    def step(run, ell, iteration, sweep, a, bx, policy_):
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, run.samples, ell, a, bx)
         _assert_layer_one_spectrum(run, ell, a, bx)
@@ -134,7 +134,9 @@ def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
             if ranks is not None
             else None
         )
-        record = core(run, ell, iteration, sweep, a, bx, policy_, ranks_)
+        record = core(run, ell, iteration, sweep, a, bx, policy_)
+        if ranks is not None:
+            assert run.ranks == ranks
         if expected is None:
             assert record.gamma_bound is None
         else:
@@ -170,7 +172,7 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
     core = sgd._bcsgd_step_core
     checked = []
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker):
         samples, q, c = run.samples, run.q, run.c
         assert run.data is data  # targets y_i and the distances' m stay on the original data
         if compressed is None:
@@ -180,10 +182,11 @@ def test_run_bcsgd_steps_on_live_factors(dims, m, seed, ordering):
             assert q.tobytes() == compressed[2].tobytes() and c == compressed[1]
         # the factors come from the run's own inputs: (R^T, Y Q) when compressed
         _assert_live_factors(run.work, samples, ell, a, bx)
-        assert ranks_ == ranks
         _assert_layer_one_spectrum(run, ell, a, bx)
         checked.append(ell)
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks_)
+        record = core(run, ell, iteration, sweep, a, bx, eta, rng, tracker)
+        assert run.ranks == ranks
+        return record
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgd, "_bcsgd_step_core", step)
@@ -274,15 +277,15 @@ def _recording_cancellation(figures):
     apart in the loss."""
     core = sgd._bcsgd_step_core
 
-    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks):
+    def step(run, ell, iteration, sweep, a, bx, eta, rng, tracker):
         sb = np.linalg.svd(bx, compute_uv=False)
         net_, x = run.work, run.samples.x
-        sigma = sb[sgd._bx_rank(net_, ell, ranks[1]) - 1]
+        sigma = sb[sgd._bx_rank(net_, ell, run.ranks[1]) - 1]
         norm_a = np.linalg.norm(a)
         below = _norm_product(net_.layers[: ell - 1] + [x]) / sigma if sigma > 0 else 0.0
         above = _norm_product(net_.layers[ell:]) / norm_a if norm_a > 0 else 0.0
         figures.append(max(below, above))
-        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker, ranks)
+        return core(run, ell, iteration, sweep, a, bx, eta, rng, tracker)
 
     return step
 

@@ -102,6 +102,14 @@ def test_min_depth_inside_basin_returns_one():
     assert min_depth_one_sweep(x, w_star, initial_dist=0.0, eta=1.0) == 1
 
 
+@pytest.mark.parametrize("initial_dist", [math.nan, math.inf, -math.inf])
+def test_min_depth_rejects_a_non_finite_initial_distance(initial_dist):
+    x = np.diag([2.0, math.sqrt(2.0)])
+    w_star = np.array([[1.0, 1.0]])
+    with pytest.raises(ValueError, match="initial_dist must be finite"):
+        min_depth_one_sweep(x, w_star, initial_dist=initial_dist, eta=1.0)
+
+
 def test_min_depth_monotone_in_initial_distance():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 30))
