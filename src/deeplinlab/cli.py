@@ -299,6 +299,8 @@ def read_trajectory_csv(path) -> Trajectory:
 
     ``meta`` holds each ``# key=value`` line's value parsed back from its
     ``repr`` (the raw text when it is no Python literal, such as ``nan``).
+    A malformed file raises ValueError naming *path* (and, for a field that
+    is no number, the 1-based line number).
     """
     meta: dict = {}
     records = []
@@ -306,7 +308,7 @@ def read_trajectory_csv(path) -> Trajectory:
     prev_dist = math.nan
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -328,19 +330,21 @@ def read_trajectory_csv(path) -> Trajectory:
             parts = line.split(",")
             if len(parts) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: bad row {line!r}")
-            gamma = float(parts[7]) if parts[7] else None
-            rec = StepRecord(
-                iteration=int(parts[0]),
-                sweep=int(parts[1]),
-                layer=int(parts[2]),
-                lr=float(parts[3]),
-                loss_before=prev_loss,
-                loss_after=float(parts[4]),
-                dist_before=prev_dist,
-                dist_after=float(parts[5]),
-                grad_frobenius=float(parts[8]),
-                gamma_bound=gamma,
-            )
+            try:
+                rec = StepRecord(
+                    iteration=int(parts[0]),
+                    sweep=int(parts[1]),
+                    layer=int(parts[2]),
+                    lr=float(parts[3]),
+                    loss_before=prev_loss,
+                    loss_after=float(parts[4]),
+                    dist_before=prev_dist,
+                    dist_after=float(parts[5]),
+                    grad_frobenius=float(parts[8]),
+                    gamma_bound=float(parts[7]) if parts[7] else None,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
             records.append(rec)
             prev_loss = rec.loss_after
             prev_dist = rec.dist_after

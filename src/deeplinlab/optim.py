@@ -28,10 +28,11 @@ with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 no step touches an m-wide matrix.  ``_drive`` numbers the sweeps and
 ``_sweep`` picks each step's layer; BCGD and BCSGD runs differ only in the
 step core their ``_layerwise`` sweep runs.  The public single-step
-functions run the same step code (``_single_step``) on the full network
-and data (``_plain``), from the factors ``_sweep`` would hand out
-(``network._factors``): where ``_reduce`` engages nothing they give a
-run's records bit for bit.  BCGD and BCSGD steps end in ``_descend``.
+functions run the same step code (``_single_step``) from ``_at_state``:
+the full network and data (``_plain``) and the factors ``_sweep`` would
+hand out (``network._factors``); where ``_reduce`` engages nothing they
+give a run's records bit for bit.  Every runner replaces a layer through
+``_update``, and BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates: on the C- or F-contiguous operands the
@@ -49,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import Dataset
-from .losses import LossFunction, _objective, gradient_from_parts
+from .losses import LossFunction, _check_dims, _objective, gradient_from_parts
 from .matcore import _all_finite, _fro, _svals, numeric_rank
 from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
@@ -250,9 +251,7 @@ def compute_lr(
     state: SweepState,
 ) -> float:
     """Learning rate the policy would use for the state's next update."""
-    run = _plain(net, data, lf, math.nan)  # the step's run; no distance, so no optimum
-    ell = state.layer_to_update()
-    a, bx = _factors(net, data.x, ell)
+    run, ell, a, bx = _at_state(state, net, data, lf)
     pred = a.dot(net.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
     spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
@@ -309,7 +308,9 @@ class _Run:
 
 
 def _plain(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
-    """The unreduced run of the public single-step functions: *net* on *data*."""
+    """The unreduced run of the public single-step functions: *net* on *data*
+    (``losses._check_dims`` first)."""
+    _check_dims(net, data)
     return _Run(net, net, data, data, None, 0.0, _resolve_oracle(net, data, lf, oracle_objective), lf)
 
 
@@ -330,7 +331,9 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     ``Dataset._compressed`` gives ``samples`` = ``(R^T, Y Q)``, the constant
     c every objective adds and Q (m x d_in), so every run on one dataset
     shares one QR; else ``samples`` is *data*, c is 0.0 and q is None.
+    The widths of *net* must match *data*'s (``losses._check_dims``).
     """
+    _check_dims(net, data)
     oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
     blocks = _head_blocks(net)
     samples, c, q = data._compressed if lf.power == 2 and data.m > data.d_in else (data, 0.0, None)
@@ -379,7 +382,7 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
     the layer.  ``||G||_F^2`` is computed on every step (it is the recorded
     ``grad_frobenius``, squared); only when it is not finite does the
     entrywise ``np.isfinite(G).all()`` run, so a finite G whose squared
-    norm overflows passes on to ``_descend``'s update check.
+    norm overflows passes on to ``_update``'s check.
     """
     w = run.work.layers[ell - 1]
     y, lf = run.samples.y, run.lf
@@ -400,27 +403,31 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
             a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
             bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
         )
-    return _descend(run, ell, iteration, sweep, a, w, bx, pred, lr, g, grad_fro, gamma)
+    return _descend(run, ell, iteration, sweep, a, bx, pred, lr, g, grad_fro, gamma)
 
 
-def _descend(run, ell, iteration, sweep, a, w, bx, pred, lr, g, grad_fro, gamma=None,
-             sample_index=None) -> StepRecord:
-    """The tail of every BCGD and BCSGD step: replace layer *ell* of
-    ``run.work`` (now *w*, predicting *pred*) by ``w - lr * g`` and record
-    the step of *iteration* and *sweep*; *sample_index* marks BCSGD.
-
-    The updated layer must be finite (``matcore._all_finite``), or
-    RuntimeError names the iteration and the layer; the layer is replaced
-    only after this check, and ``_record`` then checks the loss.
-    """
-    loss_before = _objective(pred, run.samples.y, run.lf) + run.c
-    new_w = w - lr * g
+def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
+    """The one layer update of every runner: layer *ell* of ``run.work``,
+    *w*, becomes ``w - lr * g`` (returned) once that is finite
+    (``matcore._all_finite``); else RuntimeError names the iteration and the layer."""
+    new_w = run.work.layers[ell - 1] - lr * g
     if not _all_finite(new_w):
         raise RuntimeError(
             f"non-finite update at iteration {iteration}, layer {ell} "
             f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
         )
     run.work.layers[ell - 1] = new_w
+    return new_w
+
+
+def _descend(run, ell, iteration, sweep, a, bx, pred, lr, g, grad_fro, gamma=None,
+             sample_index=None) -> StepRecord:
+    """The tail of every BCGD and BCSGD step: ``_update`` layer *ell* of
+    ``run.work`` (predicting *pred*) and record the step of *iteration*
+    and *sweep*; *sample_index* marks BCSGD.  ``_record`` checks the loss.
+    """
+    loss_before = _objective(pred, run.samples.y, run.lf) + run.c
+    new_w = _update(run, ell, iteration, lr, g, grad_fro)
     loss_after = _objective(a.dot(new_w).dot(bx), run.samples.y, run.lf) + run.c
     return _record(
         run, iteration, sweep, ell, lr, loss_before, loss_after, grad_fro, gamma, sample_index
@@ -466,14 +473,22 @@ def bcgd_step(
     for the theory_l2 policy (its rate guarantee applies there).  The
     step is ``run_bcgd``'s, with the theory_l2 ranks taken at this state.
     """
-    return _single_step(state, _plain(net, data, lf, oracle_objective), _step_core, policy)
+    return _single_step(state, net, data, lf, oracle_objective, _step_core, policy)
 
 
-def _single_step(state: SweepState, run: _Run, core, *args) -> StepRecord:
-    """The runner's *core* at the state's next layer, on the factors ``_sweep``
-    would hand out there, numbered from the state, which then advances."""
+def _at_state(state: SweepState, net, data, lf, oracle_objective=math.nan):
+    """``(run, ell, A, B X)`` at the state's next step, the one entry of the
+    single steps and state views: ``_plain``'s run (a state view reads no
+    distance, so no optimum), the layer and its ``network._factors``."""
+    run = _plain(net, data, lf, oracle_objective)
     ell = state.layer_to_update()
-    a, bx = _factors(run.work, run.samples.x, ell)
+    return (run, ell, *_factors(net, data.x, ell))
+
+
+def _single_step(state: SweepState, net, data, lf, oracle_objective, core, *args) -> StepRecord:
+    """The runner's *core* at the state's next step (``_at_state``), numbered
+    from the state, which then advances."""
+    run, ell, a, bx = _at_state(state, net, data, lf, oracle_objective)
     record = core(run, ell, state.iteration + 1, state.sweep + 1, a, bx, *args)
     state.advance()
     return record
@@ -565,26 +580,23 @@ def _check_gd_eta(eta: float) -> None:
 
 def _gd_step_core(run: _Run, step: int, eta: float) -> StepRecord:
     """GD iteration *step* on ``run.work`` and ``run.samples``; the caller
-    has checked *eta* (``_check_gd_eta``)."""
+    has checked *eta* (``_check_gd_eta``).  Every gradient is taken, and
+    checked as ``_step_core`` checks its G, before any layer moves."""
     net, x, y, lf = run.work, run.samples.x, run.samples.y, run.lf
     factors = list(_sweep(net, x, "ascending"))  # (l, A, B X) for l = 1..L, none moved yet
     pred = factors[0][1].dot(net.layers[0]).dot(x)  # B X at layer 1 is x
     d = lf.deriv(pred, y)
     grads = [gradient_from_parts(a, bx, d) for _l, a, bx in factors]
-    for l, g in enumerate(grads, start=1):
-        if not _all_finite(g):
+    g2s = [float(np.sum(g * g)) for g in grads]
+    for l, (g, g2) in enumerate(zip(grads, g2s), start=1):
+        if not math.isfinite(g2) and not np.isfinite(g).all():
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")
-    total_g2 = sum(float(np.sum(g * g)) for g in grads)
     loss_before = _objective(pred, y, lf) + run.c
-    for l, g in enumerate(grads, start=1):
-        new_w = net.layers[l - 1] - eta * g
-        if not _all_finite(new_w):
-            raise RuntimeError(
-                f"non-finite GD update at GD iteration {step}, layer {l} (eta {eta:.6g})"
-            )
-        net.layers[l - 1] = new_w
+    lr = float(eta)
+    for l, (g, g2) in enumerate(zip(grads, g2s), start=1):
+        _update(run, l, step, lr, g, math.sqrt(g2))
     loss_after = _objective(end_to_end(net).dot(x), y, lf) + run.c
-    return _record(run, step, step, 0, float(eta), loss_before, loss_after, math.sqrt(total_g2))
+    return _record(run, step, step, 0, lr, loss_before, loss_after, math.sqrt(sum(g2s)))
 
 
 def run_gd(

@@ -15,7 +15,8 @@ head chain, and for m > d_in the samples ``(R^T, Y Q)`` of ``X^T = Q R``):
 a step costs O(n^2 d_in + m d_in^2) plus the SVDs of A and the n x d_in
 ``C = B R^T`` (``optim._spectra``), or O(n^2 m) uncompressed.  ``bcsgd_step``
 takes that step from a ``SweepState``, and ``sampling_distribution``,
-``bcsgd_lr`` and ``floor_brackets`` see the state as the step does (``_evaluate``).
+``bcsgd_lr`` and ``floor_brackets`` see the state as the step does: ``_evaluate``
+of ``optim._at_state``.
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -43,16 +44,16 @@ import numpy as np
 from .data import Dataset
 from .losses import LossFunction, l2
 from .matcore import _column_sums, _fro
-from .network import Network, _factors
+from .network import Network
 from .optim import (
     StepRecord,
     SweepState,
     Trajectory,
+    _at_state,
     _check_ordering,
     _descend,
     _drive,
     _layerwise,
-    _plain,
     _reduce,
     _single_step,
     _spectra,
@@ -149,18 +150,10 @@ def _evaluate(run, ell: int, a, bx, eta=None, tracker=None):
     return weights, mass, sa, sb, k
 
 
-def _at_state(net: Network, data: Dataset, state: SweepState, eta=None, tracker=None):
-    """``_evaluate`` at the state's next layer, as a step from the state sees it."""
-    run = _plain(net, data, l2(), math.nan)  # the step's run; no distance, so no optimum
-    ell = state.layer_to_update()
-    a, bx = _factors(net, data.x, ell)
-    return _evaluate(run, ell, a, bx, eta, tracker)
-
-
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
     """The importance distribution over examples for the state's next
     update: the one ``bcsgd_step`` draws from."""
-    weights, mass = _at_state(net, data, state)[:2]
+    weights, mass = _evaluate(*_at_state(state, net, data, l2()))[:2]
     return SampleDist(probs=weights / mass)
 
 
@@ -169,7 +162,7 @@ def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float)
     _check_eta(eta)
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
-    weights, _mass, sa, sb, k = _at_state(net, data, state)
+    weights, _mass, sa, sb, k = _evaluate(*_at_state(state, net, data, l2()))
     weight = float(weights[i])
     if weight <= 0.0:
         raise ValueError(f"sampled column {i} has zero weight")
@@ -277,7 +270,7 @@ def floor_brackets(
     _check_eta(eta)
     if tracker is None:
         tracker = BoundsTracker()
-        _at_state(net, data, state, eta, tracker)
+        _evaluate(*_at_state(state, net, data, l2()), eta, tracker)
     L = net.depth
     oracle_loss = float(oracle_loss)
     available = (
@@ -321,8 +314,7 @@ def bcsgd_step(
     """
     _require_l2(lf)
     _check_eta(eta)
-    run = _plain(net, data, lf, oracle_objective)
-    return _single_step(state, run, _bcsgd_step_core, eta, rng, tracker)
+    return _single_step(state, net, data, lf, oracle_objective, _bcsgd_step_core, eta, rng, tracker)
 
 
 def _require_l2(lf: LossFunction) -> None:
@@ -349,8 +341,7 @@ def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker):
     weights, mass, sa, sb, k = _evaluate(run, ell, a, bx, eta, tracker)
     i = _draw(weights / mass, rng)
     lr = _rate(sa, sb, k, eta, float(weights[i]))
-    w = run.work.layers[ell - 1]
-    pred = a.dot(w).dot(bx)
+    pred = a.dot(run.work.layers[ell - 1]).dot(bx)
     if q is None:
         col, pred_i = bx[:, i], pred[:, i]
     else:
@@ -358,9 +349,7 @@ def _bcsgd_step_core(run, ell, iteration, sweep, a, bx, eta, rng, tracker):
         col, pred_i = bx.dot(q_i), pred.dot(q_i)
     grad_i = np.outer(a.T.dot(pred_i - run.data.y[:, i]), col)
     grad_fro = _fro(grad_i)
-    return _descend(
-        run, ell, iteration, sweep, a, w, bx, pred, lr, grad_i, grad_fro, sample_index=i
-    )
+    return _descend(run, ell, iteration, sweep, a, bx, pred, lr, grad_i, grad_fro, sample_index=i)
 
 
 def run_bcsgd(

@@ -151,6 +151,10 @@ def _gamma_from_spectra(
 ) -> float:
     """``gamma_factor`` from the singular values of A and B X (and their shapes).
 
+    A rank outside ``1..min(shape)`` is one the matrix cannot carry: r = 0
+    (a rank-0 X, or a top layer with no rows) as much as a rank above the
+    smaller side.  Its condition number is infinite and the bound 1.
+
     B X is conditioned by its r_x-th singular value, r_x the rank of X,
     even above a bottleneck narrower than r_x, where B X cannot carry that
     rank: there the bound is 1, vacuous, as acceptance 9 requires.  The
@@ -161,8 +165,8 @@ def _gamma_from_spectra(
     (``sgd._bx_rank``) for another reason: the rate must train every
     layer, and the bracket must bound the floor the chain can reach.
     """
-    ka = math.inf if r > min(a_shape) else _kappa_r_from_svals(a_svals, a_shape, r)
-    kb = math.inf if r_x > min(bx_shape) else _kappa_r_from_svals(bx_svals, bx_shape, r_x)
+    ka = _kappa_r_from_svals(a_svals, a_shape, r) if 1 <= r <= min(a_shape) else math.inf
+    kb = _kappa_r_from_svals(bx_svals, bx_shape, r_x) if 1 <= r_x <= min(bx_shape) else math.inf
     denom = ka * ka * kb * kb
     branch = 1.0 - eta / denom if math.isfinite(denom) else 1.0
     return max(branch, eta - 1.0)

@@ -446,6 +446,53 @@ def test_verify_command_exit_codes(tmp_path):
     assert main(["verify", "--trajectory", str(tmp_path / "nog.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("truncated_header", "unexpected header"),
+        ("no_header", "no header found"),
+        ("short_row", "bad row"),
+        ("non_numeric_field", "non-numeric field"),
+    ],
+)
+def test_verify_names_the_path_of_a_malformed_trajectory(tmp_path, capsys, case, message):
+    lines = (VERIFY_RUNS / "verify_optimal.csv").read_text().splitlines()
+    h = next(i for i, line in enumerate(lines) if not line.startswith("#"))  # the header
+    where = ""
+    if case == "truncated_header":
+        lines[h] = lines[h][:-5]
+    elif case == "no_header":
+        lines = lines[:h]
+    elif case == "short_row":
+        lines[h + 1] = lines[h + 1].rsplit(",", 1)[0]
+    else:
+        parts = lines[h + 1].split(",")
+        parts[3] = "abc"  # the lr column
+        lines[h + 1] = ",".join(parts)
+        where = f":{h + 2}"  # 1-based line number of the row
+    path = tmp_path / f"{case}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--trajectory", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}: ") and message in err
+
+
+def test_theory_run_on_a_rank_zero_x_is_vacuous(tmp_path, capsys):
+    # constant input columns normalize to X = 0, so r_x = 0: no B X carries
+    # that rank, every gamma bound is 1 and every step is skipped at rate 0
+    csv = tmp_path / "c.csv"
+    csv.write_text("".join(f"1,2,3,{i},{i * i % 7}\n" for i in range(1, 9)))
+    out = tmp_path / "run.csv"
+    assert main([
+        "train", "--csv", str(csv), "--d-in", "3", "--d-out", "2", "--depth", "3",
+        "--width", "4", "--policy", "theory:1", "--out", str(out),
+    ]) == 0
+    assert main(["verify", "--trajectory", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "audit over 3 step(s): OK, 3 vacuous (gamma >= 1), 3 skipped (rate floored to 0)"
+    )
+
+
 def test_oracle_command(tmp_path, capsys):
     assert main([
         "oracle", "--d-in", "5", "--d-out", "2", "--m", "25",
@@ -564,6 +611,18 @@ def test_gd_divergence_exits_one_with_iteration(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "run aborted" in err and "GD iteration 3" in err
+    assert not (tmp_path / "gd.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gd_non_finite_update_exits_one(tmp_path, capsys):
+    code = main([
+        "gd", "--d-in", "3", "--d-out", "2", "--m", "8", "--depth", "3", "--width", "4",
+        "--iters", "5", "--eta", "1e308", "--out", str(tmp_path / "gd.csv"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "run aborted: non-finite update at iteration 1, layer 1 (lr 1e+308, " in err
     assert not (tmp_path / "gd.csv").exists()
 
 

@@ -441,24 +441,85 @@ def test_width_fast_path_writes_heads_back_like_full_width(runner, fail_at):
         assert traj is None and ref_traj is None
 
 
-# The one update tail (optim._descend) and the one run loop (optim._drive)
+# The one layer update (optim._update) and the one run loop (optim._drive)
 # that BCGD, BCSGD and GD share.
 STEP_RATES = {"bcgd": (optim, "_lr_from_parts"), "bcsgd": (sgd, "_rate")}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("runner", sorted(STEP_RATES))
+@pytest.mark.parametrize("runner", [*sorted(STEP_RATES), "gd", "gd_step"])
 def test_non_finite_update_names_the_step_and_keeps_the_layer(monkeypatch, runner):
     data = make_data(d_in=4, d_out=2, m=10, seed=41)
     net = initialize(InitScheme("random"), (4, 4, 2), seed=42)
     before = [w.tobytes() for w in net.layers]
-    monkeypatch.setattr(*STEP_RATES[runner], lambda *args: math.inf)
+    if runner in STEP_RATES:
+        monkeypatch.setattr(*STEP_RATES[runner], lambda *args: math.inf)
     with pytest.raises(RuntimeError) as info:
         if runner == "bcgd":
             run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), oracle_objective=0.0)
-        else:
+        elif runner == "bcsgd":
             sgd.run_bcsgd(net, data, l2(), 0.5, 1, seed=43, oracle_objective=0.0)
-    assert str(info.value).startswith("non-finite update at iteration 1, layer 1 (lr inf, |G|_F ")
+        elif runner == "gd":  # GD's rate is its eta: 1e308 times any |G_ij| > 2 overflows
+            run_gd(net, data, l2(), 1e308, 1, oracle_objective=0.0)
+        else:
+            gd_step(net, data, l2(), 1e308, oracle_objective=0.0)
+    lr = "inf" if runner in STEP_RATES else "1e+308"
+    assert str(info.value).startswith(f"non-finite update at iteration 1, layer 1 (lr {lr}, |G|_F ")
+    assert [w.tobytes() for w in net.layers] == before
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gd_non_finite_gradient_names_the_iteration_and_keeps_every_layer():
+    # X * 1e155 against Y = 0: D and B X are both about 1e155, so G overflows
+    data = make_data(d_in=4, d_out=2, m=10, seed=48)
+    data = Dataset(x=data.x * 1e155, y=np.zeros((2, 10)))
+    net = initialize(InitScheme("random"), (4, 4, 2), seed=49)
+    before = [w.tobytes() for w in net.layers]
+    with pytest.raises(RuntimeError, match="^non-finite gradient at GD iteration 1, layer 1$"):
+        gd_step(net, data, l2(), 0.1, oracle_objective=0.0)
+    assert [w.tobytes() for w in net.layers] == before
+
+
+def _mismatched(kind):
+    """4 -> 3 data for a 4 -> 3 network, but with X of 5 rows ("input") or
+    Y of 1 row ("output")."""
+    rng = np.random.default_rng(50)
+    d_in, d_out = (5, 3) if kind == "input" else (4, 1)
+    return Dataset(x=rng.normal(size=(d_in, 10)), y=rng.normal(size=(d_out, 10)))
+
+
+# every function that builds a run, with its other arguments
+RUN_BUILDERS = {
+    "run_bcgd": lambda net, data: run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), max_sweeps=1),
+    "run_gd": lambda net, data: run_gd(net, data, l2(), 0.01, max_iters=1),
+    "run_bcsgd": lambda net, data: sgd.run_bcsgd(net, data, l2(), 0.5, 1, seed=0),
+    "bcgd_step": lambda net, data: bcgd_step(
+        net, data, l2(), SweepState(depth=2), LrPolicy("optimal_l2")
+    ),
+    "gd_step": lambda net, data: gd_step(net, data, l2(), 0.01),
+    "bcsgd_step": lambda net, data: sgd.bcsgd_step(
+        net, data, l2(), SweepState(depth=2), 0.5, np.random.default_rng(0)
+    ),
+    "compute_lr": lambda net, data: compute_lr(
+        LrPolicy("optimal_l2"), net, data, l2(), SweepState(depth=2)
+    ),
+    "sampling_distribution": lambda net, data: sgd.sampling_distribution(
+        net, data, SweepState(depth=2)
+    ),
+    "bcsgd_lr": lambda net, data: sgd.bcsgd_lr(net, data, SweepState(depth=2), 0, 0.5),
+    "floor_brackets": lambda net, data: sgd.floor_brackets(net, data, SweepState(depth=2), 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["input", "output"])
+@pytest.mark.parametrize("builder", sorted(RUN_BUILDERS))
+def test_width_mismatch_between_network_and_data_raises(builder, kind):
+    net = initialize(InitScheme("orth_identity"), (4, 6, 3), seed=0)
+    before = [w.tobytes() for w in net.layers]
+    data = _mismatched(kind)
+    want = f"network maps 4 -> 3 but data is {data.d_in} -> {data.d_out}"
+    with pytest.raises(ValueError, match=want):
+        RUN_BUILDERS[builder](net, data)
     assert [w.tobytes() for w in net.layers] == before
 
 

@@ -7,6 +7,7 @@ import pytest
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2
+from deeplinlab.network import Network
 from deeplinlab.optim import LrPolicy, StepRecord, SweepState, Trajectory, run_bcgd
 from deeplinlab.oracle import least_norm_solution
 from deeplinlab.theory import (
@@ -64,6 +65,27 @@ def test_gamma_factor_bottleneck_is_one():
     state = SweepState(depth=3, ordering="descending")
     gamma = gamma_factor(net, data, state, eta=1.0, r=2, r_x=6)
     assert gamma == 1.0
+
+
+def test_gamma_factor_rank_zero_is_one():
+    # a rank-0 X or a top layer with no rows: a rank no matrix carries
+    data = make_data(seed=3)
+    net = initialize(InitScheme("orth_identity"), (6, 6, 6, 2), seed=4)
+    state = SweepState(depth=3, ordering="descending")
+    assert gamma_factor(net, data, state, eta=1.0, r=0, r_x=6) == 1.0
+    assert gamma_factor(net, data, state, eta=1.0, r=2, r_x=0) == 1.0
+
+
+def test_theory_run_on_a_zero_row_top_layer_is_vacuous():
+    # the top layer has no rows, so r = 0: every rate is 0 and every gamma 1
+    rng = np.random.default_rng(10)
+    net = Network([rng.normal(size=(3, 3)), np.zeros((0, 3))])
+    data = Dataset(x=rng.normal(size=(3, 8)), y=np.zeros((0, 8)))
+    traj = run_bcgd(
+        net, data, l2(), LrPolicy("theory_l2", eta=1.0), max_sweeps=2,
+        target_dist=-math.inf, oracle_objective=0.0,
+    )
+    assert [(r.lr, r.gamma_bound) for r in traj.records] == [(0.0, 1.0)] * 4
 
 
 def test_gamma_factor_eta_two_branch():
