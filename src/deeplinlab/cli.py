@@ -300,7 +300,8 @@ def read_trajectory_csv(path) -> Trajectory:
     ``meta`` holds each ``# key=value`` line's value parsed back from its
     ``repr`` (the raw text when it is no Python literal, such as ``nan``).
     A malformed file raises ValueError naming *path* (and, for a field that
-    is no number, the 1-based line number).
+    is no number, the 1-based line number; for an ``initial_loss`` or
+    ``initial_dist`` that is none, the key).
     """
     meta: dict = {}
     records = []
@@ -324,8 +325,8 @@ def read_trajectory_csv(path) -> Trajectory:
                 if line != ",".join(CSV_COLUMNS):
                     raise ValueError(f"{path}: unexpected header {line!r}")
                 header_seen = True
-                prev_loss = float(meta.get("initial_loss", "nan"))
-                prev_dist = float(meta.get("initial_dist", "nan"))
+                prev_loss = _meta_float(path, meta, "initial_loss")
+                prev_dist = _meta_float(path, meta, "initial_dist")
                 continue
             parts = line.split(",")
             if len(parts) != len(CSV_COLUMNS):
@@ -351,6 +352,15 @@ def read_trajectory_csv(path) -> Trajectory:
     if not header_seen:
         raise ValueError(f"{path}: no header found")
     return Trajectory(records=records, meta=meta)
+
+
+def _meta_float(path, meta: dict, key: str) -> float:
+    """The float of meta *key* (nan when absent); ValueError naming *path*
+    and the key when it is no number."""
+    try:
+        return float(meta.get(key, "nan"))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: non-numeric # {key}= value {meta[key]!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gd", help="plain gradient-descent baseline")
     _add_common(p)
-    p.add_argument("--eta", type=float, help="constant rate; default n_L/(3L||X||^2)")
+    p.add_argument("--eta", type=float, help="constant rate; default n_L/(3L||X||^2), 0 if X = 0")
     p.add_argument("--iters", type=int, default=100)
     p.set_defaults(func=_cmd_gd)
 

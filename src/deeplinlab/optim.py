@@ -28,10 +28,10 @@ with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 no step touches an m-wide matrix.  ``_drive`` numbers the sweeps and
 ``_sweep`` picks each step's layer; BCGD and BCSGD runs differ only in the
 step core their ``_layerwise`` sweep runs.  The public single-step
-functions run the same step code (``_single_step``) from ``_at_state``:
-the full network and data (``_plain``) and the factors ``_sweep`` would
-hand out (``network._factors``); where ``_reduce`` engages nothing they
-give a run's records bit for bit.  Every runner replaces a layer through
+functions and state views enter through ``_at_state``: ``_reduce``'s run
+and the factors ``_sweep`` would hand out (``network._factors``); a single
+step is a one-sweep ``_drive`` of the runner's step code, so N of them give
+a run's N records bit for bit.  Every runner replaces a layer through
 ``_update``, and BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
@@ -252,10 +252,10 @@ def compute_lr(
 ) -> float:
     """Learning rate the policy would use for the state's next update."""
     run, ell, a, bx = _at_state(state, net, data, lf)
-    pred = a.dot(net.layers[ell - 1]).dot(bx)
-    g = gradient_from_parts(a, bx, lf.deriv(pred, data.y))
+    pred = a.dot(run.work.layers[ell - 1]).dot(bx)
+    g = gradient_from_parts(a, bx, lf.deriv(pred, run.samples.y))
     spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
-    return _lr_from_parts(policy, lf, spectra, a, bx, pred, data.y, g)
+    return _lr_from_parts(policy, lf, spectra, a, bx, pred, run.samples.y, g)
 
 
 def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
@@ -274,7 +274,7 @@ class _Run:
     trajectory's ``dims``, the snapshots, the distances (divided by
     ``data.m``), the ranks and the gamma bound's rank tolerances stay on
     them.  The steps train *work* on *samples*: ``_reduce``'s head chain
-    and compressed samples, or *net* and *data* themselves (``_plain``).
+    and compressed samples, or *net* and *data* where it declines.
     *q* is the compression's Q (m x d_in) or None, *c* the residual every
     recorded objective adds (0.0 uncompressed), *oracle_obj* the optimum's
     objective the distances are measured from and *lf* the loss.
@@ -305,13 +305,6 @@ class _Run:
         if self.work is not self.net:
             for w, block in zip(self.net.layers, self.work.layers):
                 w[: block.shape[0], : block.shape[1]] = block
-
-
-def _plain(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
-    """The unreduced run of the public single-step functions: *net* on *data*
-    (``losses._check_dims`` first)."""
-    _check_dims(net, data)
-    return _Run(net, net, data, data, None, 0.0, _resolve_oracle(net, data, lf, oracle_objective), lf)
 
 
 def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
@@ -353,19 +346,22 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     in place before each ``on_sweep_end(completed_sweeps, run.net)`` call
     (the snapshot hook) and when the run returns or raises, so the
     snapshots and the network end where the full-width run leaves them.
+    The loop runs with numpy's overflow and invalid-value warnings off: the
+    steps' finiteness checks raise on what those warnings would report.
     """
     traj = Trajectory(
         meta={"dims": run.net.dims, "loss": run.lf.name, "oracle_objective": run.oracle_obj, **meta}
     )
     records = traj.records
     try:
-        for done in range(1, sweeps + 1):
-            records.extend(sweep(done))
-            if on_sweep_end is not None:
-                run.write_back()
-                on_sweep_end(done, run.net)
-            if records[-1].dist_after <= target_dist:
-                break
+        with np.errstate(over="ignore", invalid="ignore"):
+            for done in range(1, sweeps + 1):
+                records.extend(sweep(done))
+                if on_sweep_end is not None:
+                    run.write_back()
+                    on_sweep_end(done, run.net)
+                if records[-1].dist_after <= target_dist:
+                    break
     finally:
         run.write_back()
     return traj
@@ -478,18 +474,19 @@ def bcgd_step(
 
 def _at_state(state: SweepState, net, data, lf, oracle_objective=math.nan):
     """``(run, ell, A, B X)`` at the state's next step, the one entry of the
-    single steps and state views: ``_plain``'s run (a state view reads no
+    single steps and state views: ``_reduce``'s run (a state view reads no
     distance, so no optimum), the layer and its ``network._factors``."""
-    run = _plain(net, data, lf, oracle_objective)
+    run = _reduce(net, data, lf, oracle_objective)
     ell = state.layer_to_update()
-    return (run, ell, *_factors(net, data.x, ell))
+    return (run, ell, *_factors(run.work, run.samples.x, ell))
 
 
 def _single_step(state: SweepState, net, data, lf, oracle_objective, core, *args) -> StepRecord:
     """The runner's *core* at the state's next step (``_at_state``), numbered
-    from the state, which then advances."""
+    from the state, as a one-sweep ``_drive``; the state then advances."""
     run, ell, a, bx = _at_state(state, net, data, lf, oracle_objective)
-    record = core(run, ell, state.iteration + 1, state.sweep + 1, a, bx, *args)
+    it, s = state.iteration + 1, state.sweep + 1
+    record = _drive(run, {}, 1, lambda _s: [core(run, ell, it, s, a, bx, *args)]).records[0]
     state.advance()
     return record
 
@@ -559,13 +556,15 @@ def gd_step(
     """One plain gradient-descent step: every layer moves simultaneously.
 
     All gradients are evaluated at the pre-step weights before any layer
-    changes, so the result does not depend on layer order.  A non-finite
-    gradient, update or loss raises RuntimeError naming the GD iteration
-    (one past the *state*'s sweeps; the state then advances one sweep).
+    changes, so the result does not depend on layer order.  The step is
+    ``run_gd``'s, as a one-sweep ``_drive``; a non-finite gradient, update
+    or loss raises RuntimeError naming the GD iteration (one past the
+    *state*'s sweeps; the state then advances one sweep).
     """
     _check_gd_eta(eta)
     step = state.sweep + 1 if state else 1
-    record = _gd_step_core(_plain(net, data, lf, oracle_objective), step, eta)
+    run = _reduce(net, data, lf, oracle_objective)
+    record = _drive(run, {}, 1, lambda _s: [_gd_step_core(run, step, eta)]).records[0]
     if state is not None:
         for _ in range(state.depth):
             state.advance()
@@ -621,5 +620,7 @@ def run_gd(
 
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:
-    """The literature reference rate n_L / (3 L ||X||^2) for plain GD."""
-    return net.dims[-1] / (3.0 * net.depth * float(data._x_svals[0]) ** 2)
+    """The literature reference rate n_L / (3 L ||X||^2) for plain GD; 0.0
+    (the skip-step convention) when the denominator is below 1e-300."""
+    denom = 3.0 * net.depth * float(data._x_svals[0]) ** 2
+    return 0.0 if denom < _DENOM_FLOOR else net.dims[-1] / denom

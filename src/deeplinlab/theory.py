@@ -40,7 +40,8 @@ __all__ = [
 
 DROP_RTOL = 1e-8  # acceptance 3: |drop - lr ||G||_F^2| <= 1e-8 loss_before
 # Slack of the gamma and monotone bounds: REL_SLACK |base| (dist_before, the cumulative
-# bound or loss_before) plus PEAK_SLACK times the run's largest dist_before or loss_before.
+# bound or loss_before) plus PEAK_SLACK times the run's largest dist_before or finite loss_before;
+# the drop bound adds the same PEAK_SLACK term, on losses.
 REL_SLACK = 1e-10
 PEAK_SLACK = 1e-14
 
@@ -284,14 +285,18 @@ def verify_trajectory(traj, gammas=None) -> AuditReport:
     return report
 
 
-def _drop_bounds(idx, rec):
+def _drop_bounds(rec, atol):
     """The optimal step's exact drop ``loss_after = loss_before - lr ||G||_F^2``,
-    missed by at most ``DROP_RTOL * |loss_before|``."""
+    missed by at most ``DROP_RTOL * |loss_before| + atol``.  *atol* is
+    ``PEAK_SLACK`` times the run's largest finite loss: the identity's rounding
+    error scales with the run's loss scale (the cancellation in
+    ``pred - y``), not with the current loss, which a noiseless run drives
+    towards 0."""
     try:
         expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
     except OverflowError:  # ||G||_F^2 beyond the float range: an infinite drop, none at rate 0
         expected = rec.loss_before - rec.lr * math.inf if rec.lr else rec.loss_before
-    limit = DROP_RTOL * abs(rec.loss_before)
+    limit = DROP_RTOL * abs(rec.loss_before) + atol
     return ((abs(rec.loss_after - expected), limit, {"loss_before": rec.loss_before,
              "loss_after": rec.loss_after, "expected": expected, "limit": limit}),)
 
@@ -309,10 +314,13 @@ def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -
     the floor skips the step) are counted as skipped.
     """
     records = traj.records
+    # the peak of the finite losses: a NaN (a CSV without its initial loss) fails the
+    # bounds of its own step, not the slack of every step
+    losses = [abs(r.loss_before) for r in records if math.isfinite(r.loss_before)]
+    atol = PEAK_SLACK * max(losses, default=0.0)
     if policy == "optimal_l2":
-        report = _replay(records, _drop_bounds)
+        report = _replay(records, lambda _idx, rec: _drop_bounds(rec, atol))
     elif policy in ("convex_safe", "near_optimal_general") and loss == "l2":
-        atol = PEAK_SLACK * max((abs(r.loss_before) for r in records), default=0.0)
 
         def step_bounds(idx, rec):
             bound = rec.loss_before + REL_SLACK * abs(rec.loss_before) + atol

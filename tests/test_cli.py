@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -453,6 +454,8 @@ def test_verify_command_exit_codes(tmp_path):
         ("no_header", "no header found"),
         ("short_row", "bad row"),
         ("non_numeric_field", "non-numeric field"),
+        ("initial_loss", "non-numeric # initial_loss="),
+        ("initial_dist", "non-numeric # initial_dist="),
     ],
 )
 def test_verify_names_the_path_of_a_malformed_trajectory(tmp_path, capsys, case, message):
@@ -465,6 +468,9 @@ def test_verify_names_the_path_of_a_malformed_trajectory(tmp_path, capsys, case,
         lines = lines[:h]
     elif case == "short_row":
         lines[h + 1] = lines[h + 1].rsplit(",", 1)[0]
+    elif case.startswith("initial_"):
+        k = next(i for i, line in enumerate(lines) if line.startswith(f"# {case}="))
+        lines[k] = f"# {case}=abc"
     else:
         parts = lines[h + 1].split(",")
         parts[3] = "abc"  # the lr column
@@ -475,6 +481,18 @@ def test_verify_names_the_path_of_a_malformed_trajectory(tmp_path, capsys, case,
     assert main(["verify", "--trajectory", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}{where}: ") and message in err
+
+
+@pytest.mark.parametrize("name", ["optimal", "convex"])
+def test_verify_holds_a_missing_initial_loss_against_the_first_step_only(tmp_path, capsys, name):
+    # without "# initial_loss=" the first loss_before is NaN: that step fails, and
+    # the slack the other steps take from the run's peak loss stays finite
+    lines = (VERIFY_RUNS / f"verify_{name}.csv").read_text().splitlines()
+    path = tmp_path / "run.csv"
+    path.write_text("\n".join(l for l in lines if not l.startswith("# initial_loss=")) + "\n")
+    assert main(["verify", "--trajectory", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert " 1 VIOLATION(S)" in out.splitlines()[0] and "'step': 0," in out
 
 
 def test_theory_run_on_a_rank_zero_x_is_vacuous(tmp_path, capsys):
@@ -491,6 +509,36 @@ def test_theory_run_on_a_rank_zero_x_is_vacuous(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "audit over 3 step(s): OK, 3 vacuous (gamma >= 1), 3 skipped (rate floored to 0)"
     )
+
+
+def test_gd_default_rate_on_a_rank_zero_x_skips_every_step(tmp_path, capsys):
+    # ||X||_2 = 0 floors the reference rate to 0, the skip-step convention
+    csv = tmp_path / "c.csv"
+    csv.write_text("".join(f"1,2,3,{i},{i * i % 7}\n" for i in range(1, 9)))
+    assert main([
+        "gd", "--csv", str(csv), "--d-in", "3", "--d-out", "2", "--depth", "3",
+        "--width", "4", "--iters", "3", "--out", str(tmp_path / "gd.csv"),
+    ]) == 0
+    assert " eta=0.0 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["0", "-inf"])
+def test_optimal_run_on_noiseless_data_passes_verify(tmp_path, capsys, target):
+    # Y = W X exactly: the loss falls towards 0, while the drop identity's rounding
+    # error stays at the run's starting loss scale (the peak slack covers it)
+    rows = []
+    for i in range(1, 41):
+        a, b, c, d = i, i * i % 11, 3 * i % 7, 5 * i * i % 13
+        rows.append(f"{a},{b},{c},{d},{a + 2 * b - c},{d - a}\n")
+    csv, out = tmp_path / "lin.csv", tmp_path / "run.csv"
+    csv.write_text("".join(rows))
+    assert main([
+        "train", "--csv", str(csv), "--d-in", "4", "--d-out", "2", "--depth", "3",
+        "--width", "4", "--sweeps", "200", "--target", target, "--policy", "optimal",
+        "--out", str(out),
+    ]) == 0
+    assert main(["verify", "--trajectory", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" step(s): OK")
 
 
 def test_oracle_command(tmp_path, capsys):
@@ -624,6 +672,22 @@ def test_gd_non_finite_update_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "run aborted: non-finite update at iteration 1, layer 1 (lr 1e+308, " in err
     assert not (tmp_path / "gd.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["gd", "--iters", "5", "--eta", "1e308"], id="gd-eta-1e308"),
+    pytest.param(["train", "--sweeps", "5", "--policy", "const:1e300"], id="train-const-1e300"),
+])
+def test_an_aborted_run_prints_only_its_message(tmp_path, capsys, argv):
+    # numpy's overflow and invalid-value warnings are off in the run loop: the
+    # finiteness checks report the failure, once
+    common = ["--d-in", "3", "--d-out", "2", "--m", "8", "--depth", "3", "--width", "4"]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main([*argv, *common, "--out", str(tmp_path / "r.csv")]) == 1
+    assert [str(w.message) for w in seen] == []
+    err = capsys.readouterr().err
+    assert err.startswith("run aborted: ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_depth_below_one_rejected(tmp_path, capsys):
@@ -889,7 +953,7 @@ audit over 10 step(s): 2 VIOLATION(S)
     "optimal": (3, lambda lr, _: lr * 1.001, """\
 audit over 12 step(s): 1 VIOLATION(S)
   violation at step 1: {'step': 1, 'iteration': 2, 'layer': 2, 'loss_before': 36.727757449630815, \
-'loss_after': 35.16214829279483, 'expected': 35.160582683638, 'limit': 3.6727757449630813e-07}
+'loss_after': 35.16214829279483, 'expected': 35.160582683638, 'limit': 3.672780895078019e-07}
 """),
     "convex": (4, lambda _, before: before * (1 + 1e-6), """\
 audit over 12 step(s): 1 VIOLATION(S)

@@ -100,6 +100,8 @@ def test_policy_validation():
 
 
 def test_zero_gradient_step_is_noop():
+    # m = 8 > d_in = 3: the step trains on the compressed samples (R^T, Y Q), as
+    # run_bcgd's does, where the exact fit leaves a rounding-level gradient
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 8))
     w = rng.normal(size=(2, 3))
@@ -107,9 +109,29 @@ def test_zero_gradient_step_is_noop():
     net = Network([w.copy()])
     state = SweepState(depth=1)
     rec = bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2"))
+    run = run_bcgd(Network([w.copy()]), data, l2(), LrPolicy("optimal_l2"), max_sweeps=1)
+    assert rec == run.records[0]
     assert np.allclose(net.layers[0], w)
     assert rec.loss_after == pytest.approx(rec.loss_before, abs=1e-18)
+
+
+def test_reference_gd_rate_of_a_zero_x_is_zero():
+    # ||X||_2 = 0: the denominator 3 L ||X||^2 is below the floor, so the step is skipped
+    data = Dataset(x=np.zeros((3, 5)), y=np.ones((2, 5)))
+    assert reference_gd_rate(Network([np.ones((2, 3))]), data) == 0.0
+
+
+def test_exact_zero_gradient_skips_the_step():
+    # m = d_in = 3: no compression, the fit is exact in floating point and G = 0
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 3))
+    w = rng.normal(size=(2, 3))
+    data = Dataset(x=x, y=w @ x)
+    net = Network([w.copy()])
+    rec = bcgd_step(net, data, l2(), SweepState(depth=1), LrPolicy("optimal_l2"))
+    assert rec.grad_frobenius == 0.0
     assert rec.lr == 0.0  # degenerate denominator -> skip-step convention
+    assert net.layers[0].tobytes() == w.tobytes()
 
 
 def test_exact_drop_identity_per_step():

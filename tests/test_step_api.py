@@ -1,15 +1,17 @@
 """The single-step API takes the runners' steps, bit for bit.
 
-``bcgd_step``, ``sgd.bcsgd_step`` and ``gd_step`` build their factors with
-``network._factors``, which hands out what ``optim._sweep`` hands a runner
-(the same products, associated the same way), and run the runners' step
-code.  So on a problem that ``optim._reduce`` leaves as it is (random
-layers, which have no zero off-diagonal blocks, and no sample compression:
-m <= d_in for the square loss, or the lp:4 loss), N single steps from a
+``bcgd_step``, ``sgd.bcsgd_step`` and ``gd_step`` train on the run the
+runners train on (``optim._reduce``: the head chain of a block-diagonal
+chain, and for the square loss with m > d_in the compressed samples), take
+their factors from ``network._factors``, which hands out what
+``optim._sweep`` hands a runner (the same products, associated the same
+way), and run the runners' step code as a one-sweep ``optim._drive``.  So
+on every problem, either reduction engaged or not, N single steps from a
 fresh ``SweepState`` give records equal (``==``) to the N records of the
-runner.  The state functions agree with those steps too: ``compute_lr``
-gives the next record's rate, ``bcsgd_lr`` at the drawn example its rate,
-and ``sampling_distribution`` the distribution the step draws from.
+runner, and leave the same layers.  The state functions agree with those
+steps too: ``compute_lr`` gives the next record's rate, ``bcsgd_lr`` at the
+drawn example its rate, and ``sampling_distribution`` the distribution the
+step draws from.
 
 Every step reads the ranks (r, r_x) from its run object (``optim._Run.ranks``,
 taken once per run, before any layer moves): ``run_bcgd`` and ``run_bcsgd``
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset
+from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2, lp
 from deeplinlab.network import Network
 from deeplinlab.optim import LrPolicy, SweepState, bcgd_step, compute_lr, gd_step, reference_gd_rate, run_bcgd, run_gd
@@ -45,18 +48,25 @@ orderings = st.sampled_from(optim.ORDERINGS)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def _problem(dims, m, seed, lf):
-    """Random layers and data on which ``optim._reduce`` engages nothing."""
+def _problem(dims, m, seed, head):
+    """Random data and a chain on which ``optim._reduce`` may engage either part.
+
+    With *head*, an orth-identity chain whose hidden widths exceed
+    max(d_in, d_out) (the width part, at depth 2 and above); else random
+    layers, which have no zero off-diagonal blocks.  The square loss
+    compresses the samples wherever m > d_in (the sample part).
+    """
     rng = np.random.default_rng(seed)
-    layers = [
-        rng.normal(0.0, 1.0 / np.sqrt(dims[l - 1]), size=(dims[l], dims[l - 1]))
-        for l in range(1, len(dims))
-    ]
-    m = m if lf.power != 2 else min(m, dims[0])
+    if head:
+        cap = max(dims[0], dims[-1])
+        dims = [dims[0], *(cap + n for n in dims[1:-1]), dims[-1]]
+        net = initialize(InitScheme("orth_identity"), dims, seed=seed)
+    else:
+        net = Network([
+            rng.normal(0.0, 1.0 / np.sqrt(dims[l - 1]), size=(dims[l], dims[l - 1]))
+            for l in range(1, len(dims))
+        ])
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
-    net = Network(layers)
-    run = optim._reduce(net, data, lf, 0.0)
-    assert run.work is net and run.samples is data
     return net, data
 
 
@@ -78,13 +88,13 @@ DIVERGES = pytest.mark.filterwarnings(
 @DIVERGES
 @settings(max_examples=80, deadline=None)
 @given(
-    dims=chains, m=st.integers(1, 8), seed=seeds, ordering=orderings,
-    sweeps=st.integers(1, 3), policy_name=st.sampled_from(sorted(POLICIES)),
+    dims=chains, m=st.integers(1, 8), seed=seeds, ordering=orderings, sweeps=st.integers(1, 3),
+    policy_name=st.sampled_from(sorted(POLICIES)), head=st.booleans(),
 )
-def test_bcgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, policy_name):
+def test_bcgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, policy_name, head):
     make_loss, policy = POLICIES[policy_name]
     lf = make_loss()
-    net, data = _problem(dims, m, seed, lf)
+    net, data = _problem(dims, m, seed, head)
     stepped = net.copy()
     want = _outcome(lambda: run_bcgd(
         net, data, lf, policy, ordering, max_sweeps=sweeps, target_dist=-math.inf
@@ -107,10 +117,10 @@ def test_bcgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, polic
 @settings(max_examples=60, deadline=None)
 @given(
     dims=chains, m=st.integers(1, 8), seed=seeds, ordering=orderings,
-    sweeps=st.integers(1, 3), eta=st.sampled_from([0.5, 1.0, 1.5]),
+    sweeps=st.integers(1, 3), eta=st.sampled_from([0.5, 1.0, 1.5]), head=st.booleans(),
 )
-def test_bcsgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, eta):
-    net, data = _problem(dims, m, seed, l2())
+def test_bcsgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, eta, head):
+    net, data = _problem(dims, m, seed, head)
     stepped = net.copy()
     want = _outcome(lambda: sgd.run_bcsgd(net, data, l2(), eta, sweeps, seed, ordering)[0].records)
     drawn_from = []
@@ -141,10 +151,13 @@ def test_bcsgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, eta)
 
 @DIVERGES
 @settings(max_examples=40, deadline=None)
-@given(dims=chains, m=st.integers(1, 8), seed=seeds, iters=st.integers(1, 4), lp4=st.booleans())
-def test_gd_steps_are_the_runners_steps(dims, m, seed, iters, lp4):
+@given(
+    dims=chains, m=st.integers(1, 8), seed=seeds, iters=st.integers(1, 4), lp4=st.booleans(),
+    head=st.booleans(),
+)
+def test_gd_steps_are_the_runners_steps(dims, m, seed, iters, lp4, head):
     lf = lp(4) if lp4 else l2()
-    net, data = _problem(dims, m, seed, lf)
+    net, data = _problem(dims, m, seed, head)
     stepped = net.copy()
     eta = reference_gd_rate(net, data)
     want = _outcome(lambda: run_gd(net, data, lf, eta, max_iters=iters, target_dist=-math.inf).records)
@@ -154,3 +167,42 @@ def test_gd_steps_are_the_runners_steps(dims, m, seed, iters, lp4):
         return [gd_step(stepped, data, lf, eta, state=state) for _ in range(iters)]
 
     assert _outcome(steps) == want
+    if isinstance(want, list):
+        assert all(w.tobytes() == v.tobytes() for w, v in zip(net.layers, stepped.layers))
+
+
+def test_steps_and_state_views_train_on_the_runners_reduced_run():
+    # an orth-identity chain wider than max(d_in, d_out) on m > d_in square-loss data:
+    # both parts of the reduction engage, and every entry point sees the runner's run
+    net = initialize(InitScheme("orth_identity"), (3, 7, 7, 2), seed=5)
+    rng = np.random.default_rng(6)
+    data = Dataset(x=rng.normal(size=(3, 12)), y=rng.uniform(-1, 2, size=(2, 12)))
+    run = optim._reduce(net, data, l2(), 0.0)
+    assert run.work is not net and run.samples is not data
+
+    for policy in (LrPolicy("optimal_l2"), LrPolicy("theory_l2", eta=1.0)):
+        ran, stepped, state = net.copy(), net.copy(), SweepState(depth=net.depth)
+        want = run_bcgd(ran, data, l2(), policy, max_sweeps=2, target_dist=-math.inf).records
+        got = []
+        for _ in want:
+            lr = compute_lr(policy, stepped, data, l2(), state)
+            got.append(bcgd_step(stepped, data, l2(), state, policy))
+            assert lr == got[-1].lr
+        assert got == want
+        assert all(w.tobytes() == v.tobytes() for w, v in zip(ran.layers, stepped.layers))
+
+    drawn_from, draw = [], sgd._draw
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgd, "_draw", lambda probs, rng: drawn_from.append(probs) or draw(probs, rng))
+        want = sgd.run_bcsgd(net.copy(), data, l2(), 0.5, 2, seed=7)[0].records
+    stepped, state, rng = net.copy(), SweepState(depth=net.depth), np.random.default_rng(7)
+    for probs, rec in zip(drawn_from, want):
+        assert sgd.sampling_distribution(stepped, data, state).probs.tobytes() == probs.tobytes()
+        assert sgd.bcsgd_lr(stepped, data, state, rec.sample_index, 0.5) == rec.lr
+        assert sgd.bcsgd_step(stepped, data, l2(), state, 0.5, rng) == rec
+
+    ran, stepped, state = net.copy(), net.copy(), SweepState(depth=net.depth)
+    eta = reference_gd_rate(net, data)
+    want = run_gd(ran, data, l2(), eta, max_iters=3, target_dist=-math.inf).records
+    assert [gd_step(stepped, data, l2(), eta, state=state) for _ in want] == want
+    assert all(w.tobytes() == v.tobytes() for w, v in zip(ran.layers, stepped.layers))

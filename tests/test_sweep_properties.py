@@ -115,8 +115,13 @@ def test_sweep_yields_live_factors_under_any_update(dims, m, seed, ordering, swe
 def test_run_bcgd_steps_on_live_factors(dims, m, seed, ordering, policy_name):
     net, data = _problem(dims, m, seed)
     make_loss, policy = POLICIES[policy_name]
-    # one pair per run, taken before any layer moves, as on the unreduced data
-    ranks = optim._plain(net, data, make_loss(), 0.0).ranks if policy.kind == "theory_l2" else None
+    # one pair per run, taken before any layer moves, as on the unreduced data:
+    # (r, r_x), the top layer's rank and X's, each ranked at its own shape
+    ranks = (
+        (spectral_summary(net.layers[-1]).numeric_rank, spectral_summary(data.x).numeric_rank)
+        if policy.kind == "theory_l2"
+        else None
+    )
     core = optim._step_core
     checked = []
 
