@@ -17,8 +17,9 @@ that writes creates its output's parent directory before it computes.
 
 Each RunConfig field is one long flag and one key of a flat ``key = value``
 config file (underscores for dashes), parsed alike; flags override file
-values.  The same RunConfig (seed included) always produces byte-identical
-CSV output.
+values.  A command takes only the keys it reads (``KEYS``): any other flag
+or config line is a configuration error.  The same RunConfig (seed included)
+produces byte-identical CSV output at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ def _key(default, help: str):
 
 @dataclass
 class RunConfig:
-    """Everything one training run needs.  Each field is one config key and
-    one ``--flag`` (dashes for underscores); its annotation says how both
-    parse their text (``_set_cfg``), and ``validate`` is the one value check."""
+    """Everything one run of a command needs.  Each field is one config key
+    and one ``--flag`` (dashes for underscores) of the commands that read it
+    (``KEYS``); its annotation says how both parse their text (``_set_cfg``),
+    and ``validate`` is the one value check."""
 
     d_in: int = 32
     d_out: int = 4
@@ -90,6 +92,9 @@ class RunConfig:
     rank: int | None = _key(None, "oracle rank, or auto for the chain's narrowest width")
     out: str | None = _key("trajectory.csv", "output path (gen-data has no default)")
     snapshots: int = 0
+    eta: float | None = _key(None, "bcsgd's rate in (0, 2); gd's, default n_L/(3L||X||^2), 0 if X = 0")
+    iters: int = 100
+    seeds: int = 20
 
     def dimension_chain(self) -> tuple:
         if self.dims is not None:
@@ -97,11 +102,10 @@ class RunConfig:
         width = self.width if self.width is not None else max(self.d_in, self.d_out)
         return (self.d_in,) + (width,) * (self.depth - 1) + (self.d_out,)
 
-    def validate(self, check_policy: bool = True) -> None:
-        """The one value check.  Only ``train`` uses ``policy``; the other
-        commands pass *check_policy* False (``gd`` and ``bcsgd`` take their
-        rate from ``--eta``), so they neither parse it nor match it
-        against the loss."""
+    def validate(self, command: str = "train") -> None:
+        """The one value check of a run of *command*, made before anything
+        is written.  The keys *command* does not read (``KEYS``) keep their
+        defaults, which pass."""
         if self.dims is None and self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
         chain = self.dimension_chain()
@@ -113,16 +117,17 @@ class RunConfig:
             )
         if self.order not in ("asc", "desc"):
             raise ConfigError("order must be asc or desc")
-        lows = {"m": 1, "sweeps": 0, "snapshots": 0, "seed": 0, "data_seed": 0, "spectrum_seed": 0}
+        lows = {"m": 1, "sweeps": 1 if command == "bcsgd" else 0, "snapshots": 0, "seed": 0,
+                "data_seed": 0, "spectrum_seed": 0, "iters": 1, "seeds": 1}
         if self.rank is not None:
             lows["rank"] = 1
         for key, low in lows.items():
             if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
+                raise ConfigError(f"{command} needs {key} >= {low}, got {getattr(self, key)}")
         if math.isnan(self.target):  # no distance compares to it: the run would never stop
             raise ConfigError(f"target must be a number, got {self.target}")
         lf = parse_loss(self.loss)
-        if check_policy:
+        if "policy" in KEYS[command]:
             policy = parse_policy(self.policy)
             if policy.kind in ("theory_l2", "optimal_l2") and lf.power != 2:
                 raise ConfigError(f"policy {self.policy!r} needs the l2 loss")
@@ -130,10 +135,32 @@ class RunConfig:
                 raise ConfigError(
                     f"policy {self.policy!r} does not match loss {self.loss!r}"
                 )
+        if command == "bcsgd" and self.eta is None:
+            raise ConfigError("bcsgd needs --eta (or an eta key in --config)")
+        if command == "bcsgd" and lf.power != 2:
+            raise ConfigError("bcsgd requires the l2 loss")
+        if self.eta is not None:
+            try:
+                (sgd._check_eta if command == "bcsgd" else _check_gd_eta)(self.eta)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+        if command == "gen-data" and self.out is None:
+            raise ConfigError("gen-data needs --out (or an out key in --config)")
         if self.init.replace("-", "_") not in KINDS:
             raise ConfigError(f"unknown init {self.init!r} (one of {', '.join(KINDS)})")
         if self.spectrum not in ("none", "shaped"):
             raise ConfigError("spectrum must be none or shaped")
+
+
+_DATA_KEYS = ("d_in", "d_out", "m", "data_seed", "spectrum", "spectrum_seed")
+_RUN_KEYS = (*_DATA_KEYS, "csv", "depth", "width", "dims", "init", "seed", "loss")
+KEYS = {  # each command's RunConfig keys, in field order: its only flags and config keys
+    "gen-data": (*_DATA_KEYS, "out"),
+    "oracle": (*_DATA_KEYS, "csv", "depth", "width", "dims", "rank"),
+    "train": (*_RUN_KEYS, "policy", "order", "sweeps", "target", "rank", "out", "snapshots"),
+    "gd": (*_RUN_KEYS, "target", "rank", "out", "eta", "iters"),
+    "bcsgd": (*_RUN_KEYS, "order", "sweeps", "rank", "out", "eta", "seeds"),
+}
 
 
 def parse_loss(text: str) -> losses.LossFunction:
@@ -200,14 +227,14 @@ def _make_out_dir(out) -> None:
         raise ConfigError(f"cannot create the directory of --out {out}: {exc}") from exc
 
 
-def _prepare(cfg: RunConfig, check_policy: bool = True) -> tuple[Dataset, losses.LossFunction, float]:
-    """Validate *cfg* (``validate(check_policy)``) and create its output
-    directory; return its dataset, loss and reference optimum."""
-    cfg.validate(check_policy)
+def _prepare(cfg: RunConfig, command: str = "train") -> tuple[Dataset, Network, losses.LossFunction, float]:
+    """Validate *cfg* for *command* and create its output directory; return
+    its dataset, network, loss and reference optimum."""
+    cfg.validate(command)
     _make_out_dir(cfg.out)
     data = build_dataset(cfg)
     lf = parse_loss(cfg.loss)
-    return data, lf, reference_objective(data, lf, _oracle_rank(cfg))
+    return data, build_network(cfg), lf, reference_objective(data, lf, _oracle_rank(cfg))
 
 
 def run_experiment(cfg: RunConfig) -> Trajectory:
@@ -217,8 +244,7 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
     sweeps, at ``--sweeps``, and at the sweep a run stops at on reaching
     ``--target`` early.
     """
-    data, lf, oracle_obj = _prepare(cfg)
-    net = build_network(cfg)
+    data, net, lf, oracle_obj = _prepare(cfg)
     policy = parse_policy(cfg.policy)
     chain = cfg.dimension_chain()
     ordering = "ascending" if cfg.order == "asc" else "descending"
@@ -369,10 +395,7 @@ def _meta_float(path, meta: dict, key: str) -> float:
 
 def _cmd_gen_data(args) -> int:
     cfg = _config_from_args(args, RunConfig(out=None))  # no default path to write
-    if cfg.out is None:
-        raise ConfigError("gen-data needs --out (or an out key in --config)")
-    cfg.csv = None
-    cfg.validate(check_policy=False)
+    cfg.validate("gen-data")
     _make_out_dir(cfg.out)
     dataset = build_dataset(cfg)
     write_csv(cfg.out, dataset)
@@ -389,19 +412,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_gd(args) -> int:
     cfg = _config_from_args(args)
-    if args.iters < 1:
-        raise ConfigError(f"gd needs iters >= 1, got {args.iters}")
-    if args.eta is not None:
-        _check_gd_eta(args.eta)
-    data, lf, oracle_obj = _prepare(cfg, check_policy=False)
-    net = build_network(cfg)
-    eta = args.eta
-    if eta is None:
-        eta = reference_gd_rate(net, data)
+    data, net, lf, oracle_obj = _prepare(cfg, "gd")
+    eta = reference_gd_rate(net, data) if cfg.eta is None else cfg.eta
     start = time.perf_counter()
     traj = run_gd(
         net, data, lf, eta,
-        max_iters=args.iters, target_dist=cfg.target,
+        max_iters=cfg.iters, target_dist=cfg.target,
         oracle_objective=oracle_obj, meta={"seed": cfg.seed, "init": cfg.init},
     )
     elapsed = time.perf_counter() - start
@@ -415,23 +431,15 @@ def _cmd_gd(args) -> int:
 
 def _cmd_bcsgd(args) -> int:
     cfg = _config_from_args(args)
-    if args.seeds < 1:
-        raise ConfigError(f"bcsgd needs seeds >= 1, got {args.seeds}")
-    if cfg.sweeps < 1:
-        raise ConfigError(f"bcsgd needs sweeps >= 1, got {cfg.sweeps}")
-    sgd._check_eta(args.eta)
-    if parse_loss(cfg.loss).power != 2:
-        raise ConfigError("bcsgd requires the l2 loss")
-    data, lf, oracle_obj = _prepare(cfg, check_policy=False)
+    data, net, lf, oracle_obj = _prepare(cfg, "bcsgd")
     ordering = "ascending" if cfg.order == "asc" else "descending"
     aggregate = sgd.BoundsTracker()
     tails = []
     out = Path(cfg.out)
-    net = build_network(cfg)  # every seed trains a copy; the bracket reads only its depth
-    for k in range(args.seeds):
+    for k in range(cfg.seeds):  # every seed trains a copy of net; the bracket reads only its depth
         run_seed = cfg.seed + k
         traj, tracker = sgd.run_bcsgd(
-            net.copy(), data, lf, args.eta, cfg.sweeps, run_seed,
+            net.copy(), data, lf, cfg.eta, cfg.sweeps, run_seed,
             ordering=ordering, oracle_objective=oracle_obj,
             meta={"init": cfg.init},
         )
@@ -443,7 +451,7 @@ def _cmd_bcsgd(args) -> int:
         print(f"seed {run_seed}: tail_mean_sq_dist={tails[-1]!r} -> {path}")
     bracket = sgd.floor_brackets(
         net, data, SweepState(depth=net.depth, ordering=ordering),
-        args.eta, oracle_obj, tracker=aggregate,
+        cfg.eta, oracle_obj, tracker=aggregate,
     )
     tail = float(np.mean(tails))
     print(
@@ -461,7 +469,7 @@ def _cmd_bcsgd(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
-    cfg.validate(check_policy=False)
+    cfg.validate("oracle")
     data = build_dataset(cfg)
     sol = rank_constrained_solution(data.x, data.y, _oracle_rank(cfg))
     print(
@@ -487,7 +495,7 @@ def _cmd_batch(args) -> int:
     for config_path in args.configs:
         print(f"== {config_path}")
         cfg = RunConfig()
-        _apply_config_file(cfg, config_path)
+        _apply_config_file(cfg, config_path, "train")
         run_experiment(cfg)
     return 0
 
@@ -498,7 +506,7 @@ def _cmd_batch(args) -> int:
 _CFG_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
-def _apply_config_file(cfg: RunConfig, path) -> None:
+def _apply_config_file(cfg: RunConfig, path, command: str) -> None:
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -511,22 +519,24 @@ def _apply_config_file(cfg: RunConfig, path) -> None:
             key, eq, value = stripped.partition("=")
             if not eq:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
-            _set_cfg(cfg, key.strip().replace("-", "_"), value.strip(), f"{path}:{lineno}")
+            _set_cfg(cfg, key.strip().replace("-", "_"), value.strip(), f"{path}:{lineno}", command)
 
 
 _PARSE = {  # a RunConfig annotation -> how its text parses (default: kept as text)
     "int": int,
     "float": float,
+    "float | None": float,
     "int | None": lambda raw: None if raw.lower() == "auto" else int(raw),
     "tuple | None": lambda raw: tuple(int(t) for t in raw.split(",")),
 }
 
 
-def _set_cfg(cfg: RunConfig, key: str, raw: str, where: str) -> None:
+def _set_cfg(cfg: RunConfig, key: str, raw: str, where: str, command: str) -> None:
     """Set field *key* of *cfg* from its text *raw*, a flag's or a config
-    file's, parsed by the field's annotation."""
-    if key not in _CFG_FIELDS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
+    file's, parsed by the field's annotation; a key *command* does not read
+    is a ConfigError."""
+    if key not in KEYS[command]:
+        raise ConfigError(f"{where}: {command} does not read key {key!r}")
     try:
         setattr(cfg, key, _PARSE.get(_CFG_FIELDS[key].type, str)(raw))
     except ValueError as exc:
@@ -537,22 +547,16 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags override")
-    for f in fields(RunConfig):
-        p.add_argument(_flag(f.name), dest=f.name, help=f.metadata.get("help"))
-
-
 def _config_from_args(args, cfg: RunConfig | None = None) -> RunConfig:
     """*cfg* (default ``RunConfig()``) with the ``--config`` file's keys and
     then the flags given applied to it."""
     cfg = RunConfig() if cfg is None else cfg
     if args.config:
-        _apply_config_file(cfg, args.config)
-    for name in _CFG_FIELDS:
+        _apply_config_file(cfg, args.config, args.command)
+    for name in KEYS[args.command]:
         raw = getattr(args, name)
         if raw is not None:
-            _set_cfg(cfg, name, raw, _flag(name))
+            _set_cfg(cfg, name, raw, _flag(name), args.command)
     return cfg
 
 
@@ -562,30 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Layer-wise training laboratory for deep linear networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="write a synthetic dataset CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train", help="run BCGD and emit a trajectory CSV")
-    _add_common(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("gd", help="plain gradient-descent baseline")
-    _add_common(p)
-    p.add_argument("--eta", type=float, help="constant rate; default n_L/(3L||X||^2), 0 if X = 0")
-    p.add_argument("--iters", type=int, default=100)
-    p.set_defaults(func=_cmd_gd)
-
-    p = sub.add_parser("bcsgd", help="stochastic runs plus floor-bracket report")
-    _add_common(p)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.set_defaults(func=_cmd_bcsgd)
-
-    p = sub.add_parser("oracle", help="print the global optimum's loss and norm")
-    _add_common(p)
-    p.set_defaults(func=_cmd_oracle)
+    for command, func, text in (
+        ("gen-data", _cmd_gen_data, "write a synthetic dataset CSV"),
+        ("train", _cmd_train, "run BCGD and emit a trajectory CSV"),
+        ("gd", _cmd_gd, "plain gradient-descent baseline"),
+        ("bcsgd", _cmd_bcsgd, "stochastic runs plus floor-bracket report"),
+        ("oracle", _cmd_oracle, "print the global optimum's loss and norm"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="flat key=value config file; flags override")
+        for name in KEYS[command]:  # a command's only flags: the keys it reads
+            p.add_argument(_flag(name), dest=name, help=_CFG_FIELDS[name].metadata.get("help"))
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="audit a trajectory CSV")
     p.add_argument("--trajectory", required=True)
@@ -623,9 +615,11 @@ def _is_number(tok: str) -> bool:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:  # a flag the command does not read: rejected before anything is written
+            raise ConfigError(f"{args.command} does not read {' '.join(unread)}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ __all__ = [
 
 DROP_RTOL = 1e-8  # acceptance 3: |drop - lr ||G||_F^2| <= 1e-8 loss_before
 # Slack of the gamma and monotone bounds: REL_SLACK |base| (dist_before, the cumulative
-# bound or loss_before) plus PEAK_SLACK times the run's largest dist_before or finite loss_before;
+# bound or loss_before) plus PEAK_SLACK times the run's largest finite dist_before or loss_before;
 # the drop bound adds the same PEAK_SLACK term, on losses.
 REL_SLACK = 1e-10
 PEAK_SLACK = 1e-14
@@ -227,6 +227,13 @@ class AuditReport:
         return f"audit over {self.n_steps} step(s): {status}{note}"
 
 
+def _peak_slack(values) -> float:
+    """PEAK_SLACK times the largest finite value of *values*, floored at 0: a NaN
+    (a CSV without its initial value) fails the bounds of its own step, not the
+    slack of every step."""
+    return PEAK_SLACK * max([0.0, *(v for v in values if math.isfinite(v))])
+
+
 def _replay(records, step_bounds) -> AuditReport:
     """Replay *records* against ``step_bounds(idx, rec)``, the bounds of step
     *idx* as ``(value, limit, fields)`` triples.  A bound fails unless
@@ -250,7 +257,7 @@ def verify_trajectory(traj, gammas=None) -> AuditReport:
     defaults to the per-record ``gamma_bound`` values.  Steps with
     gamma >= 1 are counted as vacuous (the bound still holds, it just
     guarantees nothing).  The slack is ``REL_SLACK * dist_before`` plus
-    ``PEAK_SLACK`` times the largest distance seen, which keeps
+    ``PEAK_SLACK`` times the largest finite distance seen, which keeps
     floating-point jitter at converged scales from raising violations.
     """
     records = traj.records
@@ -265,9 +272,14 @@ def verify_trajectory(traj, gammas=None) -> AuditReport:
         )
     if not records:
         return AuditReport(n_steps=0)
-    atol = PEAK_SLACK * max(max(r.dist_before for r in records), 0.0)
-    # cum_bounds[i + 1]: the first dist_before times the gamma^2 of steps 0..i
-    cum_bounds = list(accumulate(gammas, lambda c, g: c * g * g, initial=records[0].dist_before))
+    atol = _peak_slack(r.dist_before for r in records)
+    # the chain starts at the first finite dist_before (a CSV without its initial distance
+    # has a NaN first): cum_bounds[i + 1] is that distance times the gamma^2 of steps
+    # first..i, and that distance itself, or inf, for the steps before
+    first = next((i for i, r in enumerate(records) if math.isfinite(r.dist_before)), 0)
+    cum_bounds = [math.inf] * first + list(
+        accumulate(gammas[first:], lambda c, g: c * g * g, initial=records[first].dist_before)
+    )
 
     def step_bounds(idx, rec):
         gamma, cum_bound = gammas[idx], cum_bounds[idx + 1]
@@ -314,10 +326,7 @@ def audit_trajectory(traj, policy: str | None = None, loss: str | None = None) -
     the floor skips the step) are counted as skipped.
     """
     records = traj.records
-    # the peak of the finite losses: a NaN (a CSV without its initial loss) fails the
-    # bounds of its own step, not the slack of every step
-    losses = [abs(r.loss_before) for r in records if math.isfinite(r.loss_before)]
-    atol = PEAK_SLACK * max(losses, default=0.0)
+    atol = _peak_slack(abs(r.loss_before) for r in records)
     if policy == "optimal_l2":
         report = _replay(records, lambda _idx, rec: _drop_bounds(rec, atol))
     elif policy in ("convex_safe", "near_optimal_general") and loss == "l2":

@@ -128,14 +128,16 @@ def test_gen_data_and_train_from_csv(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
-SMALL_RUN = ["--d-in", "6", "--d-out", "2", "--m", "20", "--depth", "2", "--sweeps", "1"]
+SMALL_DATA = ["--d-in", "6", "--d-out", "2", "--m", "20"]
+SMALL_RUN = [*SMALL_DATA, "--depth", "2", "--sweeps", "1"]
 WRITING_COMMANDS = {  # argv without --out; batch reads its out from a config file
     "train": ["train", *SMALL_RUN],
-    "gd": ["gd", *SMALL_RUN, "--iters", "1"],
+    "gd": ["gd", *SMALL_DATA, "--depth", "2", "--iters", "1"],
     "bcsgd": ["bcsgd", *SMALL_RUN, "--eta", "0.5", "--seeds", "1"],
-    "gen-data": ["gen-data", *SMALL_RUN],
+    "gen-data": ["gen-data", *SMALL_DATA],
     "batch": None,
 }
+ORACLE = ["oracle", *SMALL_DATA, "--depth", "2"]  # oracle writes no file: no --out
 
 
 def _writing_argv(tmp_path, command, out):
@@ -193,6 +195,9 @@ FIELD_TEXTS = {  # RunConfig field: (its text as a flag or a config value, parse
     "rank": ("auto", None),
     "out": ("run.csv", "run.csv"),
     "snapshots": ("2", 2),
+    "eta": ("-0.5", -0.5),
+    "iters": ("9", 9),
+    "seeds": ("3", 3),
 }
 
 
@@ -205,10 +210,72 @@ def test_flag_and_config_key_build_equal_configs(tmp_path, key, raw, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {raw}\n")
     parser = cli.build_parser()
+    command = next(c for c in ("train", "gd", "bcsgd") if key in cli.KEYS[c])
     flag = f"--{key.replace('_', '-')}={raw}"  # = keeps -inf a value
-    from_flag = cli._config_from_args(parser.parse_args(["train", flag]))
-    from_file = cli._config_from_args(parser.parse_args(["train", "--config", str(config)]))
+    from_flag = cli._config_from_args(parser.parse_args([command, flag]))
+    from_file = cli._config_from_args(parser.parse_args([command, "--config", str(config)]))
     assert from_flag == from_file == replace(RunConfig(), **{key: value})
+
+
+UNREAD_KEYS = [  # (command, a RunConfig key it does not read)
+    (command, f.name) for command in sorted(cli.KEYS) for f in fields(RunConfig)
+    if f.name not in cli.KEYS[command]
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,key", UNREAD_KEYS)
+def test_keys_a_command_does_not_read_exit_two_before_any_compute(
+    tmp_path, capsys, monkeypatch, command, key, source
+):
+    # gd --snapshots 2 would write no snapshot, bcsgd --target 1e9 would run every
+    # sweep: a key the command ignores is rejected, and named, not dropped
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    out = tmp_path / "new" / "run.csv"
+    argv = [*WRITING_COMMANDS.get(command, ORACLE)]
+    if "out" in cli.KEYS[command]:
+        argv += ["--out", str(out)]
+    raw = FIELD_TEXTS[key][0]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", raw]
+        named = f"--{key.replace('_', '-')}"
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {raw}\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+        named = repr(key)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"{command} does not read" in err and named in err
+    assert not (tmp_path / "new").exists()
+
+
+def test_batch_rejects_a_key_train_does_not_read(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    argv = _writing_argv(tmp_path, "batch", tmp_path / "new" / "run.csv")
+    with open(argv[1], "a", encoding="utf-8") as fh:
+        fh.write("iters = 5\n")
+    assert main(argv) == 2
+    assert "train does not read key 'iters'" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_gd_and_bcsgd_take_their_own_keys_from_a_config_file(tmp_path, capsys):
+    common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2"]
+    (tmp_path / "gd.cfg").write_text("iters = 5\n")
+    assert main(["gd", *common, "--config", str(tmp_path / "gd.cfg"),
+                 "--out", str(tmp_path / "gd.csv")]) == 0
+    assert len(read_trajectory_csv(tmp_path / "gd.csv").records) == 5
+    (tmp_path / "sgd.cfg").write_text("eta = 0.5\nseeds = 2\n")
+    codes = [
+        main(["bcsgd", *common, "--sweeps", "3", *extra, "--out", str(tmp_path / name / "s.csv")])
+        for name, extra in (("file", ["--config", str(tmp_path / "sgd.cfg")]),
+                            ("flags", ["--eta", "0.5", "--seeds", "2"]))
+    ]
+    assert codes[0] == codes[1]
+    for seed in (0, 1):
+        name = f"s_seed{seed}.csv"
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    assert not (tmp_path / "file" / "s_seed2.csv").exists()
 
 
 @pytest.mark.parametrize("key,value", [("init", "glorot"), ("spectrum", "bogus"), ("order", "up")])
@@ -227,7 +294,7 @@ def test_values_outside_their_sets_exit_two_before_any_compute(
         with open(argv[1], "a", encoding="utf-8") as fh:
             fh.write(f"{key} = {value}\n")
     else:
-        argv = [*WRITING_COMMANDS.get(command, ["oracle", *SMALL_RUN]), "--out", str(out)]
+        argv = [*WRITING_COMMANDS[command], "--out", str(out)] if command != "oracle" else [*ORACLE]
         if source == "flag":
             argv += [f"--{key}", value]
         else:
@@ -257,8 +324,8 @@ def test_values_below_their_range_exit_two_before_the_out_directory(
 @pytest.mark.parametrize("argv", [
     ["train", *SMALL_RUN, "--policy", "const:nan"],
     ["train", *SMALL_RUN, "--policy", "const:inf"],
-    ["gd", *SMALL_RUN, "--eta", "nan"],
-    ["gd", *SMALL_RUN, "--eta", "inf"],
+    ["gd", *SMALL_DATA, "--depth", "2", "--eta", "nan"],
+    ["gd", *SMALL_DATA, "--depth", "2", "--eta", "inf"],
 ], ids=["const:nan", "const:inf", "gd-nan", "gd-inf"])
 def test_non_finite_rates_exit_two_before_any_compute(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_dataset", _no_compute)
@@ -345,18 +412,16 @@ def test_negative_flag_value_parses_as_a_value(tmp_path, value):
 
 
 @pytest.mark.parametrize("command", ["gd", "bcsgd", "gen-data", "oracle"])
-def test_only_train_checks_the_policy(tmp_path, command):
+def test_only_train_checks_the_policy(tmp_path, capsys, command):
     # gd and bcsgd take their rate from --eta, gen-data and oracle train
-    # nothing: a policy that would not suit the loss is no error for them
-    argv = WRITING_COMMANDS.get(command) or ["oracle", *SMALL_RUN]
-    runs = []
-    for extra in ([], ["--policy", "lp:4"]):
-        out = tmp_path / str(len(runs)) / "r.csv"
-        code = main([*argv, "--out", str(out), *extra])  # bcsgd's tiny run fails its bracket: 1
-        runs.append((code, [f.read_bytes() for f in sorted(out.parent.glob("*"))]))
-    assert runs[0] == runs[1] and runs[0][0] != 2
-    if command != "bcsgd":  # the default policy (optimal) needs l2, yet these run lp:4
-        assert main([*argv, "--out", str(tmp_path / "lp.csv"), "--loss", "lp:4"]) == 0
+    # nothing: a --policy they would ignore is rejected, and named
+    argv = (ORACLE if command == "oracle"
+            else [*WRITING_COMMANDS[command], "--out", str(tmp_path / "new" / "r.csv")])
+    assert main([*argv, "--policy", "lp:4"]) == 2
+    assert f"{command} does not read --policy lp:4" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    if command == "gd":  # the default policy (optimal) needs l2, yet gd runs lp:4
+        assert main([*argv, "--loss", "lp:4"]) == 0
     # train keeps the check
     assert main(["train", *SMALL_RUN, "--out", str(tmp_path / "t.csv"), "--policy", "lp:4"]) == 2
 
@@ -493,6 +558,21 @@ def test_verify_holds_a_missing_initial_loss_against_the_first_step_only(tmp_pat
     assert main(["verify", "--trajectory", str(path)]) == 1
     out = capsys.readouterr().out
     assert " 1 VIOLATION(S)" in out.splitlines()[0] and "'step': 0," in out
+
+
+def test_verify_holds_a_missing_initial_dist_against_the_first_step_only(tmp_path, capsys):
+    # without "# initial_dist=" the first dist_before is NaN: that step's own bound
+    # fails, the slack comes from the finite peak and the cumulative chain starts at
+    # the first finite distance, so no other bound reads the NaN
+    src = VERIFY_RUNS / "verify_theory.csv"
+    assert main(["verify", "--trajectory", str(src)]) == 0
+    path = tmp_path / "run.csv"
+    path.write_text("".join(l for l in src.read_text().splitlines(keepends=True)
+                            if not l.startswith("# initial_dist=")))
+    assert main(["verify", "--trajectory", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "audit over 10 step(s): 1 VIOLATION(S)"
+    assert "'step': 0," in out[2] and "'dist_before': nan" in out[2] and "cumulative" not in out[2]
 
 
 def test_theory_run_on_a_rank_zero_x_is_vacuous(tmp_path, capsys):
@@ -737,7 +817,7 @@ def test_train_divergence_exits_one_with_iteration_and_layer(tmp_path, capsys, r
     pytest.param({"--seeds": "-1"}, "seeds >= 1", id="seeds--1"),
     pytest.param({"--sweeps": "0"}, "sweeps >= 1", id="sweeps-0"),
     pytest.param({"--eta": "2.5"}, "eta must lie in (0, 2)", id="eta-2.5"),
-    pytest.param({"--loss": "lp:4", "--policy": "lp:4"}, "requires the l2 loss", id="loss-lp:4"),
+    pytest.param({"--loss": "lp:4"}, "requires the l2 loss", id="loss-lp:4"),
 ])
 def test_bcsgd_rejects_empty_runs(tmp_path, capsys, monkeypatch, change, message):
     monkeypatch.setattr(cli, "build_dataset", _no_compute)
@@ -853,10 +933,11 @@ def test_read_trajectory_csv_round_trips_meta(tmp_path, monkeypatch):
         emit(traj, path)
 
     monkeypatch.setattr(cli, "emit_trajectory_csv", capture)
-    common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2", "--sweeps", "2"]
-    assert main(["train", *common, "--width", "6", "--out", str(tmp_path / "t.csv")]) == 0
+    common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2"]
+    assert main(["train", *common, "--sweeps", "2", "--width", "6", "--out", str(tmp_path / "t.csv")]) == 0
     assert main(["gd", *common, "--iters", "3", "--out", str(tmp_path / "g.csv")]) == 0
-    main(["bcsgd", *common, "--eta", "0.5", "--seeds", "1", "--out", str(tmp_path / "s.csv")])
+    main(["bcsgd", *common, "--sweeps", "2", "--eta", "0.5", "--seeds", "1",
+          "--out", str(tmp_path / "s.csv")])
     assert len(written) == 3
     for traj, path in written:
         first = traj.records[0]

@@ -10,6 +10,7 @@ from deeplinlab.matcore import (
     compact_svd,
     cond_numbers,
     matrix_norms,
+    numeric_rank,
     pseudo_inverse,
     singular_values,
     spectral_summary,
@@ -141,6 +142,12 @@ def test_norm_sandwich_on_random_matrices():
         rank = max(summ.numeric_rank, 1)
         assert summ.spectral_norm <= summ.frobenius_norm + 1e-12
         assert summ.frobenius_norm <= math.sqrt(rank) * summ.spectral_norm + 1e-12
+
+
+def test_rank_tolerance_scales_with_the_longer_side():
+    # a 2 x 10 matrix: the tolerance is 10 eps sigma_max, so 3 eps counts as zero
+    eps = np.finfo(np.float64).eps
+    assert numeric_rank(np.array([1.0, 3 * eps]), (2, 10)) == 1
 
 
 def test_spectral_summary_consistency():

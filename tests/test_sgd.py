@@ -492,3 +492,13 @@ def test_every_bcsgd_view_rejects_a_non_finite_mass_alike(x, mass):
         with pytest.raises(ValueError, match=message):
             call()
     assert state.iteration == 1  # no step was taken
+
+
+def test_draw_never_picks_a_zero_weight_example():
+    # the inverse-CDF draw takes the first index whose cumulative weight exceeds u:
+    # at u = 0 that is index 1, not index 0 whose weight is 0
+    class Zero:
+        def random(self):
+            return 0.0
+
+    assert sgd._draw(np.array([0.0, 0.5, 0.5]), Zero()) == 1
