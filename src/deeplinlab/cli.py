@@ -560,10 +560,16 @@ def _config_from_args(args, cfg: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
+# Every parser takes a flag only as spelled in full (``--it`` is no ``--iters``)
+# and raises a bad command line to ``main`` as an ArgumentError, a config error.
+_STRICT = {"allow_abbrev": False, "exit_on_error": False}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deeplinlab",
         description="Layer-wise training laboratory for deep linear networks",
+        **_STRICT,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, func, text in (
@@ -573,17 +579,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("bcsgd", _cmd_bcsgd, "stochastic runs plus floor-bracket report"),
         ("oracle", _cmd_oracle, "print the global optimum's loss and norm"),
     ):
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, **_STRICT)
         p.add_argument("--config", help="flat key=value config file; flags override")
         for name in KEYS[command]:  # a command's only flags: the keys it reads
             p.add_argument(_flag(name), dest=name, help=_CFG_FIELDS[name].metadata.get("help"))
         p.set_defaults(func=func)
 
-    p = sub.add_parser("verify", help="audit a trajectory CSV")
+    p = sub.add_parser("verify", help="audit a trajectory CSV", **_STRICT)
     p.add_argument("--trajectory", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("batch", help="run each config file in sequence")
+    p = sub.add_parser("batch", help="run each config file in sequence", **_STRICT)
     p.add_argument("configs", nargs="+")
     p.set_defaults(func=_cmd_batch)
     return parser
@@ -616,12 +622,12 @@ def _is_number(tok: str) -> bool:
 
 def main(argv=None) -> int:
     argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
-    args, unread = build_parser().parse_known_args(argv)
     try:
+        args, unread = build_parser().parse_known_args(argv)
         if unread:  # a flag the command does not read: rejected before anything is written
             raise ConfigError(f"{args.command} does not read {' '.join(unread)}")
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:  # the latter: a flag with no value
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

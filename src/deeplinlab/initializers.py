@@ -40,15 +40,14 @@ def _orthogonal_stack(rng, count: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InitScheme:
-    """Selects one of KINDS plus the scheme-specific knobs.
+    """Selects one of KINDS.
 
-    ``variance_overrides`` gives per-layer sigma_j^2 for the random kind
-    (default 1/n_{j-1}); ``balanced_seed`` is the n_L x n_0 matrix the
-    balanced kind factors (drawn N(0, 1/n_0) when omitted).
+    The random kind draws layer j with variance 1/n_{j-1};
+    ``balanced_seed`` is the n_L x n_0 matrix the balanced kind factors
+    (drawn N(0, 1/n_0) when omitted).
     """
 
     kind: str
-    variance_overrides: tuple | None = None
     balanced_seed: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -81,14 +80,8 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
         return _balanced(scheme, dims, rng)
 
     if scheme.kind == "random":
-        layers = []
-        for j in range(1, L + 1):
-            if scheme.variance_overrides is not None:
-                var = float(scheme.variance_overrides[j - 1])
-            else:
-                var = 1.0 / dims[j - 1]
-            layers.append(rng.normal(0.0, np.sqrt(var), size=(dims[j], dims[j - 1])))
-        return Network(layers)
+        shapes = [(dims[j], dims[j - 1]) for j in range(1, L + 1)]
+        return Network([rng.normal(0.0, np.sqrt(1.0 / n), size=(k, n)) for k, n in shapes])
 
     # Each layer is one zero array with its random orthogonal head block of
     # size k written in, then a unit diagonal on [k:s, k:s], s = min(n_j,

@@ -1,4 +1,4 @@
-"""Loss functions, per-layer gradients, and error reports.
+"""Loss functions and per-layer gradients.
 
 The pointwise loss triple (value, deriv, curvature) is calculus
 consistent: ``deriv`` is d(value)/dz and ``curvature`` bounds |d2/dz2|.
@@ -20,11 +20,8 @@ from .network import Network, _factors, end_to_end
 
 __all__ = [
     "DISPLAY_FLOOR",
-    "ErrorReport",
     "LossFunction",
-    "error_report",
     "gradient_from_parts",
-    "j_matrix",
     "l2",
     "layer_gradient",
     "lp",
@@ -33,7 +30,7 @@ __all__ = [
     "total_loss",
 ]
 
-DISPLAY_FLOOR = 1e-10
+DISPLAY_FLOOR = 1e-10  # the floor of a displayed distance to optimum (``dist_display``)
 
 
 @dataclass(frozen=True)
@@ -113,16 +110,12 @@ def residual_objective(net: Network, data: Dataset, lf: LossFunction) -> float:
     return _objective(predictions(net, data), data.y, lf)
 
 
-def j_matrix(net: Network, data: Dataset, lf: LossFunction) -> np.ndarray:
-    """m x d_out matrix of pointwise loss derivatives at the predictions."""
-    return lf.deriv(predictions(net, data), data.y).T
-
-
 def gradient_from_parts(a: np.ndarray, bx: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Layer gradient A^T D (B X)^T from the three factored parts.
 
     *a* is the above-layer product W_{L:(l+1)}, *bx* is W_{(l-1):1} X and
-    *d* is the d_out x m derivative matrix (the transpose of J).
+    *d* is the d_out x m matrix of pointwise loss derivatives at the
+    predictions.
     """
     return a.T.dot(d).dot(bx.T)
 
@@ -136,33 +129,3 @@ def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> n
     d = lf.deriv(a @ net.layers[ell - 1] @ bx, data.y)
     return gradient_from_parts(a, bx, d)
 
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Loss and distance-to-optimum snapshot for one network state."""
-
-    total_loss: float
-    dist_to_opt: float        # raw (objective - oracle) / m, sign preserved
-    dist_display: float       # raw value floored at DISPLAY_FLOOR
-    residual_frobenius: float
-
-
-def error_report(
-    net: Network, data: Dataset, lf: LossFunction, oracle_loss: float
-) -> ErrorReport:
-    """Normalized distance to the optimum against a reference objective.
-
-    *oracle_loss* is the optimum's value of the tracked objective (for
-    the square loss: ||W* X - Y||_F^2 from the oracle module).  The raw
-    distance is (objective - oracle_loss) / m; the display value applies
-    the 1e-10 visualization floor.
-    """
-    pred = predictions(net, data)
-    raw = (_objective(pred, data.y, lf) - float(oracle_loss)) / data.m
-    resid = pred - data.y
-    return ErrorReport(
-        total_loss=float(np.sum(lf.value(pred, data.y))),
-        dist_to_opt=raw,
-        dist_display=max(raw, DISPLAY_FLOOR),
-        residual_frobenius=float(np.linalg.norm(resid, "fro")),
-    )

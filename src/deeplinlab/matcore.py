@@ -1,9 +1,9 @@
-"""Dense real-matrix substrate: SVD, pseudo-inverse, norms, condition numbers.
+"""Dense real-matrix substrate: SVD, pseudo-inverse, ranks and spectra.
 
 All routines operate on 2-D float64 numpy arrays and reject non-finite
 entries on the way in.  Rank decisions use the standard numerical-rank
-convention ``sigma <= max(rows, cols) * sigma_max * eps``.  Condition
-numbers of rank-deficient matrices come back as ``math.inf``; downstream
+convention ``sigma <= max(rows, cols) * sigma_max * eps``.  The condition
+number of a rank-deficient matrix comes back as ``math.inf``; downstream
 formulas rely on ``eta / inf == 0``.
 """
 
@@ -18,8 +18,6 @@ __all__ = [
     "SpectralSummary",
     "as_matrix",
     "compact_svd",
-    "cond_numbers",
-    "matrix_norms",
     "numeric_rank",
     "pseudo_inverse",
     "rank_tolerance",
@@ -146,12 +144,11 @@ def pseudo_inverse(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectral facts about one matrix: full spectrum, rank and norms."""
+    """Spectral facts about one matrix: full spectrum, rank and spectral norm."""
 
     singular_values: np.ndarray
     numeric_rank: int
     spectral_norm: float
-    frobenius_norm: float
 
 
 def spectral_summary(a) -> SpectralSummary:
@@ -161,40 +158,7 @@ def spectral_summary(a) -> SpectralSummary:
         singular_values=s,
         numeric_rank=numeric_rank(s, m.shape),
         spectral_norm=float(s[0]) if s.size else 0.0,
-        frobenius_norm=float(np.linalg.norm(m, "fro")),
     )
-
-
-def matrix_norms(a, p: float = 2.0, q: float = 2.0):
-    """Return ``(spectral, frobenius, pq, max)`` norms of *a*.
-
-    ``pq`` is the L_{p,q} norm: q-norm over columns of the p-norms down
-    each column, so L_{2,2} coincides with the Frobenius norm.
-    """
-    if p < 1 or q < 1:
-        raise ValueError(f"matrix L_pq norm needs p, q >= 1, got p={p}, q={q}")
-    m = as_matrix(a)
-    if m.size == 0:
-        return 0.0, 0.0, 0.0, 0.0
-    abs_m = np.abs(m)
-    col_p = np.sum(abs_m**p, axis=0) ** (1.0 / p)
-    pq = float(np.sum(col_p**q) ** (1.0 / q))
-    s = singular_values(m)
-    return float(s[0]), float(np.linalg.norm(m, "fro")), pq, float(abs_m.max())
-
-
-def cond_numbers(a, r: int) -> tuple[float, float]:
-    """``(kappa_r, kappa_scaled)``: sigma_max/sigma_r and ||A||_F/sigma_min.
-
-    Either ratio is ``inf`` when its denominator is numerically zero.
-    """
-    m = as_matrix(a)
-    s = singular_values(m)
-    kappa_r = _kappa_r_from_svals(s, m.shape, r)
-    smin = float(s[-1])
-    fro = float(np.linalg.norm(m, "fro"))
-    kappa_scaled = math.inf if smin <= rank_tolerance(m.shape, float(s[0])) else fro / smin
-    return kappa_r, kappa_scaled
 
 
 def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int) -> float:

@@ -62,29 +62,12 @@ from .optim import (
 __all__ = [
     "BoundsTracker",
     "FloorBracket",
-    "SampleDist",
     "bcsgd_lr",
     "bcsgd_step",
     "floor_brackets",
     "run_bcsgd",
     "sampling_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class SampleDist:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("probs must be a nonempty vector")
-        if not np.isfinite(p).all() or np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-12:
-            raise ValueError("probs must be finite, nonnegative and sum to 1")
-        object.__setattr__(self, "probs", p)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return _draw(self.probs, rng)
 
 
 def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
@@ -150,11 +133,11 @@ def _evaluate(run, ell: int, a, bx, eta=None, tracker=None):
     return weights, mass, sa, sb, k
 
 
-def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> SampleDist:
+def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> np.ndarray:
     """The importance distribution over examples for the state's next
-    update: the one ``bcsgd_step`` draws from."""
+    update, as its probability vector: the one ``bcsgd_step`` draws from."""
     weights, mass = _evaluate(*_at_state(state, net, data, l2()))[:2]
-    return SampleDist(probs=weights / mass)
+    return weights / mass
 
 
 def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float) -> float:

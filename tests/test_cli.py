@@ -16,7 +16,7 @@ import numpy as np
 
 from deeplinlab import cli
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, write_csv
-from deeplinlab.losses import error_report, l2
+from deeplinlab.losses import l2, residual_objective
 from deeplinlab.network import load_network, save_network
 from deeplinlab.oracle import optimal_loss
 
@@ -259,6 +259,19 @@ def test_batch_rejects_a_key_train_does_not_read(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("extra,named", [
+    (["--it", "3"], "gd does not read --it 3"),  # no prefix of --iters stands for it
+    (["--s", "1"], "gd does not read --s 1"),  # nor one of --seed, --spectrum, ...
+    (["--iters"], "argument --iters: expected one argument"),
+], ids=["abbreviated", "ambiguous-prefix", "no-value"])
+def test_a_bad_command_line_returns_two_from_main(tmp_path, capsys, monkeypatch, extra, named):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    argv = [*WRITING_COMMANDS["gd"], "--out", str(tmp_path / "new" / "run.csv"), *extra]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {named}\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_gd_and_bcsgd_take_their_own_keys_from_a_config_file(tmp_path, capsys):
     common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2"]
     (tmp_path / "gd.cfg").write_text("iters = 5\n")
@@ -446,9 +459,9 @@ def test_snapshots_spot_check(tmp_path):
         if sweep == 0 or sweep * 3 > len(traj.records):
             continue
         net = load_network(snap)
-        report = error_report(net, data, l2(), ref)
+        dist = (residual_objective(net, data, l2()) - ref) / data.m
         row = traj.records[sweep * 3 - 1]
-        assert report.dist_to_opt == pytest.approx(row.dist_after, rel=1e-9, abs=1e-15)
+        assert dist == pytest.approx(row.dist_after, rel=1e-9, abs=1e-15)
         checked += 1
     assert checked >= 5
 

@@ -88,12 +88,6 @@ def test_random_scheme_row_norms():
     assert 0.9 < row_sq.mean() < 1.1
 
 
-def test_random_scheme_variance_override():
-    scheme = InitScheme("random", variance_overrides=(4.0,))
-    net = initialize(scheme, (300, 100), seed=7)
-    assert 3.5 < net.layers[0].var() < 4.5
-
-
 def test_width_invariance_small_trajectories():
     x = gen_input_gaussian(8, 30, seed=0)
     y = gen_output_uniform(3, 30, seed=1)

@@ -4,9 +4,6 @@ import pytest
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import (
-    DISPLAY_FLOOR,
-    error_report,
-    j_matrix,
     l2,
     layer_gradient,
     lp,
@@ -87,24 +84,6 @@ def test_residual_objective_is_power_scaled():
     )
 
 
-def test_j_matrix_zero_at_optimum():
-    net, data = realizable_instance()
-    assert np.max(np.abs(j_matrix(net, data, l2()))) < 1e-12
-
-
-def test_j_matrix_single_example():
-    net = Network([np.array([[3.0]])])
-    data = Dataset(x=np.eye(1), y=np.array([[1.0]]))
-    assert np.allclose(j_matrix(net, data, l2()), [[2.0]])
-
-
-def test_j_matrix_l4_entrywise():
-    net, data = small_instance(seed=5)
-    pred = end_to_end(net) @ data.x
-    expected = ((pred - data.y) ** 3).T
-    assert np.allclose(j_matrix(net, data, lp(4)), expected, rtol=1e-12)
-
-
 def test_layer_gradient_zero_at_optimum():
     net, data = realizable_instance()
     for ell in range(1, net.depth + 1):
@@ -145,29 +124,13 @@ def test_dimension_mismatch_rejected():
         total_loss(net, bad, l2())
 
 
-def test_error_report_distance_identity():
+def test_distance_to_optimum_identity():
     net, data = small_instance(seed=8)
     w_star = least_norm_solution(data.x, data.y)
     ref = optimal_loss(data.x, data.y, min(net.dims))
-    report = error_report(net, data, l2(), ref)
+    dist = (residual_objective(net, data, l2()) - ref) / data.m
     direct = np.linalg.norm((end_to_end(net) - w_star) @ data.x, "fro") ** 2 / data.m
-    assert report.dist_to_opt == pytest.approx(direct, rel=1e-9)
-    assert report.residual_frobenius == pytest.approx(
-        float(np.linalg.norm(end_to_end(net) @ data.x - data.y, "fro")), rel=1e-12
-    )
-
-
-def test_error_report_display_floor():
-    net, data = realizable_instance()
-    ref = optimal_loss(data.x, data.y, min(net.dims))
-    report = error_report(net, data, l2(), ref)
-    assert abs(report.dist_to_opt) < 1e-12
-    assert report.dist_display == DISPLAY_FLOOR
-    # above the floor, raw and display agree
-    noisy, noisy_data = small_instance(seed=9)
-    ref2 = optimal_loss(noisy_data.x, noisy_data.y, min(noisy.dims))
-    rep2 = error_report(noisy, noisy_data, l2(), ref2)
-    assert rep2.dist_display == rep2.dist_to_opt > DISPLAY_FLOOR
+    assert dist == pytest.approx(direct, rel=1e-9)
 
 
 def test_l2_decomposition_identity():
@@ -196,9 +159,3 @@ def test_gradient_orth_identity_init_descends():
     before = total_loss(net, data, l2())
     net.layers[1] -= 1e-3 * g
     assert total_loss(net, data, l2()) < before
-
-
-def test_j_matrix_l2_is_exact_residual_transpose():
-    net, data = small_instance(seed=11)
-    pred = end_to_end(net) @ data.x
-    assert np.array_equal(j_matrix(net, data, l2()), (pred - data.y).T)

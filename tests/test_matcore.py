@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from deeplinlab.matcore import (
     _column_sums,
+    _kappa_r_from_svals,
     as_matrix,
     compact_svd,
-    cond_numbers,
-    matrix_norms,
     numeric_rank,
     pseudo_inverse,
     singular_values,
@@ -104,44 +103,15 @@ def test_singular_values_explicit_and_zero():
     assert np.array_equal(singular_values(np.zeros((2, 3))), np.zeros(2))
 
 
-def test_matrix_norms_identity():
-    spectral, fro, pq, mx = matrix_norms(np.eye(2), 2, 2)
-    assert pq == pytest.approx(math.sqrt(2))
-    assert mx == 1.0
-    assert spectral == pytest.approx(1.0)
-    assert fro == pytest.approx(math.sqrt(2))
-
-
-def test_matrix_norms_scalar():
-    for norm in matrix_norms(np.array([[3.0]]), 7, 3):
-        assert norm == pytest.approx(3.0)
-
-
-def test_matrix_norms_pq_against_direct_sum():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    _, _, pq, _ = matrix_norms(a, 4, 4)
-    assert pq == pytest.approx((1 + 16 + 81 + 256) ** 0.25)
-    # direct elementwise oracle for general p, q
-    p, q = 3.0, 5.0
-    cols = [sum(abs(a[i, j]) ** p for i in range(2)) ** (1 / p) for j in range(2)]
-    direct = sum(c**q for c in cols) ** (1 / q)
-    assert matrix_norms(a, p, q)[2] == pytest.approx(direct, rel=1e-12)
-
-
-@pytest.mark.parametrize("p,q", [(0.5, 2), (2, 0.9)])
-def test_matrix_norms_domain(p, q):
-    with pytest.raises(ValueError):
-        matrix_norms(np.eye(2), p, q)
-
-
 def test_norm_sandwich_on_random_matrices():
     rng = np.random.default_rng(21)
     for _ in range(10):
         a = rng.normal(size=rng.integers(1, 7, size=2))
         summ = spectral_summary(a)
         rank = max(summ.numeric_rank, 1)
-        assert summ.spectral_norm <= summ.frobenius_norm + 1e-12
-        assert summ.frobenius_norm <= math.sqrt(rank) * summ.spectral_norm + 1e-12
+        fro = np.linalg.norm(a, "fro")
+        assert summ.spectral_norm <= fro + 1e-12
+        assert fro <= math.sqrt(rank) * summ.spectral_norm + 1e-12
 
 
 def test_rank_tolerance_scales_with_the_longer_side():
@@ -155,37 +125,39 @@ def test_spectral_summary_consistency():
     summ = spectral_summary(a)
     assert summ.numeric_rank == 2
     assert summ.spectral_norm == pytest.approx(summ.singular_values[0])
-    assert summ.frobenius_norm**2 == pytest.approx(np.sum(summ.singular_values**2), rel=1e-10)
+    assert np.linalg.norm(a, "fro") ** 2 == pytest.approx(np.sum(summ.singular_values**2), rel=1e-10)
+
+
+def kappa_r(a, r):
+    return _kappa_r_from_svals(singular_values(a), a.shape, r)
 
 
 def test_cond_numbers_identity():
-    kr, kt = cond_numbers(np.eye(4), 4)
-    assert kr == pytest.approx(1.0)
-    assert kt == pytest.approx(2.0)  # ||I4||_F / sigma_min = sqrt(4)
+    assert kappa_r(np.eye(4), 4) == pytest.approx(1.0)
 
 
 def test_cond_numbers_rank_deficient():
-    kr, kt = cond_numbers(np.diag([2.0, 0.0]), 2)
-    assert kr == math.inf and kt == math.inf
+    # sigma_r numerically zero: kappa_r is inf
+    assert kappa_r(np.diag([2.0, 0.0]), 2) == math.inf
+    assert kappa_r(np.diag([2.0, 1e-17]), 2) == math.inf
 
 
 def test_cond_numbers_explicit_spectrum():
-    kr, kt = cond_numbers(np.diag([10.0, 1.0, 0.1]), 3)
-    assert kr == pytest.approx(100.0)
-    assert kt == pytest.approx(math.sqrt(100 + 1 + 0.01) / 0.1)
+    assert kappa_r(np.diag([10.0, 1.0, 0.1]), 3) == pytest.approx(100.0)
+    assert kappa_r(np.diag([10.0, 1.0, 0.1]), 2) == pytest.approx(10.0)
 
 
 def test_cond_numbers_r_out_of_range():
     with pytest.raises(ValueError):
-        cond_numbers(np.eye(3), 4)
+        kappa_r(np.eye(3), 4)
     with pytest.raises(ValueError):
-        cond_numbers(np.eye(3), 0)
+        kappa_r(np.eye(3), 0)
 
 
 def test_cond_numbers_monotone_in_r():
     rng = np.random.default_rng(33)
     a = rng.normal(size=(5, 5))
-    vals = [cond_numbers(a, r)[0] for r in range(1, 6)]
+    vals = [kappa_r(a, r) for r in range(1, 6)]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(4))
 
 

@@ -14,7 +14,6 @@ from deeplinlab.oracle import optimal_loss
 from deeplinlab.sgd import (
     BoundsTracker,
     FloorBracket,
-    SampleDist,
     bcsgd_lr,
     bcsgd_step,
     floor_brackets,
@@ -34,43 +33,32 @@ def make_instance(d_in=5, d_out=2, m=12, depth=2, seed=0, noise=0.0):
     return net, data
 
 
-def test_sample_dist_validation():
-    with pytest.raises(ValueError):
-        SampleDist(probs=np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        SampleDist(probs=np.array([-0.1, 1.1]))
-    for bad in ([0.5, np.nan, 0.5], [np.nan], [np.inf, 0.0], [np.inf, -np.inf, 1.0]):
-        with pytest.raises(ValueError, match="finite"):  # NaN fails no comparison
-            SampleDist(probs=np.array(bad))
-    SampleDist(probs=np.array([0.25, 0.75]))
-
-
 def test_sampling_uniform_for_orthonormal_columns():
     q = random_orthogonal(8, seed=1)
     x = q[:, :5]  # orthonormal columns, equal norms
     data = Dataset(x=x, y=np.zeros((2, 5)))
     net = initialize(InitScheme("orth_identity"), (8, 8, 2), seed=2)
-    dist = sampling_distribution(net, data, SweepState(depth=2))
-    assert np.allclose(dist.probs, np.full(5, 0.2), atol=1e-12)
+    probs = sampling_distribution(net, data, SweepState(depth=2))
+    assert np.allclose(probs, np.full(5, 0.2), atol=1e-12)
 
 
 def test_sampling_single_example():
     net, data = make_instance(m=1, seed=3)
-    dist = sampling_distribution(net, data, SweepState(depth=2))
-    assert np.allclose(dist.probs, [1.0])
+    probs = sampling_distribution(net, data, SweepState(depth=2))
+    assert np.allclose(probs, [1.0])
 
 
 def test_sampling_matches_column_oracle():
     net, data = make_instance(seed=4, depth=3)
     state = SweepState(depth=3, ordering="descending")
     state.advance()  # next update is layer 2: B = W_1
-    dist = sampling_distribution(net, data, state)
+    probs = sampling_distribution(net, data, state)
     b = partial_product(net, 1, 1)
     bx = b @ data.x
     weights = np.array(
         [float(np.sum((bx[:, i] @ bx) ** 2)) for i in range(data.m)]
     )
-    assert np.allclose(dist.probs, weights / weights.sum(), rtol=1e-12)
+    assert np.allclose(probs, weights / weights.sum(), rtol=1e-12)
 
 
 def test_sampling_degenerate_state_raises():
@@ -157,12 +145,11 @@ def test_bcsgd_rejects_non_l2():
 
 def test_empirical_frequencies_match_distribution():
     probs = np.array([0.05, 0.15, 0.3, 0.5])
-    dist = SampleDist(probs=probs)
     rng = np.random.default_rng(15)
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[dist.sample(rng)] += 1
+        counts[sgd._draw(probs, rng)] += 1
     freq = counts / n
     for p, f in zip(probs, freq):
         assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)

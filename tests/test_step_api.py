@@ -134,7 +134,8 @@ def test_bcsgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, eta,
         state, records = SweepState(depth=stepped.depth, ordering=ordering), []
         rng = np.random.default_rng(seed)
         for _ in range(sweeps * stepped.depth):
-            probs = sgd.sampling_distribution(stepped, data, state).probs
+            probs = sgd.sampling_distribution(stepped, data, state)
+            assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
             before, at = stepped.copy(), replace(state, multi_index=list(state.multi_index))
             records.append(sgd.bcsgd_step(stepped, data, l2(), state, eta, rng))
             assert probs.tobytes() == drawn_from[-1].tobytes()
@@ -197,7 +198,7 @@ def test_steps_and_state_views_train_on_the_runners_reduced_run():
         want = sgd.run_bcsgd(net.copy(), data, l2(), 0.5, 2, seed=7)[0].records
     stepped, state, rng = net.copy(), SweepState(depth=net.depth), np.random.default_rng(7)
     for probs, rec in zip(drawn_from, want):
-        assert sgd.sampling_distribution(stepped, data, state).probs.tobytes() == probs.tobytes()
+        assert sgd.sampling_distribution(stepped, data, state).tobytes() == probs.tobytes()
         assert sgd.bcsgd_lr(stepped, data, state, rec.sample_index, 0.5) == rec.lr
         assert sgd.bcsgd_step(stepped, data, l2(), state, 0.5, rng) == rec
 
