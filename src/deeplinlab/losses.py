@@ -113,11 +113,14 @@ def residual_objective(net: Network, data: Dataset, lf: LossFunction) -> float:
 def gradient_from_parts(a: np.ndarray, bx: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Layer gradient A^T D (B X)^T from the three factored parts.
 
-    *a* is the above-layer product W_{L:(l+1)}, *bx* is W_{(l-1):1} X and
-    *d* is the d_out x m matrix of pointwise loss derivatives at the
-    predictions.
+    *a* is the above-layer product W_{L:(l+1)} (n_L x n_l), *bx* is
+    W_{(l-1):1} X (n_(l-1) x m) and *d* is the n_L x m matrix of pointwise
+    loss derivatives at the predictions.  The product is associated through
+    the n_L-wide side, ``A^T (D (B X)^T)``: n_L n_(l-1) (m + n_l)
+    multiply-adds, where ``(A^T D) (B X)^T`` takes n_l m (n_L + n_(l-1)),
+    an n_l x n_(l-1) product over m, although D has only n_L = d_out rows.
     """
-    return a.T.dot(d).dot(bx.T)
+    return a.T.dot(d.dot(bx.T))
 
 
 def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> np.ndarray:

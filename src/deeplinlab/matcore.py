@@ -28,12 +28,19 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _sq_fro(a: np.ndarray) -> float:
+    """``||a||_F^2`` in one BLAS pass: the ``ravel("K").dot`` whose square
+    root ``np.linalg.norm(a, "fro")`` returns (its overflow warns unless
+    ignored)."""
+    v = a.ravel("K")
+    return float(v.dot(v))
+
+
 def _all_finite(m: np.ndarray, part: np.ndarray | None = None) -> bool:
     """Whether every entry of *part* (a part of *m*; default *m*) is finite.
-    The sum of squares of *m*, one BLAS pass, decides unless it is not finite
-    (its overflow warns unless ignored); then the entrywise test of *part* does."""
-    v = m.ravel("K")
-    return math.isfinite(v.dot(v)) or bool(np.isfinite(m if part is None else part).all())
+    The sum of squares of *m* (``_sq_fro``) decides unless it is not finite;
+    then the entrywise test of *part* does."""
+    return math.isfinite(_sq_fro(m)) or bool(np.isfinite(m if part is None else part).all())
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -62,9 +69,8 @@ def _contiguous(m: np.ndarray) -> np.ndarray:
 
 def _fro(a: np.ndarray) -> float:
     """``np.linalg.norm(a, "fro")`` bit for bit, without its wrapper: the
-    square root of the ``ravel("K").dot`` it takes itself."""
-    v = a.ravel("K")
-    return math.sqrt(v.dot(v))
+    square root of ``_sq_fro``, the ``ravel("K").dot`` it takes itself."""
+    return math.sqrt(_sq_fro(a))
 
 
 def _svals(a: np.ndarray) -> np.ndarray:

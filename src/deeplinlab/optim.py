@@ -35,10 +35,13 @@ a run's N records bit for bit.  Every runner replaces a layer through
 ``_update``, and BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
-right as ``a @ b @ c`` associates: on the C- or F-contiguous operands the
-steps form (``Network`` and ``Dataset`` store a strided view as a copy) it gives
+right as ``a @ b @ c`` associates, but for the layer gradient, which
+``losses.gradient_from_parts`` forms through its d_out-wide side as
+``A^T (D (B X)^T)``.  On the C- or F-contiguous operands the steps form
+(``Network`` and ``Dataset`` store a strided view as a copy) ``dot`` gives
 the bits of ``@`` in about half its dispatch time at 32 x 32, as
-``tests/test_dot_dispatch.py`` pins.
+``tests/test_dot_dispatch.py`` pins.  ``||G||_F^2`` is taken once per step
+(``matcore._sq_fro``) and serves both the record and the rate.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, _check_dims, _objective, gradient_from_parts
-from .matcore import _all_finite, _fro, _svals, numeric_rank
+from .matcore import _all_finite, _sq_fro, _svals, numeric_rank
 from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
 from . import theory
@@ -210,13 +213,15 @@ def _lr_from_parts(
     pred: np.ndarray,
     y: np.ndarray,
     g: np.ndarray,
+    g2: float,
 ) -> float:
     """Learning rate for one step from the factored quantities.
 
     *spectra* is the step's ``_spectra`` or None; *pred* holds the current
-    predictions (the point the curvature bound is evaluated at); a
-    denominator below 1e-300 yields rate 0, the skip-step convention for
-    degenerate states.
+    predictions (the point the curvature bound is evaluated at); *g2* is
+    ``||G||_F^2`` as the step took it (``matcore._sq_fro``), the numerator
+    of the optimal, general and lp rates; a denominator below 1e-300 yields
+    rate 0, the skip-step convention for degenerate states.
     """
     kind = policy.kind
     if kind == "constant":
@@ -229,7 +234,6 @@ def _lr_from_parts(
         if denom < _DENOM_FLOOR:
             return 0.0
         return (policy.eta if kind == "theory_l2" else 1.0) / denom
-    g2 = float(_sum(g * g, axis=None))
     agbx = a.dot(g).dot(bx)
     denom = float(_sum(agbx * agbx, axis=None))
     if kind == "near_optimal_general":
@@ -255,7 +259,7 @@ def compute_lr(
     pred = a.dot(run.work.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, run.samples.y))
     spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
-    return _lr_from_parts(policy, lf, spectra, a, bx, pred, run.samples.y, g)
+    return _lr_from_parts(policy, lf, spectra, a, bx, pred, run.samples.y, g, _sq_fro(g))
 
 
 def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
@@ -344,8 +348,9 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     *target_dist* (never at -inf), so stops fall on sweep boundaries.
     Write-back rule: the trained head blocks are written into ``run.net``
     in place before each ``on_sweep_end(completed_sweeps, run.net)`` call
-    (the snapshot hook) and when the run returns or raises, so the
-    snapshots and the network end where the full-width run leaves them.
+    (the snapshot hook) and when the run returns or raises, unless the
+    last sweep end wrote them and no step has run since, so the snapshots
+    and the network end where the full-width run leaves them.
     The loop runs with numpy's overflow and invalid-value warnings off: the
     steps' finiteness checks raise on what those warnings would report.
     """
@@ -353,17 +358,21 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
         meta={"dims": run.net.dims, "loss": run.lf.name, "oracle_objective": run.oracle_obj, **meta}
     )
     records = traj.records
+    written = False  # whether run.net holds the blocks as the last step left them
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for done in range(1, sweeps + 1):
+                written = False
                 records.extend(sweep(done))
                 if on_sweep_end is not None:
                     run.write_back()
+                    written = True
                     on_sweep_end(done, run.net)
                 if records[-1].dist_after <= target_dist:
                     break
     finally:
-        run.write_back()
+        if not written:
+            run.write_back()
     return traj
 
 
@@ -375,23 +384,25 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
     the full chain in its rank tolerance.
 
     The gradient G must be finite, or RuntimeError names the iteration and
-    the layer.  ``||G||_F^2`` is computed on every step (it is the recorded
-    ``grad_frobenius``, squared); only when it is not finite does the
-    entrywise ``np.isfinite(G).all()`` run, so a finite G whose squared
-    norm overflows passes on to ``_update``'s check.
+    the layer.  ``||G||_F^2`` is taken once per step (``matcore._sq_fro``):
+    its root is the recorded ``grad_frobenius`` and it is the rate's
+    numerator; only when it is not finite does the entrywise
+    ``np.isfinite(G).all()`` run, so a finite G whose squared norm
+    overflows passes on to ``_update``'s check.
     """
     w = run.work.layers[ell - 1]
     y, lf = run.samples.y, run.lf
     pred = a.dot(w).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, y))
-    grad_fro = _fro(g)
-    if not math.isfinite(grad_fro) and not np.isfinite(g).all():
+    g2 = _sq_fro(g)
+    grad_fro = math.sqrt(g2)
+    if not math.isfinite(g2) and not np.isfinite(g).all():
         raise RuntimeError(
             f"non-finite gradient at iteration {iteration}, "
             f"layer {ell} (loss so far {_objective(pred, y, lf) + run.c:.6g})"
         )
     spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
-    lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g)
+    lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g, g2)
     gamma = None
     if policy.kind == "theory_l2":
         (a_svals, bx_svals), (r, r_x), layers = spectra, run.ranks, run.net.layers
@@ -586,7 +597,7 @@ def _gd_step_core(run: _Run, step: int, eta: float) -> StepRecord:
     pred = factors[0][1].dot(net.layers[0]).dot(x)  # B X at layer 1 is x
     d = lf.deriv(pred, y)
     grads = [gradient_from_parts(a, bx, d) for _l, a, bx in factors]
-    g2s = [float(np.sum(g * g)) for g in grads]
+    g2s = [_sq_fro(g) for g in grads]
     for l, (g, g2) in enumerate(zip(grads, g2s), start=1):
         if not math.isfinite(g2) and not np.isfinite(g).all():
             raise RuntimeError(f"non-finite gradient at GD iteration {step}, layer {l}")

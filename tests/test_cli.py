@@ -272,6 +272,17 @@ def test_a_bad_command_line_returns_two_from_main(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("argv,missing", [
+    ([], "command"),
+    (["verify"], "--trajectory"),
+], ids=["no-command", "verify-without-trajectory"])
+def test_a_missing_required_argument_returns_two_from_main(capsys, argv, missing):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: the following arguments are required: {missing}\n"
+    )
+
+
 def test_gd_and_bcsgd_take_their_own_keys_from_a_config_file(tmp_path, capsys):
     common = ["--d-in", "4", "--d-out", "2", "--m", "12", "--depth", "2"]
     (tmp_path / "gd.cfg").write_text("iters = 5\n")

@@ -13,8 +13,11 @@ tests pin that every route gives the bits of ``@``, compared as uint64
 words, on C-contiguous matrices and transposed views of them (``A^T``,
 ``(B X)^T``), for every dimension from 1 to 130, on a matrix times a row
 ``q_i`` of Q or a contiguous vector, and on the Grams ``C^T C`` and
-``B X (B X)^T``.  So the runners' outputs stay byte for byte what they
-were with ``@``.
+``B X (B X)^T``.  The layer gradient ``A^T (D (B X)^T)`` takes two of
+them: ``D (B X)^T``, a C-contiguous matrix times a transposed view, and
+``A^T V``, a transposed view times a C-contiguous matrix; the fourth test
+pins the gradient itself.  So the runners' outputs stay byte for byte what
+they would be with ``@``.
 
 A view that is neither C- nor F-contiguous is outside the rule.  A row
 slice ``W[:k, :k']`` of a larger layer is one: on such operands (as the
@@ -36,7 +39,7 @@ from hypothesis import example, given, settings, strategies as st
 from deeplinlab import optim
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, write_csv
 from deeplinlab.initializers import KINDS, InitScheme, initialize
-from deeplinlab.losses import l2, lp
+from deeplinlab.losses import gradient_from_parts, l2, lp
 from deeplinlab.network import Network
 
 dims = st.integers(1, 130)
@@ -64,6 +67,10 @@ def _operand(rng, rows: int, cols: int, layout: str) -> np.ndarray:
 @example(m=32, k=1, p=32, left="t", right="c", seed=0)  # outer product
 @example(m=4, k=32, p=32, left="c", right="c", seed=0)  # deep_narrow's A W
 @example(m=130, k=130, p=130, left="t", right="t", seed=0)
+@example(m=10, k=128, p=128, left="c", right="t", seed=0)  # wide_optimal's D (B X)^T
+@example(m=1, k=40, p=32, left="c", right="t", seed=0)  # one-output D (B X)^T
+@example(m=128, k=10, p=128, left="t", right="c", seed=0)  # wide_optimal's A^T V
+@example(m=1, k=1, p=130, left="t", right="c", seed=0)  # one-row A^T V
 def test_matrix_dot_matches_matmul(m, k, p, left, right, seed):
     rng = np.random.default_rng(seed)
     a, b = _operand(rng, m, k, left), _operand(rng, k, p, right)
@@ -95,6 +102,18 @@ def test_gram_dot_matches_matmul(n, m, layout, seed):
     assert _same_bits(x.T.dot(x), x.T @ x)  # C^T C: the syrk route
     assert _same_bits(x.dot(x.T), x @ x.T)  # B X (B X)^T
     assert _same_bits(x.dot(x.T).dot(x), (x @ x.T) @ x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_out=dims, n_l=dims, n_below=dims, m=dims, seed=seeds)
+@example(n_out=10, n_l=128, n_below=128, m=128, seed=0)  # wide_optimal's head chain
+@example(n_out=1, n_l=1, n_below=1, m=1, seed=0)
+@example(n_out=1, n_l=32, n_below=32, m=100, seed=0)
+def test_gradient_from_parts_matches_matmul(n_out, n_l, n_below, m, seed):
+    # the operands as a step forms them: A (n_L x n_l), B X and D C-contiguous
+    rng = np.random.default_rng(seed)
+    a, bx, d = (rng.normal(size=shape) for shape in ((n_out, n_l), (n_below, m), (n_out, m)))
+    assert _same_bits(gradient_from_parts(a, bx, d), a.T @ (d @ bx.T))
 
 
 def _contiguous(a: np.ndarray) -> bool:

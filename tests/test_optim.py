@@ -463,6 +463,23 @@ def test_width_fast_path_writes_heads_back_like_full_width(runner, fail_at):
         assert traj is None and ref_traj is None
 
 
+@pytest.mark.parametrize("hook, target, writes", [
+    (False, -math.inf, 1),  # at return only
+    (True, -math.inf, 3),  # at each sweep end, none again at return
+    (True, math.inf, 1),  # the first sweep end stops the run
+])
+def test_a_run_writes_its_heads_back_once_per_sweep_end(monkeypatch, hook, target, writes):
+    calls = []
+    write_back = optim._Run.write_back
+    monkeypatch.setattr(optim._Run, "write_back", lambda run: calls.append(1) or write_back(run))
+    net = initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=38)
+    ends = []
+    run_bcgd(net, make_data(seed=37), l2(), LrPolicy("optimal_l2"), max_sweeps=3,
+             target_dist=target, on_sweep_end=(lambda k, cur: ends.append(k)) if hook else None)
+    assert len(calls) == writes
+    assert len(ends) == (writes if hook else 0)
+
+
 # The one layer update (optim._update) and the one run loop (optim._drive)
 # that BCGD, BCSGD and GD share.
 STEP_RATES = {"bcgd": (optim, "_lr_from_parts"), "bcsgd": (sgd, "_rate")}
