@@ -38,7 +38,7 @@ from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
 from .initializers import KINDS, InitScheme, initialize
 from .network import Network, save_network, width_ok
-from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, reference_gd_rate, run_bcgd, run_gd
+from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, _check_policy, reference_gd_rate, run_bcgd, run_gd
 from .oracle import rank_constrained_solution, reference_objective  # perfbench calls cli.reference_objective
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
@@ -128,13 +128,10 @@ class RunConfig:
             raise ConfigError(f"target must be a number, got {self.target}")
         lf = parse_loss(self.loss)
         if "policy" in KEYS[command]:
-            policy = parse_policy(self.policy)
-            if policy.kind in ("theory_l2", "optimal_l2") and lf.power != 2:
-                raise ConfigError(f"policy {self.policy!r} needs the l2 loss")
-            if policy.kind == "near_optimal_lp" and policy.p != lf.power:
-                raise ConfigError(
-                    f"policy {self.policy!r} does not match loss {self.loss!r}"
-                )
+            try:
+                _check_policy(parse_policy(self.policy), lf)
+            except ValueError as exc:
+                raise ConfigError(f"policy {self.policy!r}: {exc}") from exc
         if command == "bcsgd" and self.eta is None:
             raise ConfigError("bcsgd needs --eta (or an eta key in --config)")
         if command == "bcsgd" and lf.power != 2:

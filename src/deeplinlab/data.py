@@ -135,10 +135,10 @@ def reshape_spectrum(a, new_singulars) -> np.ndarray:
     return (u * targets) @ vh
 
 
-def sample_spectrum(n: int, seed: int, low: float = 1e-5) -> np.ndarray:
-    """n draws from ``low + Uniform(0, 1)``, the shaped-spectrum recipe."""
+def sample_spectrum(n: int, seed: int) -> np.ndarray:
+    """n draws from ``1e-5 + Uniform(0, 1)``, the shaped-spectrum recipe."""
     rng = np.random.default_rng(seed)
-    return low + rng.uniform(0.0, 1.0, size=n)
+    return 1e-5 + rng.uniform(0.0, 1.0, size=n)
 
 
 def write_csv(path, dataset: Dataset) -> None:

@@ -1,17 +1,17 @@
 """Loss functions and per-layer gradients.
 
-The pointwise loss triple (value, deriv, curvature) is calculus
-consistent: ``deriv`` is d(value)/dz and ``curvature`` bounds |d2/dz2|.
-For the built-in |z-b|^p / p family the trajectory bookkeeping tracks
-the rawer quantity sum |pred - y|^p (no 1/p): that is the convention the
-distance-to-optimum and the optimal-step drop identity are stated in,
-and it equals p times the summed loss.
+A loss is the pointwise |z - b|^p / p for an even power p >= 2 (p = 2: the
+square loss (z - b)^2 / 2), and its power is all it holds.  Its triple
+(value, deriv, curvature) is calculus consistent: ``deriv`` is
+d(value)/dz and ``curvature`` bounds |d2/dz2|.  The trajectory bookkeeping
+tracks the rawer quantity sum |pred - y|^p (no 1/p): that is the
+convention the distance-to-optimum and the optimal-step drop identity are
+stated in, and it equals p times the summed loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,44 +35,48 @@ DISPLAY_FLOOR = 1e-10  # the floor of a displayed distance to optimum (``dist_di
 
 @dataclass(frozen=True)
 class LossFunction:
-    """Pointwise loss ell(z; b) with derivative and curvature bound.
+    """The pointwise loss ell(z; b) = |z - b|^p / p of *power* p, an even
+    integer >= 2, with its derivative and curvature bound.
 
-    ``power`` marks members of the |z-b|^p / p family (2 for the square
-    loss); it drives the tracked-objective scaling and the near-optimal
-    learning rate for p-norm losses.
+    The power names the loss (``l<p>``), scales the tracked objective and
+    sets the near-optimal rate for p-norm losses; two losses of one power
+    are equal.  At p = 2 each method takes the square loss's own
+    expression.
     """
 
-    name: str
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    curvature: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    power: int | None = None
+    power: int
+
+    def __post_init__(self):
+        if self.power < 2 or self.power % 2 != 0:
+            raise ValueError(f"p must be an even integer >= 2, got {self.power}")
+
+    @property
+    def name(self) -> str:
+        return f"l{self.power}"
+
+    def value(self, z, b):
+        p = self.power
+        return 0.5 * (z - b) ** 2 if p == 2 else np.abs(z - b) ** p / p
+
+    def deriv(self, z, b):
+        p = self.power
+        return z - b if p == 2 else (z - b) * np.abs(z - b) ** (p - 2)
+
+    def curvature(self, z, b):
+        p = self.power
+        if p == 2:
+            return np.ones_like(np.asarray(z, dtype=np.float64))
+        return (p - 1) * np.abs(z - b) ** (p - 2)
 
 
 def l2() -> LossFunction:
     """Square loss (z - b)^2 / 2 with unit curvature."""
-    return LossFunction(
-        name="l2",
-        value=lambda z, b: 0.5 * (z - b) ** 2,
-        deriv=lambda z, b: z - b,
-        curvature=lambda z, b: np.ones_like(np.asarray(z, dtype=np.float64)),
-        power=2,
-    )
+    return LossFunction(2)
 
 
 def lp(p: int) -> LossFunction:
-    """|z - b|^p / p loss for even integer p >= 2."""
-    if p < 2 or p % 2 != 0:
-        raise ValueError(f"p must be an even integer >= 2, got {p}")
-    if p == 2:
-        return l2()
-    return LossFunction(
-        name=f"l{p}",
-        value=lambda z, b: np.abs(z - b) ** p / p,
-        deriv=lambda z, b: (z - b) * np.abs(z - b) ** (p - 2),
-        curvature=lambda z, b: (p - 1) * np.abs(z - b) ** (p - 2),
-        power=p,
-    )
+    """|z - b|^p / p loss for even integer p >= 2; ``lp(2) == l2()``."""
+    return LossFunction(p)
 
 
 def _check_dims(net: Network, data: Dataset) -> None:
@@ -95,10 +99,9 @@ def total_loss(net: Network, data: Dataset, lf: LossFunction) -> float:
 
 
 def _objective(pred: np.ndarray, y: np.ndarray, lf: LossFunction) -> float:
-    """Tracked objective of *pred*: sum |pred - y|^p for the p-family, else
-    the summed loss (``np.add.reduce`` is ``np.sum``'s ufunc: same bits)."""
-    total = float(np.add.reduce(lf.value(pred, y), axis=None))
-    return lf.power * total if lf.power is not None else total
+    """Tracked objective of *pred*: sum |pred - y|^p, p times the summed loss
+    (``np.add.reduce`` is ``np.sum``'s ufunc: same bits)."""
+    return lf.power * float(np.add.reduce(lf.value(pred, y), axis=None))
 
 
 def residual_objective(net: Network, data: Dataset, lf: LossFunction) -> float:

@@ -10,19 +10,16 @@ formulas rely on ``eta / inf == 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpectralSummary",
     "as_matrix",
     "compact_svd",
     "numeric_rank",
     "pseudo_inverse",
     "rank_tolerance",
     "singular_values",
-    "spectral_summary",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -146,25 +143,6 @@ def pseudo_inverse(a) -> np.ndarray:
     if s.size == 0:
         return np.zeros((m.shape[1], m.shape[0]))
     return (v / s) @ u.T
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Spectral facts about one matrix: full spectrum, rank and spectral norm."""
-
-    singular_values: np.ndarray
-    numeric_rank: int
-    spectral_norm: float
-
-
-def spectral_summary(a) -> SpectralSummary:
-    m = as_matrix(a)
-    s = singular_values(m)
-    return SpectralSummary(
-        singular_values=s,
-        numeric_rank=numeric_rank(s, m.shape),
-        spectral_norm=float(s[0]) if s.size else 0.0,
-    )
 
 
 def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int) -> float:

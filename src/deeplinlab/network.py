@@ -140,15 +140,15 @@ def width_ok(dims, n0: int, nL: int) -> bool:
     return all(w >= need for w in dims[1:-1])
 
 
-def pad_equiv(a, b, mode: str = "plain", tol: float = PAD_TOL) -> bool:
+def pad_equiv(a, b, mode: str = "plain") -> bool:
     """Test the zero-padding block relations between *a* and *b*.
 
     mode="plain": a == [[b, 0], [0, 0]].
     mode="one":   b must be square of size k with min(a.shape) > k; the
     padded block gains an identity: a == [[b, 0, .], [0, I, .], [., ., 0]],
     the identity filling the square block up to size min(a.shape).
-    Comparison is entrywise within *tol* (the relations are exact up to
-    arithmetic on stored zeros).
+    Comparison is entrywise within ``PAD_TOL`` (the relations are exact up
+    to arithmetic on stored zeros).
     """
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
@@ -169,7 +169,7 @@ def pad_equiv(a, b, mode: str = "plain", tol: float = PAD_TOL) -> bool:
         raise ValueError(f"B {bm.shape} does not fit inside A {am.shape}")
     expected = np.zeros(am.shape)
     expected[: bm.shape[0], : bm.shape[1]] = bm
-    return bool(np.max(np.abs(am - expected)) <= tol) if am.size else True
+    return bool(np.max(np.abs(am - expected)) <= PAD_TOL) if am.size else True
 
 
 def save_network(net: Network, path) -> None:

@@ -106,13 +106,12 @@ class SweepState:
     """Multi-index bookkeeping for the single-step functions.
 
     ``position`` is the 1-based slot within the current sweep; the layer
-    it maps to depends on the ordering.  After a full sweep every entry
-    of ``multi_index`` has grown by exactly one.
+    it maps to depends on the ordering.  ``multi_index`` is derived from
+    the sweep and the position, so a copy of a state is independent of it.
     """
 
     depth: int
     ordering: str = "ascending"
-    multi_index: list = field(default=None)
     sweep: int = 0
     position: int = 1
 
@@ -120,10 +119,6 @@ class SweepState:
         _check_ordering(self.ordering)
         if not 1 <= self.position <= self.depth:  # implies depth >= 1
             raise ValueError(f"need 1 <= position <= depth, got {self.position} and {self.depth}")
-        if self.multi_index is None:
-            self.multi_index = [0] * self.depth
-        if len(self.multi_index) != self.depth:
-            raise ValueError("multi_index length must equal depth")
 
     def layer_to_update(self) -> int:
         """The 1-based layer index the next iteration touches (``_layer_order``)."""
@@ -134,8 +129,15 @@ class SweepState:
         """Count of completed iterations."""
         return self.sweep * self.depth + self.position - 1
 
+    @property
+    def multi_index(self) -> list:
+        """Per layer, the count of its updates so far: ``sweep``, plus one
+        for each layer the current sweep has visited.  After a full sweep
+        every entry has grown by exactly one."""
+        visited = _layer_order(self.depth, self.ordering)[: self.position - 1]
+        return [self.sweep + (ell in visited) for ell in range(1, self.depth + 1)]
+
     def advance(self) -> None:
-        self.multi_index[self.layer_to_update() - 1] += 1
         if self.position < self.depth:
             self.position += 1
         else:
@@ -161,6 +163,16 @@ class LrPolicy:
         if self.kind == "near_optimal_lp":
             if self.p is None or self.p < 2 or self.p % 2 != 0:
                 raise ValueError("near_optimal_lp needs an even p >= 2")
+
+
+def _check_policy(policy: LrPolicy, lf: LossFunction) -> None:
+    """The one check that *policy* suits the loss *lf*, run before any work:
+    theory_l2 and optimal_l2 hold for the l2 loss only, and near_optimal_lp
+    for the loss of its own p."""
+    if policy.kind in ("theory_l2", "optimal_l2") and lf.power != 2:
+        raise ValueError(f"{policy.kind} needs the l2 loss, got {lf.name}")
+    if policy.kind == "near_optimal_lp" and policy.p != lf.power:
+        raise ValueError(f"near_optimal_lp with p={policy.p} does not match loss {lf.name}")
 
 
 @dataclass(frozen=True)
@@ -255,6 +267,7 @@ def compute_lr(
     state: SweepState,
 ) -> float:
     """Learning rate the policy would use for the state's next update."""
+    _check_policy(policy, lf)
     run, ell, a, bx = _at_state(state, net, data, lf)
     pred = a.dot(run.work.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, run.samples.y))
@@ -480,6 +493,7 @@ def bcgd_step(
     for the theory_l2 policy (its rate guarantee applies there).  The
     step is ``run_bcgd``'s, with the theory_l2 ranks taken at this state.
     """
+    _check_policy(policy, lf)
     return _single_step(state, net, data, lf, oracle_objective, _step_core, policy)
 
 
@@ -550,6 +564,7 @@ def run_bcgd(
     its gamma bound).  The theory_l2 ranks are taken once per run.
     """
     _check_ordering(ordering)
+    _check_policy(policy, lf)
     run = _reduce(net, data, lf, oracle_objective)
     sweep = _layerwise(run, ordering, _step_core, policy)
     meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses
 from .data import Dataset
-from .matcore import as_matrix, compact_svd, pseudo_inverse, spectral_summary
+from .matcore import as_matrix, compact_svd, numeric_rank, pseudo_inverse, singular_values
 
 __all__ = [
     "OracleSolution",
@@ -79,7 +79,7 @@ def rank_constrained_solution(x, y, n_star: int) -> OracleSolution:
     # when the rank bound is active, the truncation below.
     ux, sx, vx = compact_svd(xm)
     w_ln = ym @ ((vx / sx) @ ux.T)
-    r_star = spectral_summary(w_ln).numeric_rank
+    r_star = numeric_rank(singular_values(w_ln), w_ln.shape)
     if r_star <= n_star:
         loss = float(np.linalg.norm(w_ln @ xm - ym, "fro") ** 2)
         return OracleSolution(w_star=w_ln, optimal_loss=loss, effective_rank=r_star)

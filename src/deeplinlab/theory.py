@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .data import Dataset
-from .matcore import _kappa_r_from_svals, singular_values, spectral_summary
+from .matcore import _kappa_r_from_svals, numeric_rank, singular_values
 from .network import Network, _factors
 
 __all__ = [
@@ -85,12 +85,14 @@ class BasinConstants:
 def _basin_inputs(x, w_star) -> tuple[float, float, float]:
     """``(kappa^2(X), sigma_min(W* X), sigma_min(W* X) / ||X||_2)``: the inputs
     of the basin constant c, after the checks both basin functions share."""
-    xs = spectral_summary(x)
-    if xs.numeric_rank < np.asarray(x).shape[0]:
+    s = singular_values(x)
+    shape = np.shape(x)
+    if numeric_rank(s, shape) < shape[0]:
         raise ValueError("basin constants need a full-row-rank X")
-    kappa2 = (xs.spectral_norm / xs.singular_values[-1]) ** 2
+    norm = float(s[0])
+    kappa2 = (norm / s[-1]) ** 2
     wx_smin = float(singular_values(np.asarray(w_star) @ np.asarray(x))[-1])
-    sigma_tilde = wx_smin / xs.spectral_norm
+    sigma_tilde = wx_smin / norm
     if sigma_tilde <= 0:
         raise ValueError("sigma_min(W* X) must be positive")
     return kappa2, wx_smin, sigma_tilde
@@ -250,26 +252,20 @@ def _replay(records, step_bounds) -> AuditReport:
     return report
 
 
-def verify_trajectory(traj, gammas=None) -> AuditReport:
+def verify_trajectory(traj) -> AuditReport:
     """Check dist_after <= dist_before * gamma^2 per step and cumulatively.
 
-    *traj* is a Trajectory (or any object with ``records``); *gammas*
-    defaults to the per-record ``gamma_bound`` values.  Steps with
-    gamma >= 1 are counted as vacuous (the bound still holds, it just
-    guarantees nothing).  The slack is ``REL_SLACK * dist_before`` plus
-    ``PEAK_SLACK`` times the largest finite distance seen, which keeps
-    floating-point jitter at converged scales from raising violations.
+    *traj* is a Trajectory (or any object with ``records``) whose records
+    carry their ``gamma_bound``.  Steps with gamma >= 1 are counted as
+    vacuous (the bound still holds, it just guarantees nothing).  The
+    slack is ``REL_SLACK * dist_before`` plus ``PEAK_SLACK`` times the
+    largest finite distance seen, which keeps floating-point jitter at
+    converged scales from raising violations.
     """
     records = traj.records
-    if gammas is None:
-        gammas = [r.gamma_bound for r in records]
-        if any(g is None for g in gammas):
-            raise ValueError("trajectory has no recorded gamma bounds; pass gammas")
-    gammas = [float(g) for g in gammas]
-    if len(gammas) != len(records):
-        raise ValueError(
-            f"{len(gammas)} gammas for {len(records)} records"
-        )
+    if any(r.gamma_bound is None for r in records):
+        raise ValueError("trajectory has no recorded gamma bounds")
+    gammas = [float(r.gamma_bound) for r in records]
     if not records:
         return AuditReport(n_steps=0)
     atol = _peak_slack(r.dist_before for r in records)

@@ -374,6 +374,29 @@ def test_nan_target_exits_two_before_the_out_directory(tmp_path, capsys, monkeyp
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("argv,cause", [
+    (["bcsgd", *SMALL_RUN], "bcsgd needs --eta"),
+    (["train", *SMALL_RUN, "--dims", "3"], "bad dimension chain (3,)"),
+    (["train", *SMALL_RUN, "--dims", "3,0,2"], "bad dimension chain (3, 0, 2)"),
+    (["train", *SMALL_RUN, "--loss", "l3"], "loss must be l2 or lp:<p>, got 'l3'"),
+    (["train", *SMALL_RUN, "--loss", "lp:x"], "bad loss 'lp:x'"),
+    (["train", *SMALL_RUN, "--config", "missing.cfg"], "cannot read config"),
+    (["train", *SMALL_RUN, "--config", "noeq.cfg"], "noeq.cfg:2: expected key = value"),
+    (["train", *SMALL_RUN, "--m", "abc"], "--m: bad value for m: 'abc'"),
+], ids=["bcsgd-no-eta", "dims-3", "dims-3,0,2", "loss-l3", "loss-lp:x", "config-unreadable",
+        "config-no-equals", "m-abc"])
+def test_configuration_errors_exit_two_naming_their_cause(
+    tmp_path, capsys, monkeypatch, argv, cause
+):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    (tmp_path / "noeq.cfg").write_text("depth = 2\nsweeps 1\n")
+    argv = [str(tmp_path / a) if a.endswith(".cfg") else a for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "new" / "run.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and cause in lines[0]
+    assert not (tmp_path / "new").exists()
+
+
 def test_bcsgd_seeds_equal_single_seed_runs(tmp_path, monkeypatch):
     # compressed samples (m > d_in), tall enough for the column-ufunc row sums, and
     # an init that --seed does not move; seeds 1 and 2 of one call run on the warm

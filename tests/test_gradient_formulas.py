@@ -64,12 +64,14 @@ def _parent_formulas(mp, runner, figures):
     """Patch ``optim`` back to the formulas before: G through ``A^T D``,
     BCGD's rate numerator ``np.add.reduce(G * G)`` (its record took the
     ``ravel("K").dot`` it still takes), and GD's ``np.sum(G * G)``.  Each
-    BCGD step appends its amplification figure to *figures*: its rate over
-    the safe rate ``1 / (||A||_2^2 ||B X||_2^2)``, the factor by which a
-    rounding change of G reaches the predictions."""
+    step appends its amplification figure to *figures*, the factor by which
+    a rounding change of G reaches the predictions: a BCGD step's rate over
+    the safe rate ``1 / (||A||_2^2 ||B X||_2^2)``, a GD iteration's
+    (``_recording_gd_figures``) over ``1 / sum_l ||A_l||_2^2 ||B_l X||_2^2``."""
     mp.setattr(optim, "gradient_from_parts", _parent_gradient)
     if runner == "gd":
         mp.setattr(optim, "_sq_fro", lambda g: float(np.sum(g * g)))
+        mp.setattr(optim, "_gd_step_core", _recording_gd_figures(figures))
     else:
         lr_from_parts = optim._lr_from_parts
 
@@ -82,8 +84,28 @@ def _parent_formulas(mp, runner, figures):
         mp.setattr(optim, "_lr_from_parts", parent_lr)
 
 
+def _recording_gd_figures(figures):
+    """``optim._gd_step_core``, appending every iteration's amplification
+    figure to *figures*: ``eta sum_l ||A_l||_2^2 ||B_l X||_2^2`` over the
+    factors of the pre-step weights.  All layers move at once, so their
+    rounding changes reach the predictions together; above 2 the iteration
+    overshoots, and at the reference rate ``n_L / (3 L ||X||^2)`` a chain
+    with n_L near 20 explodes."""
+    core = optim._gd_step_core
+
+    def step(run, iteration, eta):
+        factors = optim._sweep(run.work, run.samples.x, "ascending")
+        figures.append(eta * sum((_spectral(a) * _spectral(bx)) ** 2 for _l, a, bx in factors))
+        return core(run, iteration, eta)
+
+    return step
+
+
 def _spectral(a):
-    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+    """||a||_2 (0 for an empty, inf for a non-finite *a*)."""
+    if not a.size:
+        return 0.0
+    return float(np.linalg.norm(a, 2)) if np.isfinite(a).all() else math.inf
 
 
 def _init_or_skip(scheme, dims, seed):
@@ -123,6 +145,8 @@ def _bound(tol, value, relative, scale):
 )
 @example(dims=[2, 2, 2, 2], scheme="orthogonal", m_offset=0, seed=67942, ordering="ascending",
          runner="optimal")  # figures 3.0e3 and 1.8e3 on a 2 x 2 X of condition 178
+@example(dims=[1, 2, 1, 19, 19], scheme="orthogonal", m_offset=0, seed=0, ordering="ascending",
+         runner="gd")  # the loss explodes from 8.7e14 to 9.9e116; runs end 1.5e-12 apart
 def test_square_loss_runs_match_the_parent_formulas(dims, scheme, m_offset, seed, ordering, runner):
     m = max(1, dims[0] + m_offset)
     net = _init_or_skip(scheme, dims, seed)

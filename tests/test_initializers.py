@@ -31,7 +31,7 @@ def test_identity_scheme_padded():
 def test_balanced_identity_seed():
     net = initialize(InitScheme("balanced", balanced_seed=np.eye(3)), (3, 3, 3, 3), seed=0)
     for w in net.layers:
-        assert pad_equiv(w, np.eye(3), tol=1e-12)
+        assert pad_equiv(w, np.eye(3))
 
 
 def test_balanced_balance_identity_and_reconstruction():

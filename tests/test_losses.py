@@ -4,6 +4,7 @@ import pytest
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import (
+    LossFunction,
     l2,
     layer_gradient,
     lp,
@@ -148,6 +149,13 @@ def test_lp_validation():
     with pytest.raises(ValueError):
         lp(1)
     assert lp(2).name == "l2"
+
+
+def test_a_loss_is_its_power():
+    assert l2() == lp(2) == LossFunction(2) and hash(l2()) == hash(lp(2))
+    assert lp(4) == lp(4) and lp(4) != l2() and lp(4).name == "l4"
+    with pytest.raises(ValueError, match="even integer"):
+        LossFunction(3)
 
 
 def test_gradient_orth_identity_init_descends():

@@ -115,7 +115,7 @@ def test_wide_and_reduced_products_pad_equiv():
     assert np.max(np.abs(end_to_end(wide) - end_to_end(slim))) < 1e-12
     top_wide = partial_product(wide, 3, 2)
     top_slim = partial_product(slim, 3, 2)
-    assert pad_equiv(top_wide, top_slim, tol=1e-12)
+    assert pad_equiv(top_wide, top_slim)
 
 
 def test_save_load_roundtrip_exact(tmp_path):

@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +212,42 @@ def test_sweep_state_multi_index():
     assert state.sweep == 1 and state.position == 1
     with pytest.raises(ValueError):
         SweepState(depth=2, ordering="sideways")
+
+
+def test_sweep_state_multi_index_is_derived_from_its_position():
+    assert SweepState(depth=3, sweep=5).multi_index == [5, 5, 5]
+    # slot 3 of sweep 2: ascending has visited layers 1 and 2, descending layers 3 and 2
+    assert SweepState(depth=3, sweep=2, position=3).multi_index == [3, 3, 2]
+    assert SweepState(depth=3, ordering="descending", sweep=2, position=3).multi_index == [2, 3, 3]
+
+
+@pytest.mark.parametrize("copy_state", [replace, copy.copy], ids=["replace", "copy"])
+def test_sweep_state_copies_are_independent(copy_state):
+    state = SweepState(depth=3)
+    twin = copy_state(state)
+    twin.advance()
+    assert state.position == 1 and state.multi_index == [0, 0, 0]
+    assert twin.position == 2 and twin.multi_index == [1, 0, 0]
+
+
+@pytest.mark.parametrize("lf,policy", [
+    (l2(), LrPolicy("near_optimal_lp", p=4)),
+    (lp(4), LrPolicy("near_optimal_lp", p=6)),
+    (lp(4), LrPolicy("theory_l2", eta=1.0)),
+    (lp(4), LrPolicy("optimal_l2")),
+], ids=["l2-lp:4", "l4-lp:6", "l4-theory:1", "l4-optimal"])
+def test_library_rejects_a_policy_that_does_not_suit_the_loss(lf, policy):
+    data = make_data(seed=27)
+    net = initialize(InitScheme("orth_identity"), (6, 6, 3), seed=28)
+    before = [w.copy() for w in net.layers]
+    for call in (
+        lambda: run_bcgd(net, data, lf, policy, max_sweeps=1),
+        lambda: bcgd_step(net, data, lf, SweepState(depth=net.depth), policy),
+        lambda: compute_lr(policy, net, data, lf, SweepState(depth=net.depth)),
+    ):
+        with pytest.raises(ValueError, match="l2 loss|does not match"):
+            call()
+    assert all(np.array_equal(w, w0) for w, w0 in zip(net.layers, before))
 
 
 @pytest.mark.parametrize("depth,position", [(3, 0), (3, 4), (3, -1), (0, 1)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deeplinlab.matcore import compact_svd, pseudo_inverse, spectral_summary
+from deeplinlab.matcore import compact_svd, numeric_rank, pseudo_inverse, singular_values
 from deeplinlab.oracle import (
     general_solution,
     least_norm_solution,
@@ -165,7 +165,7 @@ def _reference_rank_constrained(x, y, n_star):
     """The solution as formed with two SVDs of X: one inside the
     pseudo-inverse, one for the truncation."""
     w_ln = y @ pseudo_inverse(x)
-    r_star = spectral_summary(w_ln).numeric_rank
+    r_star = numeric_rank(singular_values(w_ln), w_ln.shape)
     if r_star <= n_star:
         return w_ln, float(np.linalg.norm(w_ln @ x - y, "fro") ** 2), r_star
     ux, sx, vx = compact_svd(x)

@@ -136,7 +136,7 @@ def test_bcsgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, eta,
         for _ in range(sweeps * stepped.depth):
             probs = sgd.sampling_distribution(stepped, data, state)
             assert (probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12
-            before, at = stepped.copy(), replace(state, multi_index=list(state.multi_index))
+            before, at = stepped.copy(), replace(state)
             records.append(sgd.bcsgd_step(stepped, data, l2(), state, eta, rng))
             assert probs.tobytes() == drawn_from[-1].tobytes()
             assert sgd.bcsgd_lr(before, data, at, records[-1].sample_index, eta) == records[-1].lr

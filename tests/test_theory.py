@@ -187,18 +187,17 @@ def test_verify_detects_planted_violation():
     data = make_data(seed=16)
     net = initialize(InitScheme("orth_identity"), (6, 6, 2), seed=17)
     traj = run_bcgd(net, data, l2(), LrPolicy("theory_l2", eta=1.0), max_sweeps=3)
-    bad = [0.0] * len(traj)  # gamma = 0 demands one-step convergence
-    report = verify_trajectory(traj, gammas=bad)
+    # gamma = 0 demands one-step convergence
+    bad = Trajectory(records=[replace(r, gamma_bound=0.0) for r in traj.records])
+    report = verify_trajectory(bad)
     assert not report.ok
 
 
-def test_verify_length_mismatch():
+def test_verify_needs_recorded_gamma_bounds():
     data = make_data(seed=18)
     net = initialize(InitScheme("orth_identity"), (6, 6, 2), seed=19)
     traj = run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), max_sweeps=2)
-    with pytest.raises(ValueError, match="gammas"):
-        verify_trajectory(traj, gammas=[1.0])
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(ValueError, match="no recorded gamma bounds"):
         verify_trajectory(traj)  # optimal policy records no bounds
 
 
@@ -260,7 +259,7 @@ def test_audit_counts_skipped_steps():
     bumped = Trajectory(records=records[:2] + [_record(3, 0.25, 9.5, 9.6)])
     assert not audit_trajectory(bumped, "convex_safe", "l2").ok
     assert not audit_trajectory(bumped, "optimal_l2", "l2").ok
-    plain = verify_trajectory(traj, gammas=[1.0] * 4)
+    plain = verify_trajectory(Trajectory(records=[replace(r, gamma_bound=1.0) for r in records]))
     assert plain.skipped_steps == 0 and "skipped" not in plain.summary()
 
 
