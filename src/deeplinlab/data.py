@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matcore import _contiguous, _svals, as_matrix
+from .matcore import _contiguous, _float_rows, _svals, as_matrix
 
 __all__ = [
     "Dataset",
@@ -143,14 +143,16 @@ def sample_spectrum(n: int, seed: int) -> np.ndarray:
 
 def write_csv(path, dataset: Dataset) -> None:
     """Write a dataset in the one-example-per-line CSV layout, after a
-    ``# d_in= d_out= m=`` comment line."""
+    ``# d_in= d_out= m=`` comment line.
+
+    Each field is its value's ``repr``, exactly (``matcore._float_rows``).
+    The lines are formed and written in batches of whole lines of at most
+    4,096 values, so beside the one m x (d_in + d_out) copy of the table the
+    memory a write holds does not grow with m.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# d_in={dataset.d_in} d_out={dataset.d_out} m={dataset.m}\n")
-        for i in range(dataset.m):
-            fields = [repr(float(v)) for v in dataset.x[:, i]] + [
-                repr(float(v)) for v in dataset.y[:, i]
-            ]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(_float_rows([np.vstack((dataset.x, dataset.y)).T], ","))
 
 
 def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:

@@ -13,7 +13,7 @@ from itertools import islice
 
 import numpy as np
 
-from .matcore import _all_finite, _contiguous, as_matrix
+from .matcore import _all_finite, _contiguous, _float_rows, as_matrix
 
 __all__ = [
     "Network",
@@ -175,30 +175,54 @@ def pad_equiv(a, b, mode: str = "plain") -> bool:
 def save_network(net: Network, path) -> None:
     """Text dump: the dimension chain, then row-major entries per layer.
 
-    Entries are written with ``repr`` so finite doubles round-trip exactly.
-    Each layer is formatted and written as one string, never the whole file.
+    Each entry is written as its ``repr``, exactly (``matcore._float_rows``),
+    so finite doubles round-trip exactly.  The entries are formed and written
+    in batches of whole rows of at most 4,096 values, so the memory a save
+    holds does not grow with the network.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in net.dims) + "\n")
-        for w in net.layers:
-            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in w.tolist()))
+        fh.writelines(_float_rows(net.layers, " "))
 
 
 def load_network(path) -> Network:
+    """Read a ``save_network`` file back.
+
+    A malformed file raises ValueError naming the path and, where it can,
+    the line and the layer: a bad dimension chain, a missing row, a row of
+    the wrong length or with a non-numeric entry, text after the last layer,
+    or an entry that is not finite.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        dims = [int(t) for t in fh.readline().split()]
-        if len(dims) < 2:
-            raise ValueError(f"{path}: bad dimension chain")
+        try:
+            dims = [int(t) for t in fh.readline().split()]
+        except ValueError:
+            dims = []
+        if len(dims) < 2 or min(dims) < 0:
+            raise ValueError(f"{path}:1: bad dimension chain")
         layers = []
+        lineno = 1
         for l in range(1, len(dims)):
-            rows = []
-            for _ in range(dims[l]):
+            w = np.empty((dims[l], dims[l - 1]))
+            for row in w:
                 line = fh.readline()
+                lineno += 1
                 if not line:
-                    raise ValueError(f"{path}: truncated layer {l}")
-                rows.append([float(t) for t in line.split()])
-            w = np.asarray(rows, dtype=np.float64)
-            if w.shape != (dims[l], dims[l - 1]):
-                raise ValueError(f"{path}: layer {l} shape mismatch")
+                    raise ValueError(f"{path}: truncated layer {l} (ends at line {lineno - 1})")
+                tokens = line.split()
+                if len(tokens) != row.size:
+                    raise ValueError(
+                        f"{path}:{lineno}: layer {l} row has {len(tokens)} entries, expected {row.size}"
+                    )
+                try:
+                    row[:] = [float(t) for t in tokens]
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: layer {l} has a non-numeric entry") from None
             layers.append(w)
-    return Network(layers)
+        for extra, line in enumerate(fh, start=lineno + 1):
+            if line.strip():
+                raise ValueError(f"{path}:{extra}: text after the last layer (layer {len(dims) - 1})")
+    try:
+        return Network(layers)
+    except ValueError as exc:  # a non-finite entry
+        raise ValueError(f"{path}: {exc}") from None

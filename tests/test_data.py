@@ -153,6 +153,19 @@ def test_normalize_stats(tmp_path):
     assert np.max(np.abs(ds.y.var(axis=1) - 1.0)) < 1e-8
 
 
+def test_write_csv_writes_each_fields_repr(tmp_path):
+    rng = np.random.default_rng(9)
+    bits = rng.integers(0, 2**64, 3 * 700, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits = np.where(np.isfinite(bits), bits, -0.0)
+    x = bits[:1400].reshape(2, 700)
+    y = np.concatenate([bits[1400:], rng.normal(size=700)]).reshape(2, 700) * 1e-3
+    path = tmp_path / "d.csv"
+    write_csv(path, Dataset(x=x, y=y))
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "# d_in=2 d_out=2 m=700\n"
+    assert lines[1:] == [",".join(map(repr, row)) + "\n" for row in np.vstack((x, y)).T.tolist()]
+
+
 def test_csv_errors_name_line(tmp_path):
     bad_cols = tmp_path / "cols.csv"
     bad_cols.write_text("1,2\n1,2,3\n")

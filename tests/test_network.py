@@ -128,11 +128,56 @@ def test_save_load_roundtrip_exact(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_save_load_roundtrip_is_bitwise_over_every_kind_of_finite_value(tmp_path):
+    rng = np.random.default_rng(14)
+    finite = rng.integers(0, 2**64, 600, dtype=np.uint64, endpoint=False).view(np.float64)
+    finite = finite[np.isfinite(finite)]
+    edge = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024, 7)), [0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16],
+                           np.arange(1, 40).astype(np.uint64).view(np.float64), 2.0**53 + np.arange(-5, 5)])
+    values = np.resize(np.concatenate([finite, edge, -edge]), 12 * 9 + 9 * 12 + 5 * 9)
+    net = Network([values[:108].reshape(12, 9), values[108:216].reshape(9, 12), values[216:].reshape(5, 9)])
+    path = tmp_path / "net.txt"
+    save_network(net, path)
+    want = "9 12 9 5\n" + "".join(" ".join(map(repr, row)) + "\n" for w in net.layers for row in w.tolist())
+    assert path.read_text() == want
+    back = load_network(path)
+    for a, b in zip(net.layers, back.layers):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_load_rejects_truncated(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2\n1.0 2.0\n")
     with pytest.raises(ValueError, match="truncated"):
         load_network(path)
+
+
+@pytest.mark.parametrize(
+    "text, where, what",
+    [
+        ("2 2\n1.0 2.0\n3.0\n", ":3:", "layer 1 row has 1 entries, expected 2"),
+        ("2 3 1\n1.0 2.0\n3.0 4.0\n5.0 6.0\n1.0 2.0 3.0 4.0\n", ":5:", "layer 2 row has 4 entries, expected 3"),
+        ("2 2\n1.0 x\n3.0 4.0\n", ":2:", "layer 1 has a non-numeric entry"),
+        ("2 2\n1.0 2.0\n3.0 4.0\n5.0 6.0\n", ":4:", "text after the last layer"),
+        ("2 x\n1.0 2.0\n", ":1:", "bad dimension chain"),
+        ("2 -1\n", ":1:", "bad dimension chain"),
+        ("2 2\n1.0 nan\n3.0 4.0\n", ": ", "layer 1 contains non-finite entries"),
+    ],
+    ids=["short-row", "long-row", "non-numeric", "extra-row", "bad-chain", "negative-width", "not-finite"],
+)
+def test_load_names_the_path_line_and_layer_of_a_malformed_file(tmp_path, text, where, what):
+    path = tmp_path / "bad.net"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_network(path)
+    assert str(err.value).startswith(f"{path}{where}")
+    assert what in str(err.value)
+
+
+def test_load_accepts_trailing_blank_lines(tmp_path):
+    path = tmp_path / "net.txt"
+    path.write_text("2 2\n1.0 2.0\n3.0 4.0\n\n")
+    assert np.array_equal(load_network(path).layers[0], [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_head_blocks_conditions():
