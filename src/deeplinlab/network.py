@@ -105,10 +105,10 @@ def _head_blocks(net: Network) -> list | None:
     The blocks are returned only when some ``k_l < n_l``, every layer's
     off-diagonal blocks ``W_l[k_l:, :k_(l-1)]`` and ``W_l[:k_l, k_(l-1):]``
     are exactly zero, every tail block ``W_l[k_l:, k_(l-1):]`` is finite
-    and every layer is writeable (the trained blocks are written back in
-    place).  Then the inputs reach only head rows and ``W_L`` reads only
-    head columns, so every layer gradient lives in the head block: BCGD
-    on the head chain is BCGD on the full chain, and the tails never move.
+    and every layer is writeable (``optim._update`` writes each trained
+    block in place).  Then the inputs reach only head rows and ``W_L``
+    reads only head columns, so every layer gradient lives in the head
+    block: BCGD on the head chain is BCGD on the full chain.
     The tail test is ``matcore._all_finite`` of the contiguous rows below
     the head, ``W_l[k_l:]``: one sum of squares unless that is not finite.
     """

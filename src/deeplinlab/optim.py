@@ -32,7 +32,8 @@ functions and state views enter through ``_at_state``: ``_reduce``'s run
 and the factors ``_sweep`` would hand out (``network._factors``); a single
 step is a one-sweep ``_drive`` of the runner's step code, so N of them give
 a run's N records bit for bit.  Every runner replaces a layer through
-``_update``, and BCGD and BCSGD steps end in ``_descend``.
+``_update`` (into the caller's network too), and BCGD and BCSGD steps end
+in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates, but for the layer gradient, which
@@ -119,6 +120,11 @@ class SweepState:
         _check_ordering(self.ordering)
         if not 1 <= self.position <= self.depth:  # implies depth >= 1
             raise ValueError(f"need 1 <= position <= depth, got {self.position} and {self.depth}")
+
+    def _check_depth(self, net: Network) -> None:
+        """The one check that the state sweeps *net*, run before any work."""
+        if self.depth != net.depth:
+            raise ValueError(f"state depth {self.depth} does not match network depth {net.depth}")
 
     def layer_to_update(self) -> int:
         """The 1-based layer index the next iteration touches (``_layer_order``)."""
@@ -291,7 +297,8 @@ class _Run:
     trajectory's ``dims``, the snapshots, the distances (divided by
     ``data.m``), the ranks and the gamma bound's rank tolerances stay on
     them.  The steps train *work* on *samples*: ``_reduce``'s head chain
-    and compressed samples, or *net* and *data* where it declines.
+    and compressed samples, or *net* and *data* where it declines; each
+    step's head block is written through into *net* (``_update``).
     *q* is the compression's Q (m x d_in) or None, *c* the residual every
     recorded objective adds (0.0 uncompressed), *oracle_obj* the optimum's
     objective the distances are measured from and *lf* the loss.
@@ -315,13 +322,6 @@ class _Run:
         step reads them, before it moves its layer: before any layer moves."""
         top, x_svals = self.net.layers[-1], self.samples._x_svals
         return numeric_rank(_svals(top), top.shape), numeric_rank(x_svals, self.data.x.shape)
-
-    def write_back(self) -> None:
-        """Copy the trained head blocks into the top-left of *net*'s layers
-        in place (``W[:k, :k'] = block``); a no-op when *work* is *net*."""
-        if self.work is not self.net:
-            for w, block in zip(self.net.layers, self.work.layers):
-                w[: block.shape[0], : block.shape[1]] = block
 
 
 def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> _Run:
@@ -359,33 +359,23 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     oracle objective, then *meta*, whose keys win.  Stop rule: the run
     ends after the first sweep whose last distance is at or below
     *target_dist* (never at -inf), so stops fall on sweep boundaries.
-    Write-back rule: the trained head blocks are written into ``run.net``
-    in place before each ``on_sweep_end(completed_sweeps, run.net)`` call
-    (the snapshot hook) and when the run returns or raises, unless the
-    last sweep end wrote them and no step has run since, so the snapshots
-    and the network end where the full-width run leaves them.
-    The loop runs with numpy's overflow and invalid-value warnings off: the
-    steps' finiteness checks raise on what those warnings would report.
+    After each sweep ``on_sweep_end(completed_sweeps, run.net)`` (the
+    snapshot hook) sees the full chain as the sweep left it, since
+    ``_update`` writes every step through to ``run.net``.  The loop runs
+    with numpy's overflow and invalid-value warnings off: the steps'
+    finiteness checks raise on what those warnings would report.
     """
     traj = Trajectory(
         meta={"dims": run.net.dims, "loss": run.lf.name, "oracle_objective": run.oracle_obj, **meta}
     )
     records = traj.records
-    written = False  # whether run.net holds the blocks as the last step left them
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for done in range(1, sweeps + 1):
-                written = False
-                records.extend(sweep(done))
-                if on_sweep_end is not None:
-                    run.write_back()
-                    written = True
-                    on_sweep_end(done, run.net)
-                if records[-1].dist_after <= target_dist:
-                    break
-    finally:
-        if not written:
-            run.write_back()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(1, sweeps + 1):
+            records.extend(sweep(done))
+            if on_sweep_end is not None:
+                on_sweep_end(done, run.net)
+            if records[-1].dist_after <= target_dist:
+                break
     return traj
 
 
@@ -429,7 +419,8 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
 def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
     """The one layer update of every runner: layer *ell* of ``run.work``,
     *w*, becomes ``w - lr * g`` (returned) once that is finite
-    (``matcore._all_finite``); else RuntimeError names the iteration and the layer."""
+    (``matcore._all_finite``); else RuntimeError names the iteration and the layer.
+    A head block is also written into ``run.net``'s layer (``W[:k, :k'] = w``)."""
     new_w = run.work.layers[ell - 1] - lr * g
     if not _all_finite(new_w):
         raise RuntimeError(
@@ -437,6 +428,8 @@ def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
             f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
         )
     run.work.layers[ell - 1] = new_w
+    if run.work is not run.net:
+        run.net.layers[ell - 1][: new_w.shape[0], : new_w.shape[1]] = new_w
     return new_w
 
 
@@ -501,6 +494,7 @@ def _at_state(state: SweepState, net, data, lf, oracle_objective=math.nan):
     """``(run, ell, A, B X)`` at the state's next step, the one entry of the
     single steps and state views: ``_reduce``'s run (a state view reads no
     distance, so no optimum), the layer and its ``network._factors``."""
+    state._check_depth(net)
     run = _reduce(net, data, lf, oracle_objective)
     ell = state.layer_to_update()
     return (run, ell, *_factors(run.work, run.samples.x, ell))
@@ -555,13 +549,13 @@ def run_bcgd(
 ) -> Trajectory:
     """Run BCGD sweeps until ``max_sweeps`` or the target distance.
 
-    The network is updated in place; ``_drive`` holds the stop rule and
-    when the trained blocks reach *net* and ``on_sweep_end(completed_sweeps,
-    net)`` (the snapshot hook).  Each sweep takes its factors ``(A, B X)``
-    from ``_sweep``, so it costs O(L) matrix products; each step takes the
-    singular values of A and B X (``_spectra``) at most once, and only for
-    the policies that need them (theory_l2 shares them between its rate and
-    its gamma bound).  The theory_l2 ranks are taken once per run.
+    The network is updated in place at every step; ``_drive`` holds the
+    stop rule and ``on_sweep_end(completed_sweeps, net)`` (the snapshot
+    hook).  Each sweep takes its factors ``(A, B X)`` from ``_sweep``, so it
+    costs O(L) matrix products; each step takes the singular values of A
+    and B X (``_spectra``) at most once, and only for the policies that need
+    them (theory_l2 shares them between its rate and its gamma bound).  The
+    theory_l2 ranks are taken once per run.
     """
     _check_ordering(ordering)
     _check_policy(policy, lf)
@@ -585,15 +579,17 @@ def gd_step(
     changes, so the result does not depend on layer order.  The step is
     ``run_gd``'s, as a one-sweep ``_drive``; a non-finite gradient, update
     or loss raises RuntimeError naming the GD iteration (one past the
-    *state*'s sweeps; the state then advances one sweep).
+    *state*'s sweeps; the state then advances one sweep).  A *state* of
+    another depth than *net*'s raises ValueError before any work.
     """
     _check_gd_eta(eta)
+    if state is not None:
+        state._check_depth(net)
     step = state.sweep + 1 if state else 1
     run = _reduce(net, data, lf, oracle_objective)
     record = _drive(run, {}, 1, lambda _s: [_gd_step_core(run, step, eta)]).records[0]
     if state is not None:
-        for _ in range(state.depth):
-            state.advance()
+        state.sweep += 1  # as depth advances would: one sweep on, the same position
     return record
 
 

@@ -143,6 +143,7 @@ def gamma_factor(
     rank r (resp. r_x) the corresponding condition number is infinite
     and the factor degenerates to 1: no contraction through that layer.
     """
+    state._check_depth(net)
     a, bx = _factors(net, data.x, state.layer_to_update())
     return _gamma_from_spectra(
         singular_values(a), a.shape, singular_values(bx), bx.shape, eta, r, r_x

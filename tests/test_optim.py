@@ -501,21 +501,73 @@ def test_width_fast_path_writes_heads_back_like_full_width(runner, fail_at):
         assert traj is None and ref_traj is None
 
 
-@pytest.mark.parametrize("hook, target, writes", [
-    (False, -math.inf, 1),  # at return only
-    (True, -math.inf, 3),  # at each sweep end, none again at return
-    (True, math.inf, 1),  # the first sweep end stops the run
-])
-def test_a_run_writes_its_heads_back_once_per_sweep_end(monkeypatch, hook, target, writes):
-    calls = []
-    write_back = optim._Run.write_back
-    monkeypatch.setattr(optim._Run, "write_back", lambda run: calls.append(1) or write_back(run))
+def _three_sweeps(runner, net, data):
+    """Three sweeps of *runner* on *net*: a run, or its single steps from a fresh state."""
+    state, eta = SweepState(depth=net.depth), reference_gd_rate(net, data)
+    rng = np.random.default_rng(39)
+    if runner == "bcgd":
+        run_bcgd(net, data, l2(), LrPolicy("optimal_l2"), max_sweeps=3, target_dist=-math.inf)
+    elif runner == "bcsgd":
+        sgd.run_bcsgd(net, data, l2(), 0.5, 3, seed=39)
+    elif runner == "gd":
+        run_gd(net, data, l2(), eta, max_iters=3, target_dist=-math.inf)
+    elif runner == "bcgd_step":
+        for _ in range(3 * net.depth):
+            bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2"))
+    elif runner == "bcsgd_step":
+        for _ in range(3 * net.depth):
+            sgd.bcsgd_step(net, data, l2(), state, 0.5, rng)
+    else:
+        for _ in range(3):
+            gd_step(net, data, l2(), eta, state=state)
+
+
+@pytest.mark.parametrize("fail_at", [None, 6])
+@pytest.mark.parametrize("runner", ["bcgd", "bcsgd", "gd", "bcgd_step", "bcsgd_step", "gd_step"])
+def test_every_step_writes_its_head_blocks_through(monkeypatch, runner, fail_at):
+    # _wide_run's chain (width 12, head 6).  After every step, also the one whose
+    # update number *fail_at* raises (mid-iteration for GD: iteration 2, layer 2), each
+    # layer of the caller's network holds run.work's block in its head, bit for bit,
+    # and every entry outside the head as initialized.
+    data = make_data(seed=37)
     net = initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=38)
-    ends = []
-    run_bcgd(net, make_data(seed=37), l2(), LrPolicy("optimal_l2"), max_sweeps=3,
-             target_dist=target, on_sweep_end=(lambda k, cur: ends.append(k)) if hook else None)
-    assert len(calls) == writes
-    assert len(ends) == (writes if hook else 0)
+    init = [w.copy() for w in net.layers]
+    steps, updates, update = [], [], optim._update
+
+    def failing_update(*args):
+        updates.append(1)
+        if len(updates) == fail_at:
+            raise RuntimeError("stop")
+        return update(*args)
+
+    def checked(core):
+        def step(run, *args):
+            assert run.net is net and run.work is not net
+            try:
+                return core(run, *args)
+            finally:
+                steps.append(1)
+                for w, block, w0 in zip(net.layers, run.work.layers, init):
+                    k, kp = block.shape
+                    assert w[:k, :kp].tobytes() == block.tobytes()
+                    outside = w.copy()
+                    outside[:k, :kp] = w0[:k, :kp]
+                    assert outside.tobytes() == w0.tobytes()
+
+        return step
+
+    monkeypatch.setattr(optim, "_update", failing_update)
+    for module, name in CORES.values():
+        monkeypatch.setattr(module, name, checked(getattr(module, name)))
+    gd = runner.startswith("gd")
+    if fail_at is None:
+        _three_sweeps(runner, net, data)
+        assert len(steps) == (3 if gd else 12)  # depth 4
+    else:
+        with pytest.raises(RuntimeError, match="^stop$"):
+            _three_sweeps(runner, net, data)
+        assert len(steps) == (2 if gd else 6)
+    assert any(not np.array_equal(w, w0) for w, w0 in zip(net.layers, init))
 
 
 # The one layer update (optim._update) and the one run loop (optim._drive)

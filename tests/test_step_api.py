@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deeplinlab import optim, sgd
+from deeplinlab import optim, sgd, theory
 from deeplinlab.data import Dataset
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2, lp
@@ -207,3 +207,33 @@ def test_steps_and_state_views_train_on_the_runners_reduced_run():
     want = run_gd(ran, data, l2(), eta, max_iters=3, target_dist=-math.inf).records
     assert [gd_step(stepped, data, l2(), eta, state=state) for _ in want] == want
     assert all(w.tobytes() == v.tobytes() for w, v in zip(ran.layers, stepped.layers))
+
+
+STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
+    "bcgd_step": lambda net, data, state: bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2")),
+    "bcsgd_step": lambda net, data, state: sgd.bcsgd_step(
+        net, data, l2(), state, 0.5, np.random.default_rng(0)),
+    "gd_step": lambda net, data, state: gd_step(net, data, l2(), 0.1, state=state),
+    "compute_lr": lambda net, data, state: compute_lr(LrPolicy("optimal_l2"), net, data, l2(), state),
+    "sampling_distribution": lambda net, data, state: sgd.sampling_distribution(net, data, state),
+    "bcsgd_lr": lambda net, data, state: sgd.bcsgd_lr(net, data, state, 0, 0.5),
+    "floor_brackets": lambda net, data, state: sgd.floor_brackets(net, data, state, 0.5, 1.0),
+    "gamma_factor": lambda net, data, state: theory.gamma_factor(net, data, state, 1.0, 2, 3),
+}
+
+
+@pytest.mark.parametrize("depth, ordering", [(2, "descending"), (5, "ascending"), (5, "descending")])
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRIES))
+def test_a_state_of_another_depth_is_rejected_before_any_work(entry, depth, ordering):
+    # a depth-2 descending state would train layer 2 first (the sweep starts at 3), a
+    # depth-5 ascending one would pass unseen, and a depth-5 descending one points past
+    # the top layer
+    rng = np.random.default_rng(8)
+    net = initialize(InitScheme("random"), (3, 4, 4, 2), seed=9)
+    data = Dataset(x=rng.normal(size=(3, 10)), y=rng.uniform(-1, 2, size=(2, 10)))
+    before = [w.tobytes() for w in net.layers]
+    state = SweepState(depth=depth, ordering=ordering)
+    with pytest.raises(ValueError, match=f"^state depth {depth} does not match network depth 3$"):
+        STATE_ENTRIES[entry](net, data, state)
+    assert state == SweepState(depth=depth, ordering=ordering)
+    assert [w.tobytes() for w in net.layers] == before
