@@ -13,7 +13,9 @@ batch      run several config files in sequence
 
 Exit codes: 0 success, 1 audit violation or diverged run, 2 configuration error
 (including an ``--out`` whose directory cannot be created).  Every command
-that writes creates its output's parent directory before it computes.
+that writes creates its output's parent directory before it runs, once its
+inputs are built.  Runs measure against the library's one reference, the
+optimum at the chain's narrowest width (``optim._resolve_oracle``).
 
 Each RunConfig field is one long flag and one key of a flat ``key = value``
 config file (underscores for dashes), parsed alike; flags override file
@@ -38,7 +40,7 @@ from . import losses, sgd, theory
 from .data import Dataset, gen_input_gaussian, gen_output_uniform, load_normalize_csv, reshape_spectrum, sample_spectrum, write_csv
 from .initializers import KINDS, InitScheme, initialize
 from .network import Network, save_network, width_ok
-from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, _check_policy, reference_gd_rate, run_bcgd, run_gd
+from .optim import LrPolicy, StepRecord, SweepState, Trajectory, _check_gd_eta, _check_policy, _resolve_oracle, reference_gd_rate, run_bcgd, run_gd
 from .oracle import rank_constrained_solution, reference_objective  # perfbench calls cli.reference_objective
 
 __all__ = ["RunConfig", "emit_trajectory_csv", "main", "read_trajectory_csv", "run_experiment"]
@@ -154,9 +156,9 @@ _RUN_KEYS = (*_DATA_KEYS, "csv", "depth", "width", "dims", "init", "seed", "loss
 KEYS = {  # each command's RunConfig keys, in field order: its only flags and config keys
     "gen-data": (*_DATA_KEYS, "out"),
     "oracle": (*_DATA_KEYS, "csv", "depth", "width", "dims", "rank"),
-    "train": (*_RUN_KEYS, "policy", "order", "sweeps", "target", "rank", "out", "snapshots"),
-    "gd": (*_RUN_KEYS, "target", "rank", "out", "eta", "iters"),
-    "bcsgd": (*_RUN_KEYS, "order", "sweeps", "rank", "out", "eta", "seeds"),
+    "train": (*_RUN_KEYS, "policy", "order", "sweeps", "target", "out", "snapshots"),
+    "gd": (*_RUN_KEYS, "target", "out", "eta", "iters"),
+    "bcsgd": (*_RUN_KEYS, "order", "sweeps", "out", "eta", "seeds"),
 }
 
 
@@ -208,16 +210,18 @@ def build_network(cfg: RunConfig) -> Network:
     return initialize(scheme, cfg.dimension_chain(), cfg.seed)
 
 
-def _oracle_rank(cfg: RunConfig) -> int:
-    """Rank of the reference optimum: ``rank``, else the chain's narrowest width."""
-    return cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
+def _check_out_dir(out) -> None:
+    """``_make_out_dir``'s ConfigError for an *out* whose nearest existing
+    parent is no directory (a regular file), raised before anything is built."""
+    nearest = next(p for p in Path(out).parents if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"cannot create the directory of --out {out}: {nearest} is no directory")
 
 
 def _make_out_dir(out) -> None:
     """Create the parent directory of the output path *out*, as the snapshot
-    directory is created; ConfigError (exit 2) when that fails, for example
-    when the parent is a regular file.  Every writing command calls this
-    before it computes anything."""
+    directory is created; ConfigError (exit 2) when that fails.  Every
+    writing command calls this before it runs."""
     try:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -225,13 +229,13 @@ def _make_out_dir(out) -> None:
 
 
 def _prepare(cfg: RunConfig, command: str = "train") -> tuple[Dataset, Network, losses.LossFunction, float]:
-    """Validate *cfg* for *command* and create its output directory; return
-    its dataset, network, loss and reference optimum."""
+    """Validate *cfg* for *command*, build its dataset and network, then create
+    its output directory; return those, its loss and its reference optimum."""
     cfg.validate(command)
+    _check_out_dir(cfg.out)
+    data, net, lf = build_dataset(cfg), build_network(cfg), parse_loss(cfg.loss)
     _make_out_dir(cfg.out)
-    data = build_dataset(cfg)
-    lf = parse_loss(cfg.loss)
-    return data, build_network(cfg), lf, reference_objective(data, lf, _oracle_rank(cfg))
+    return data, net, lf, _resolve_oracle(net, data, lf, None)
 
 
 def run_experiment(cfg: RunConfig) -> Trajectory:
@@ -468,7 +472,8 @@ def _cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
     cfg.validate("oracle")
     data = build_dataset(cfg)
-    sol = rank_constrained_solution(data.x, data.y, _oracle_rank(cfg))
+    rank = cfg.rank if cfg.rank is not None else min(cfg.dimension_chain())
+    sol = rank_constrained_solution(data.x, data.y, rank)
     print(
         f"optimal_loss={sol.optimal_loss!r} w_star_frobenius="
         f"{float(np.linalg.norm(sol.w_star, 'fro'))!r} effective_rank={sol.effective_rank}"

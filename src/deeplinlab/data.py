@@ -34,8 +34,9 @@ class Dataset:
 
     A read-only value: X and Y are read-only copies (``_frozen``), so no
     later write to the arrays it was built from reaches it, and it caches
-    what every run on it derives from X alone: the sample compression
-    (``_compressed``) and the singular values of X (``_x_svals``).
+    what every run on it derives from the data alone, each once per
+    dataset: the sample compression (``_compressed``), the singular values
+    of X (``_x_svals``) and the reference optima (``_references``).
     """
 
     x: np.ndarray
@@ -89,6 +90,11 @@ class Dataset:
         s = _svals(self.x)
         s.flags.writeable = False
         return s
+
+    @cached_property
+    def _references(self) -> dict:
+        """``oracle.reference_objective``'s values, keyed by (loss power, rank)."""
+        return {}
 
 
 def _frozen(a, name: str) -> np.ndarray:

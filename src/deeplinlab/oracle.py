@@ -102,8 +102,11 @@ def reference_objective(data: Dataset, lf: losses.LossFunction, n_star: int) -> 
     For the square loss this is the minimized ||W X - Y||_F^2 itself; for
     other losses the square-loss optimum W* is evaluated under the run's
     objective (the reference the real-data experiments plot against).
+    Each reference is computed once per dataset: the value is kept on the
+    read-only *data* (``Dataset._references``) under (loss power, n_star).
     """
-    if lf.power == 2:
-        return optimal_loss(data.x, data.y, n_star)
-    w_star = rank_constrained_solution(data.x, data.y, n_star).w_star
-    return losses._objective(w_star @ data.x, data.y, lf)
+    refs, key = data._references, (lf.power, n_star)
+    if key not in refs:
+        sol = rank_constrained_solution(data.x, data.y, n_star)
+        refs[key] = sol.optimal_loss if lf.power == 2 else losses._objective(sol.w_star @ data.x, data.y, lf)
+    return refs[key]

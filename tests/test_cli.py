@@ -210,7 +210,7 @@ def test_flag_and_config_key_build_equal_configs(tmp_path, key, raw, value):
     config = tmp_path / "run.cfg"
     config.write_text(f"{key} = {raw}\n")
     parser = cli.build_parser()
-    command = next(c for c in ("train", "gd", "bcsgd") if key in cli.KEYS[c])
+    command = next(c for c in ("train", "gd", "bcsgd", "oracle") if key in cli.KEYS[c])
     flag = f"--{key.replace('_', '-')}={raw}"  # = keeps -inf a value
     from_flag = cli._config_from_args(parser.parse_args([command, flag]))
     from_file = cli._config_from_args(parser.parse_args([command, "--config", str(config)]))
@@ -251,12 +251,13 @@ def test_keys_a_command_does_not_read_exit_two_before_any_compute(
 
 def test_batch_rejects_a_key_train_does_not_read(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_dataset", _no_compute)
-    argv = _writing_argv(tmp_path, "batch", tmp_path / "new" / "run.csv")
-    with open(argv[1], "a", encoding="utf-8") as fh:
-        fh.write("iters = 5\n")
-    assert main(argv) == 2
-    assert "train does not read key 'iters'" in capsys.readouterr().err
-    assert not (tmp_path / "new").exists()
+    for line, key in (("iters = 5", "iters"), ("rank = 1", "rank")):
+        argv = _writing_argv(tmp_path, "batch", tmp_path / "new" / "run.csv")
+        with open(argv[1], "a", encoding="utf-8") as fh:
+            fh.write(f"{line}\n")
+        assert main(argv) == 2
+        assert f"train does not read key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 @pytest.mark.parametrize("extra,named", [
@@ -330,8 +331,7 @@ def test_values_outside_their_sets_exit_two_before_any_compute(
 
 
 @pytest.mark.parametrize("key,value", [
-    ("rank", "0"), ("m", "0"), ("seed", "-1"), ("data-seed", "-1"), ("spectrum-seed", "-1"),
-    ("snapshots", "-1"),
+    ("m", "0"), ("seed", "-1"), ("data-seed", "-1"), ("spectrum-seed", "-1"), ("snapshots", "-1"),
 ])
 @pytest.mark.parametrize("command", sorted(WRITING_COMMANDS.keys() - {"batch"}))
 def test_values_below_their_range_exit_two_before_the_out_directory(
@@ -343,6 +343,35 @@ def test_values_below_their_range_exit_two_before_the_out_directory(
     err = capsys.readouterr().err
     assert "config error" in err and key.replace("-", "_") in err
     assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_oracle_rank_below_its_range_exits_two_before_any_compute(tmp_path, capsys, monkeypatch, source):
+    monkeypatch.setattr(cli, "build_dataset", _no_compute)
+    (tmp_path / "run.cfg").write_text("rank = 0\n")
+    extra = ["--rank", "0"] if source == "flag" else ["--config", str(tmp_path / "run.cfg")]
+    assert main([*ORACLE, *extra]) == 2
+    assert capsys.readouterr().err == "config error: oracle needs rank >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", ["train", "gd", "bcsgd"])
+@pytest.mark.parametrize("case", ["balanced-width-1", "missing-csv", "short-csv-line"])
+def test_inputs_that_cannot_be_built_exit_two_and_create_no_directory(tmp_path, capsys, command, case):
+    # the dataset and the network are built before the --out directory is made
+    short = tmp_path / "short.csv"
+    short.write_text("1,2,3\n")  # 3 fields where d_in + d_out = 5
+    extra, message = {
+        "balanced-width-1": (["--m", "8", "--depth", "3", "--width", "1", "--init", "balanced"],
+                             "balanced initialization needs every width"),
+        "missing-csv": (["--csv", str(tmp_path / "missing.csv")], "missing.csv"),
+        "short-csv-line": (["--csv", str(short)], "short.csv:1: expected 5 fields, got 3"),
+    }[case]
+    argv = [command, "--d-in", "3", "--d-out", "2", *extra, "--out", str(tmp_path / "newdir" / "run.csv")]
+    if command == "bcsgd":
+        argv += ["--eta", "0.5"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "newdir").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -829,19 +858,29 @@ def test_depth_below_one_rejected(tmp_path, capsys):
 
 
 def test_oracle_and_train_agree_at_narrow_width(tmp_path, capsys):
-    # a width-2 chain can only reach the rank-2 optimum; both commands use it
-    common = ["--d-in", "6", "--d-out", "4", "--m", "30", "--data-seed", "7", "--width", "2"]
-    assert main(["oracle", *common]) == 0
-    printed = capsys.readouterr().out
-    oracle_value = float(printed.split("optimal_loss=")[1].split()[0])
-    assert "effective_rank=2" in printed
-    out = tmp_path / "w2.csv"
-    assert main(["train", *common, "--sweeps", "1", "--out", str(out)]) == 0
-    meta = read_trajectory_csv(out).meta
-    assert float(meta["oracle_objective"]) == oracle_value
-    assert oracle_value > optimal_loss(
-        gen_input_gaussian(6, 30, 7), gen_output_uniform(4, 30, 8), 4
-    )
+    # a width-2 chain can only reach the rank-2 optimum, a full-width one the
+    # least-squares optimum: train, gd and bcsgd all measure against the one
+    # that oracle prints for the chain
+    data_flags = ["--d-in", "6", "--d-out", "4", "--m", "30", "--data-seed", "7"]
+    runs = {
+        "train": ["--sweeps", "1"],
+        "gd": ["--iters", "1"],
+        "bcsgd": ["--sweeps", "1", "--eta", "0.5", "--seeds", "1"],
+    }
+    printed_values = {}
+    for width, rank in (("2", 2), ("6", 4)):
+        common = [*data_flags, "--width", width]
+        assert main(["oracle", *common]) == 0
+        printed = capsys.readouterr().out
+        oracle_value = printed_values[width] = float(printed.split("optimal_loss=")[1].split()[0])
+        assert f"effective_rank={rank}" in printed
+        for command, extra in runs.items():
+            out = tmp_path / width / f"{command}.csv"
+            assert main([command, *common, *extra, "--out", str(out)]) in (0, 1)  # bcsgd: its bracket
+            written = out.with_name(f"{command}_seed0.csv") if command == "bcsgd" else out
+            assert float(read_trajectory_csv(written).meta["oracle_objective"]) == oracle_value
+    full = optimal_loss(gen_input_gaussian(6, 30, 7), gen_output_uniform(4, 30, 8), 4)
+    assert printed_values["2"] > printed_values["6"] == full
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

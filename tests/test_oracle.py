@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from deeplinlab import oracle, sgd
+from deeplinlab.data import Dataset
+from deeplinlab.initializers import InitScheme, initialize
+from deeplinlab.losses import l2, lp
 from deeplinlab.matcore import compact_svd, numeric_rank, pseudo_inverse, singular_values
 from deeplinlab.oracle import (
     general_solution,
@@ -8,6 +12,7 @@ from deeplinlab.oracle import (
     optimal_loss,
     rank_constrained_solution,
 )
+from deeplinlab.optim import LrPolicy, SweepState, bcgd_step, gd_step
 
 
 def rank_deficient_x(seed=0, d_in=6, m=10, rank=3):
@@ -199,3 +204,43 @@ def test_rank_constrained_factors_x_once_with_the_same_bits(monkeypatch, x, n_st
     assert sum(of_x) == 1
     assert sol.w_star.tobytes() == want_w.tobytes()
     assert sol.optimal_loss == want_loss and sol.effective_rank == want_rank
+
+
+def test_each_reference_is_computed_once_per_dataset(monkeypatch):
+    # N single steps, or N seeds, without an oracle_objective take the default
+    # reference from the dataset's memo: one solution per (loss power, rank)
+    solve = oracle.rank_constrained_solution
+    calls = []
+
+    def counting(x, y, n_star):
+        calls.append(n_star)
+        return solve(x, y, n_star)
+
+    monkeypatch.setattr(oracle, "rank_constrained_solution", counting)
+    rng = np.random.default_rng(15)
+    data = Dataset(x=rng.normal(size=(5, 30)), y=rng.uniform(-1, 2, size=(3, 30)))
+
+    def fresh():
+        return initialize(InitScheme("orth_identity"), (5, 8, 2, 3), seed=16)
+
+    want = oracle.reference_objective(data, l2(), 2)
+    assert calls == [2]
+    net, state = fresh(), SweepState(depth=3, ordering="descending")
+    for _ in range(4):
+        bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2"))
+    step_rng = np.random.default_rng(17)
+    for _ in range(4):
+        sgd.bcsgd_step(net, data, l2(), state, 0.5, step_rng)
+    for _ in range(3):
+        gd_step(net, data, l2(), 1e-3)
+    for seed in range(18, 22):
+        assert sgd.run_bcsgd(fresh(), data, l2(), 0.5, 2, seed=seed)[0].meta["oracle_objective"] == want
+    assert calls == [2]
+    # lp:4 evaluates W* under its own objective: a second entry, kept apart
+    ref4 = oracle.reference_objective(data, lp(4), 2)
+    gd_step(fresh(), data, lp(4), 1e-4)
+    assert calls == [2, 2] and ref4 != want
+    assert data._references == {(2, 2): want, (4, 2): ref4}
+    # another dataset with the same values is another memo
+    twin = Dataset(x=data.x, y=data.y)
+    assert oracle.reference_objective(twin, l2(), 2) == want and calls == [2, 2, 2]
