@@ -330,10 +330,17 @@ def test_values_outside_their_sets_exit_two_before_any_compute(
     assert not (tmp_path / "new").exists()
 
 
-@pytest.mark.parametrize("key,value", [
-    ("m", "0"), ("seed", "-1"), ("data-seed", "-1"), ("spectrum-seed", "-1"), ("snapshots", "-1"),
+@pytest.mark.parametrize("command,key,value", [
+    *[
+        (command, key, value)
+        for command in sorted(WRITING_COMMANDS.keys() - {"batch"})
+        for key, value in [
+            ("m", "0"), ("seed", "-1"), ("data-seed", "-1"), ("spectrum-seed", "-1"), ("snapshots", "-1"),
+        ]
+    ],
+    # gen-data reads no rank: --rank 0 is still refused, as a key it does not read
+    ("gen-data", "rank", "0"),
 ])
-@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS.keys() - {"batch"}))
 def test_values_below_their_range_exit_two_before_the_out_directory(
     tmp_path, capsys, monkeypatch, command, key, value
 ):
