@@ -117,7 +117,7 @@ class RunConfig:
             raise ConfigError(
                 f"chain {chain} does not match d_in={self.d_in}, d_out={self.d_out}"
             )
-        if self.order not in ("asc", "desc"):
+        if self.order not in _ORDERS:
             raise ConfigError("order must be asc or desc")
         lows = {"m": 1, "sweeps": 1 if command == "bcsgd" else 0, "snapshots": 0, "seed": 0,
                 "data_seed": 0, "spectrum_seed": 0, "iters": 1, "seeds": 1}
@@ -151,6 +151,7 @@ class RunConfig:
             raise ConfigError("spectrum must be none or shaped")
 
 
+_ORDERS = {"asc": "ascending", "desc": "descending"}  # order key -> optim ordering
 _DATA_KEYS = ("d_in", "d_out", "m", "data_seed", "spectrum", "spectrum_seed")
 _RUN_KEYS = (*_DATA_KEYS, "csv", "depth", "width", "dims", "init", "seed", "loss")
 KEYS = {  # each command's RunConfig keys, in field order: its only flags and config keys
@@ -248,7 +249,7 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
     data, net, lf, oracle_obj = _prepare(cfg)
     policy = parse_policy(cfg.policy)
     chain = cfg.dimension_chain()
-    ordering = "ascending" if cfg.order == "asc" else "descending"
+    ordering = _ORDERS[cfg.order]
 
     snapshot_dir = None
     on_sweep_end = None
@@ -433,7 +434,7 @@ def _cmd_gd(args) -> int:
 def _cmd_bcsgd(args) -> int:
     cfg = _config_from_args(args)
     data, net, lf, oracle_obj = _prepare(cfg, "bcsgd")
-    ordering = "ascending" if cfg.order == "asc" else "descending"
+    ordering = _ORDERS[cfg.order]
     aggregate = sgd.BoundsTracker()
     tails = []
     out = Path(cfg.out)
@@ -494,10 +495,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    for config_path in args.configs:
-        print(f"== {config_path}")
-        cfg = RunConfig()
+    cfgs = [RunConfig() for _ in args.configs]
+    for cfg, config_path in zip(cfgs, args.configs):  # every file is checked before any run
         _apply_config_file(cfg, config_path, "train")
+        cfg.validate("train")
+        _check_out_dir(cfg.out)
+    for cfg, config_path in zip(cfgs, args.configs):
+        print(f"== {config_path}")
         run_experiment(cfg)
     return 0
 

@@ -150,10 +150,11 @@ def pseudo_inverse(a) -> np.ndarray:
 def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int) -> float:
     """sigma_max / sigma_r of a *shape* matrix whose spectrum *s* is given.
 
-    ``inf`` when sigma_r is numerically zero; *r* must lie in 1..min(shape).
+    ``inf`` when sigma_r is numerically zero or *r* lies outside
+    1..min(shape): a rank the matrix cannot carry.
     """
     if not 1 <= r <= min(shape):
-        raise ValueError(f"r={r} out of range for shape {shape}")
+        return math.inf
     smax = float(s[0])
     sr = float(s[r - 1])
     return math.inf if sr <= rank_tolerance(shape, smax) else smax / sr

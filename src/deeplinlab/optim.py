@@ -31,9 +31,10 @@ step core their ``_layerwise`` sweep runs.  The public single-step
 functions and state views enter through ``_at_state``: ``_reduce``'s run
 and the factors ``_sweep`` would hand out (``network._factors``); a single
 step is a one-sweep ``_drive`` of the runner's step code, so N of them give
-a run's N records bit for bit.  Every runner replaces a layer through
-``_update`` (into the caller's network too), and BCGD and BCSGD steps end
-in ``_descend``.
+a run's N records bit for bit.  A BCGD step and its state views
+(``compute_lr``, ``theory.gamma_factor``) share one evaluation,
+``_evaluate``.  Every runner replaces a layer through ``_update`` (into the
+caller's network too), and BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates, but for the layer gradient, which
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -89,6 +90,9 @@ _DENOM_FLOOR = 1e-300
 _sum = np.add.reduce
 _max = np.maximum.reduce
 _SPECTRAL_KINDS = ("theory_l2", "convex_safe")  # rate needs ||A||_2 and ||B X||_2
+# How every step and state view runs: numpy's overflow and invalid-value warnings
+# off, since the steps' finiteness checks raise on what those warnings report.
+_quiet = partial(np.errstate, over="ignore", invalid="ignore")
 
 
 def _check_ordering(ordering: str) -> None:
@@ -272,13 +276,16 @@ def compute_lr(
     lf: LossFunction,
     state: SweepState,
 ) -> float:
-    """Learning rate the policy would use for the state's next update."""
+    """The rate ``bcgd_step`` would take and record at the state (``_view``)."""
     _check_policy(policy, lf)
-    run, ell, a, bx = _at_state(state, net, data, lf)
-    pred = a.dot(run.work.layers[ell - 1]).dot(bx)
-    g = gradient_from_parts(a, bx, lf.deriv(pred, run.samples.y))
-    spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
-    return _lr_from_parts(policy, lf, spectra, a, bx, pred, run.samples.y, g, _sq_fro(g))
+    return _view(state, net, data, lf, policy)[3]
+
+
+def _view(state: SweepState, net, data, lf, policy: LrPolicy):
+    """``_evaluate`` at the state's next step (``_at_state``) under
+    ``_quiet``, numbered ``state.iteration + 1``: the BCGD state views."""
+    with _quiet():
+        return _evaluate(*_at_state(state, net, data, lf), policy, state.iteration + 1)
 
 
 def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
@@ -362,14 +369,13 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     After each sweep ``on_sweep_end(completed_sweeps, run.net)`` (the
     snapshot hook) sees the full chain as the sweep left it, since
     ``_update`` writes every step through to ``run.net``.  The loop runs
-    with numpy's overflow and invalid-value warnings off: the steps'
-    finiteness checks raise on what those warnings would report.
+    under ``_quiet``.
     """
     traj = Trajectory(
         meta={"dims": run.net.dims, "loss": run.lf.name, "oracle_objective": run.oracle_obj, **meta}
     )
     records = traj.records
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         for done in range(1, sweeps + 1):
             records.extend(sweep(done))
             if on_sweep_end is not None:
@@ -379,12 +385,13 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     return traj
 
 
-def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> StepRecord:
-    """BCGD iteration *iteration* (of sweep *sweep*): update layer *ell* of
-    ``run.work`` from its factors on ``run.samples``.  A theory_l2 step
-    records its gamma bound from ``run.ranks`` and the same spectra as the
-    rate, with A taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m`` of
-    the full chain in its rank tolerance.
+def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
+    """``(pred, G, ||G||_F^2, lr, gamma)`` of BCGD iteration *iteration* at
+    layer *ell* of ``run.work`` on ``run.samples``, from its factors: the one
+    evaluation of the BCGD step and its state views.  A theory_l2 step's
+    gamma bound (else None) comes from ``run.ranks`` and the same spectra as
+    the rate, with A taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m``
+    of the full chain in its rank tolerance.
 
     The gradient G must be finite, or RuntimeError names the iteration and
     the layer.  ``||G||_F^2`` is taken once per step (``matcore._sq_fro``):
@@ -393,12 +400,10 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
     ``np.isfinite(G).all()`` run, so a finite G whose squared norm
     overflows passes on to ``_update``'s check.
     """
-    w = run.work.layers[ell - 1]
     y, lf = run.samples.y, run.lf
-    pred = a.dot(w).dot(bx)
+    pred = a.dot(run.work.layers[ell - 1]).dot(bx)
     g = gradient_from_parts(a, bx, lf.deriv(pred, y))
     g2 = _sq_fro(g)
-    grad_fro = math.sqrt(g2)
     if not math.isfinite(g2) and not np.isfinite(g).all():
         raise RuntimeError(
             f"non-finite gradient at iteration {iteration}, "
@@ -413,7 +418,13 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
             a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
             bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
         )
-    return _descend(run, ell, iteration, sweep, a, bx, pred, lr, g, grad_fro, gamma)
+    return pred, g, g2, lr, gamma
+
+
+def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> StepRecord:
+    """BCGD iteration *iteration* of sweep *sweep*: ``_evaluate``, then ``_descend``."""
+    pred, g, g2, lr, gamma = _evaluate(run, ell, a, bx, policy, iteration)
+    return _descend(run, ell, iteration, sweep, a, bx, pred, lr, g, math.sqrt(g2), gamma)
 
 
 def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
@@ -501,9 +512,11 @@ def _at_state(state: SweepState, net, data, lf, oracle_objective=math.nan):
 
 
 def _single_step(state: SweepState, net, data, lf, oracle_objective, core, *args) -> StepRecord:
-    """The runner's *core* at the state's next step (``_at_state``), numbered
-    from the state, as a one-sweep ``_drive``; the state then advances."""
-    run, ell, a, bx = _at_state(state, net, data, lf, oracle_objective)
+    """The runner's *core* at the state's next step (``_at_state`` under
+    ``_quiet``), numbered from the state, as a one-sweep ``_drive``; the
+    state then advances."""
+    with _quiet():
+        run, ell, a, bx = _at_state(state, net, data, lf, oracle_objective)
     it, s = state.iteration + 1, state.sweep + 1
     record = _drive(run, {}, 1, lambda _s: [core(run, ell, it, s, a, bx, *args)]).records[0]
     state.advance()

@@ -2,8 +2,9 @@
 
 Three groups of machinery:
 
-* per-iteration contraction factors ``gamma_factor`` built from the
-  condition numbers of the partial products around the updated layer;
+* the per-step contraction factor ``gamma_factor``, built from the
+  condition numbers of the partial products around the updated layer:
+  the bound a theory_l2 step records (``optim._evaluate``);
 * the basin constants for layer-wise training near the optimum: the
   layer-drift radius R_L, the shape factor h(L), the constant c, and the
   per-sweep rate 1 - eta / (5 kappa^2(X));
@@ -22,9 +23,11 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import optim  # optim imports theory too: read only at call time
 from .data import Dataset
+from .losses import l2
 from .matcore import _kappa_r_from_svals, numeric_rank, singular_values
-from .network import Network, _factors
+from .network import Network
 
 __all__ = [
     "AuditReport",
@@ -128,26 +131,17 @@ def basin_constants(x, w_star, depth: int, eta: float) -> BasinConstants:
     )
 
 
-def gamma_factor(
-    net: Network,
-    data: Dataset,
-    state,
-    eta: float,
-    r: int,
-    r_x: int,
-) -> float:
-    """Contraction bound max(1 - eta / (kappa_r^2(A) kappa_rx^2(B X)), eta - 1).
+def gamma_factor(net: Network, data: Dataset, state, eta: float) -> float:
+    """Contraction bound max(1 - eta / (kappa_r^2(A) kappa_rx^2(B X)), eta - 1)
+    of the state's next step: the ``gamma_bound`` that ``optim.bcgd_step``
+    records there with ``LrPolicy("theory_l2", eta)`` (so 0 < eta < 2).
 
     A is the product above the layer the state updates next, B X the
-    product below applied to the inputs.  If either matrix cannot carry
-    rank r (resp. r_x) the corresponding condition number is infinite
-    and the factor degenerates to 1: no contraction through that layer.
+    product below applied to the inputs, r and r_x the ranks of the top
+    layer and of X (``optim._Run.ranks``).  If either matrix cannot carry
+    its rank, the factor degenerates to 1: no contraction through that layer.
     """
-    state._check_depth(net)
-    a, bx = _factors(net, data.x, state.layer_to_update())
-    return _gamma_from_spectra(
-        singular_values(a), a.shape, singular_values(bx), bx.shape, eta, r, r_x
-    )
+    return optim._view(state, net, data, l2(), optim.LrPolicy("theory_l2", eta))[4]
 
 
 def _gamma_from_spectra(
@@ -157,7 +151,8 @@ def _gamma_from_spectra(
 
     A rank outside ``1..min(shape)`` is one the matrix cannot carry: r = 0
     (a rank-0 X, or a top layer with no rows) as much as a rank above the
-    smaller side.  Its condition number is infinite and the bound 1.
+    smaller side.  Its condition number is infinite
+    (``matcore._kappa_r_from_svals``) and the bound 1.
 
     B X is conditioned by its r_x-th singular value, r_x the rank of X,
     even above a bottleneck narrower than r_x, where B X cannot carry that
@@ -169,8 +164,8 @@ def _gamma_from_spectra(
     (``sgd._bx_rank``) for another reason: the rate must train every
     layer, and the bracket must bound the floor the chain can reach.
     """
-    ka = _kappa_r_from_svals(a_svals, a_shape, r) if 1 <= r <= min(a_shape) else math.inf
-    kb = _kappa_r_from_svals(bx_svals, bx_shape, r_x) if 1 <= r_x <= min(bx_shape) else math.inf
+    ka = _kappa_r_from_svals(a_svals, a_shape, r)
+    kb = _kappa_r_from_svals(bx_svals, bx_shape, r_x)
     denom = ka * ka * kb * kb
     branch = 1.0 - eta / denom if math.isfinite(denom) else 1.0
     return max(branch, eta - 1.0)

@@ -260,6 +260,25 @@ def test_batch_rejects_a_key_train_does_not_read(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("second,named", [
+    ("rank = 1\n", "train does not read key 'rank'"),
+    ("sweeps = -1\n", "train needs sweeps >= 0, got -1"),
+    (None, "cannot read config"),
+    ("out = {tmp}/file/run.csv\n", "is no directory"),
+], ids=["unread-key", "bad-value", "missing-file", "out-under-a-file"])
+def test_batch_checks_every_config_before_the_first_run(tmp_path, capsys, second, named):
+    # a.cfg is fine; b.cfg is not: the batch exits 2 before a.cfg runs or writes
+    (tmp_path / "file").write_text("")
+    first = _writing_argv(tmp_path, "batch", tmp_path / "a" / "run.csv")[1]
+    other = tmp_path / "b.cfg"
+    if second is not None:
+        other.write_text(f"d_in = 6\nd_out = 2\nm = 20\n{second.format(tmp=tmp_path)}")
+    assert main(["batch", first, str(other)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and named in captured.err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("extra,named", [
     (["--it", "3"], "gd does not read --it 3"),  # no prefix of --iters stands for it
     (["--s", "1"], "gd does not read --s 1"),  # nor one of --seed, --spectrum, ...

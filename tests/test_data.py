@@ -24,6 +24,9 @@ def test_gaussian_variance_scaling():
 def test_gaussian_single_draw_finite():
     x = gen_input_gaussian(1, 1, seed=0)
     assert x.shape == (1, 1) and np.isfinite(x).all()
+    for d_in, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="d_in and m must be >= 1"):
+            gen_input_gaussian(d_in, m, seed=0)
 
 
 def test_gaussian_deterministic():
@@ -41,6 +44,9 @@ def test_uniform_range_and_shape():
 def test_uniform_single():
     y = gen_output_uniform(1, 1, seed=5)
     assert -1.0 < y[0, 0] < 2.0
+    for d_out, m in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="d_out and m must be >= 1"):
+            gen_output_uniform(d_out, m, seed=5)
 
 
 def test_uniform_mean():
@@ -78,6 +84,9 @@ def test_reshape_spectrum_roundtrip():
 def test_reshape_spectrum_rejects_nonpositive():
     with pytest.raises(ValueError, match="positive"):
         reshape_spectrum(np.eye(2), [1.0, 0.0])
+    for count in ([1.0], [3.0, 2.0, 1.0]):  # min(shape) = 2 targets, no other count
+        with pytest.raises(ValueError, match=f"need 2 target singular values, got {len(count)}"):
+            reshape_spectrum(np.eye(2), count)
     x = np.random.default_rng(16).normal(size=(3, 5))
     for bad in (np.nan, np.inf):  # an all-NaN or all-inf matrix before the check
         with pytest.raises(ValueError, match="finite and positive"):
@@ -94,6 +103,8 @@ def test_reshape_spectrum_rank_equals_target_count():
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(x=np.zeros((2, 3)), y=np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="at least one example"):
+        Dataset(x=np.zeros((2, 0)), y=np.zeros((1, 0)))
 
 
 def test_dataset_is_read_only():
@@ -175,6 +186,10 @@ def test_csv_errors_name_line(tmp_path):
     bad_field.write_text("# header\n1,2\nx,2\n")
     with pytest.raises(ValueError, match=":3"):
         load_normalize_csv(bad_field, d_in=1, d_out=1)
+    comments = tmp_path / "comments.csv"
+    comments.write_text("# d_in=1 d_out=1\n\n# no rows\n")
+    with pytest.raises(ValueError, match="comments.csv: no data rows"):
+        load_normalize_csv(comments, d_in=1, d_out=1)
 
 
 def test_csv_header_and_blank_lines_ignored(tmp_path):

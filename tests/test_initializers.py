@@ -13,6 +13,8 @@ from deeplinlab.optim import LrPolicy, run_bcgd
 def test_random_orthogonal_1x1():
     q = random_orthogonal(1, seed=0)
     assert q.shape == (1, 1) and abs(abs(q[0, 0]) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        random_orthogonal(0, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 5, 17])

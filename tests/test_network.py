@@ -99,6 +99,8 @@ def test_pad_equiv_shape_errors():
         pad_equiv(np.eye(2), np.eye(2), mode="one")  # needs min(A dims) > k
     with pytest.raises(ValueError):
         pad_equiv(np.eye(3), np.zeros((1, 2)), mode="one")
+    with pytest.raises(ValueError, match="unknown pad mode 'x'"):
+        pad_equiv(np.eye(2), np.eye(1), mode="x")
 
 
 def test_width_ok():

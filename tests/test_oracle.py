@@ -76,6 +76,8 @@ def test_general_solution_loss_independent_of_m():
 def test_general_solution_shape_check():
     with pytest.raises(ValueError):
         general_solution(np.eye(3), np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="same number of columns"):
+        least_norm_solution(np.eye(3), np.ones((2, 4)))
 
 
 def test_least_norm_is_minimal_frobenius():
@@ -138,6 +140,8 @@ def test_rank_constrained_beats_random_candidates():
 def test_rank_constrained_rejects_zero():
     with pytest.raises(ValueError):
         rank_constrained_solution(np.eye(2), np.eye(2), 0)
+    with pytest.raises(ValueError, match="same number of columns"):
+        rank_constrained_solution(np.eye(2), np.ones((2, 3)), 1)
 
 
 def test_optimal_loss_realizable():

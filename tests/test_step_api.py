@@ -9,9 +9,9 @@ way), and run the runners' step code as a one-sweep ``optim._drive``.  So
 on every problem, either reduction engaged or not, N single steps from a
 fresh ``SweepState`` give records equal (``==``) to the N records of the
 runner, and leave the same layers.  The state functions agree with those
-steps too: ``compute_lr`` gives the next record's rate, ``bcsgd_lr`` at the
-drawn example its rate, and ``sampling_distribution`` the distribution the
-step draws from.
+steps too: ``compute_lr`` gives the next record's rate, ``theory.gamma_factor``
+its theory_l2 gamma bound, ``bcsgd_lr`` at the drawn example its rate, and
+``sampling_distribution`` the distribution the step draws from.
 
 Every step reads the ranks (r, r_x) from its run object (``optim._Run.ranks``,
 taken once per run, before any layer moves): ``run_bcgd`` and ``run_bcsgd``
@@ -20,6 +20,7 @@ these problems the two agree.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -99,13 +100,15 @@ def test_bcgd_steps_are_the_runners_steps(dims, m, seed, ordering, sweeps, polic
     want = _outcome(lambda: run_bcgd(
         net, data, lf, policy, ordering, max_sweeps=sweeps, target_dist=-math.inf
     ).records)
+    theory_l2 = policy.kind == "theory_l2"
 
     def steps():
         state, records = SweepState(depth=stepped.depth, ordering=ordering), []
         for _ in range(sweeps * stepped.depth):
             lr = compute_lr(policy, stepped, data, lf, state)
+            gamma = theory.gamma_factor(stepped, data, state, policy.eta) if theory_l2 else None
             records.append(bcgd_step(stepped, data, lf, state, policy))
-            assert lr == records[-1].lr
+            assert (lr, gamma) == (records[-1].lr, records[-1].gamma_bound)
         return records
 
     assert _outcome(steps) == want
@@ -209,6 +212,25 @@ def test_steps_and_state_views_train_on_the_runners_reduced_run():
     assert all(w.tobytes() == v.tobytes() for w, v in zip(ran.layers, stepped.layers))
 
 
+def test_bcgd_state_views_raise_the_steps_non_finite_gradient_error():
+    # layers of 1e200 overflow every prediction: the state views stop where the step
+    # does, with its message and without a numpy warning
+    net = Network([np.full((4, 3), 1e200), np.full((4, 4), 1e200), np.full((2, 4), 1e200)])
+    data = Dataset(x=np.ones((3, 5)), y=np.ones((2, 5)))
+    policy = LrPolicy("theory_l2", eta=1.0)
+    state = SweepState(depth=3, sweep=1, position=2)
+    message = "^non-finite gradient at iteration 5, layer 2 "
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for view in (
+            lambda: compute_lr(policy, net, data, l2(), state),
+            lambda: theory.gamma_factor(net, data, state, policy.eta),
+            lambda: bcgd_step(net, data, l2(), state, policy),
+        ):
+            with pytest.raises(RuntimeError, match=message):
+                view()
+
+
 STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "bcgd_step": lambda net, data, state: bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2")),
     "bcsgd_step": lambda net, data, state: sgd.bcsgd_step(
@@ -218,7 +240,7 @@ STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "sampling_distribution": lambda net, data, state: sgd.sampling_distribution(net, data, state),
     "bcsgd_lr": lambda net, data, state: sgd.bcsgd_lr(net, data, state, 0, 0.5),
     "floor_brackets": lambda net, data, state: sgd.floor_brackets(net, data, state, 0.5, 1.0),
-    "gamma_factor": lambda net, data, state: theory.gamma_factor(net, data, state, 1.0, 2, 3),
+    "gamma_factor": lambda net, data, state: theory.gamma_factor(net, data, state, 1.0),
 }
 
 

@@ -30,6 +30,8 @@ def make_data(d_in=6, d_out=2, m=18, seed=0):
 
 def test_drift_radius_depth_one():
     assert drift_radius(1) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        drift_radius(0)
 
 
 def test_basin_factor_depth_one():
@@ -54,7 +56,7 @@ def test_gamma_factor_fresh_orth_identity():
     sv = np.linalg.svd(data.x, compute_uv=False)
     kappa2 = (sv[0] / sv[-1]) ** 2
     state = SweepState(depth=3, ordering="descending")
-    gamma = gamma_factor(net, data, state, eta=1.0, r=2, r_x=6)
+    gamma = gamma_factor(net, data, state, eta=1.0)  # r = 2 (the top layer), r_x = 6
     assert gamma == pytest.approx(1.0 - 1.0 / kappa2, rel=1e-9)
 
 
@@ -63,17 +65,21 @@ def test_gamma_factor_bottleneck_is_one():
     net = initialize(InitScheme("orth_identity"), (6, 2, 2, 2), seed=6)
     # updating an upper layer: the product below is rank-limited to 2 < r_x
     state = SweepState(depth=3, ordering="descending")
-    gamma = gamma_factor(net, data, state, eta=1.0, r=2, r_x=6)
+    gamma = gamma_factor(net, data, state, eta=1.0)
     assert gamma == 1.0
 
 
 def test_gamma_factor_rank_zero_is_one():
-    # a rank-0 X or a top layer with no rows: a rank no matrix carries
-    data = make_data(seed=3)
+    # a top layer with no rows (r = 0) or X = 0 (r_x = 0): a rank no matrix carries
+    rng = np.random.default_rng(10)
+    net = Network([rng.normal(size=(3, 3)), np.zeros((0, 3))])
+    data = Dataset(x=rng.normal(size=(3, 8)), y=np.zeros((0, 8)))
+    for ordering in ("ascending", "descending"):
+        assert gamma_factor(net, data, SweepState(depth=2, ordering=ordering), eta=1.0) == 1.0
+    data = Dataset(x=np.zeros((6, 18)), y=make_data(seed=3).y)
     net = initialize(InitScheme("orth_identity"), (6, 6, 6, 2), seed=4)
     state = SweepState(depth=3, ordering="descending")
-    assert gamma_factor(net, data, state, eta=1.0, r=0, r_x=6) == 1.0
-    assert gamma_factor(net, data, state, eta=1.0, r=2, r_x=0) == 1.0
+    assert gamma_factor(net, data, state, eta=1.0) == 1.0
 
 
 def test_theory_run_on_a_zero_row_top_layer_is_vacuous():
@@ -89,11 +95,16 @@ def test_theory_run_on_a_zero_row_top_layer_is_vacuous():
 
 
 def test_gamma_factor_eta_two_branch():
+    # max(1 - eta / kappa^2, eta - 1) at eta 1.5; eta = 2 (gamma >= 1, vacuous) is
+    # outside the theory_l2 rate's domain
     data = make_data(seed=7)
     net = initialize(InitScheme("orth_identity"), (6, 6, 2), seed=8)
-    state = SweepState(depth=2)
-    gamma = gamma_factor(net, data, state, eta=2.0, r=2, r_x=6)
-    assert gamma >= 1.0
+    sv = np.linalg.svd(data.x, compute_uv=False)
+    state = SweepState(depth=2)  # layer 1: A is the orthonormal top layer, B X is X
+    gamma = gamma_factor(net, data, state, eta=1.5)
+    assert gamma == pytest.approx(max(1.0 - 1.5 * (sv[-1] / sv[0]) ** 2, 0.5), rel=1e-9)
+    with pytest.raises(ValueError, match="0 < eta < 2"):
+        gamma_factor(net, data, state, eta=2.0)
 
 
 def test_basin_constants_forced_values_at_depth_one():
@@ -115,6 +126,9 @@ def test_basin_constants_requires_full_row_rank():
         basin_constants(x, np.ones((1, 2)), depth=2, eta=1.0)
     with pytest.raises(ValueError, match="eta"):
         basin_constants(np.eye(2), np.eye(2), depth=2, eta=1.5)
+    # full-row-rank X, but W* X has a zero row: sigma_min(W* X) = 0
+    with pytest.raises(ValueError, match=r"sigma_min\(W\* X\) must be positive"):
+        basin_constants(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), depth=2, eta=1.0)
 
 
 def test_min_depth_inside_basin_returns_one():
@@ -122,6 +136,11 @@ def test_min_depth_inside_basin_returns_one():
     x = rng.normal(size=(3, 12))
     w_star = rng.normal(size=(1, 3))
     assert min_depth_one_sweep(x, w_star, initial_dist=0.0, eta=1.0) == 1
+    # kappa(X) = 1 at eta = 1: the per-layer factor 1 - eta / kappa^2 is 0, one sweep lands
+    assert min_depth_one_sweep(2.0 * np.eye(3), w_star, initial_dist=100.0, eta=1.0) == 1
+    for eta in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\]"):
+            min_depth_one_sweep(x, w_star, initial_dist=1.0, eta=eta)
 
 
 @pytest.mark.parametrize("initial_dist", [math.nan, math.inf, -math.inf])
