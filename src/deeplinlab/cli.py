@@ -136,8 +136,6 @@ class RunConfig:
                 raise ConfigError(f"policy {self.policy!r}: {exc}") from exc
         if command == "bcsgd" and self.eta is None:
             raise ConfigError("bcsgd needs --eta (or an eta key in --config)")
-        if command == "bcsgd" and lf.power != 2:
-            raise ConfigError("bcsgd requires the l2 loss")
         if self.eta is not None:
             try:
                 (sgd._check_eta if command == "bcsgd" else _check_gd_eta)(self.eta)
@@ -153,12 +151,12 @@ class RunConfig:
 
 _ORDERS = {"asc": "ascending", "desc": "descending"}  # order key -> optim ordering
 _DATA_KEYS = ("d_in", "d_out", "m", "data_seed", "spectrum", "spectrum_seed")
-_RUN_KEYS = (*_DATA_KEYS, "csv", "depth", "width", "dims", "init", "seed", "loss")
+_RUN_KEYS = (*_DATA_KEYS, "csv", "depth", "width", "dims", "init", "seed")
 KEYS = {  # each command's RunConfig keys, in field order: its only flags and config keys
     "gen-data": (*_DATA_KEYS, "out"),
     "oracle": (*_DATA_KEYS, "csv", "depth", "width", "dims", "rank"),
-    "train": (*_RUN_KEYS, "policy", "order", "sweeps", "target", "out", "snapshots"),
-    "gd": (*_RUN_KEYS, "target", "out", "eta", "iters"),
+    "train": (*_RUN_KEYS, "loss", "policy", "order", "sweeps", "target", "out", "snapshots"),
+    "gd": (*_RUN_KEYS, "loss", "target", "out", "eta", "iters"),
     "bcsgd": (*_RUN_KEYS, "order", "sweeps", "out", "eta", "seeds"),
 }
 

@@ -76,12 +76,16 @@ class Dataset:
         is ``B x_i = B R^T q_i``, q_i the i-th row of Q.  c is taken as the
         residual's own squared norm, not as the difference ``||Y||^2 -
         ||Y Q||^2``, which would cancel.  ``optim._reduce`` decides when it
-        is used (the square loss with m > d_in).
+        is used (the square loss with m > d_in).  The rows of Q at X's zero
+        columns are set to 0 once Y Q and c are formed: there ``C q_i = B x_i
+        = 0`` exactly, so such an example's sampling weight is 0, as at
+        m <= d_in, not rounding noise (``sgd._bx_column_weights``).
         """
         q, r = np.linalg.qr(self.x.T)
-        q.flags.writeable = False
         yq = self.y @ q
         resid = self.y - yq @ q.T
+        q[~self.x.any(axis=0)] = 0.0
+        q.flags.writeable = False
         return Dataset(x=np.ascontiguousarray(r.T), y=yq), float(np.sum(resid * resid)), q
 
     @cached_property

@@ -26,15 +26,18 @@ block-diagonal chain trains only its head blocks, and a square-loss run
 with m > d_in trains on the QR-compressed samples ``(R^T, Y Q)`` of
 ``X^T = Q R`` plus the constant residual of Y outside X's row space, so
 no step touches an m-wide matrix.  ``_drive`` numbers the sweeps and
-``_sweep`` picks each step's layer; BCGD and BCSGD runs differ only in the
-step core their ``_layerwise`` sweep runs.  The public single-step
-functions and state views enter through ``_at_state``: ``_reduce``'s run
-and the factors ``_sweep`` would hand out (``network._factors``); a single
-step is a one-sweep ``_drive`` of the runner's step code, so N of them give
-a run's N records bit for bit.  A BCGD step and its state views
-(``compute_lr``, ``theory.gamma_factor``) share one evaluation,
-``_evaluate``.  Every runner replaces a layer through ``_update`` (into the
-caller's network too), and BCGD and BCSGD steps end in ``_descend``.
+``_sweep`` picks each step's layer; BCGD and BCSGD runs enter through one
+``_layerwise`` (the ordering check and ``_reduce``) and differ only in the
+step core its sweep runs.  The public single-step functions and state
+views enter through ``_at_state``: ``_reduce``'s run and the factors
+``_sweep`` would hand out (``network._factors``); a single step is a
+one-sweep ``_drive`` of the runner's step code, so N of them give a run's N
+records bit for bit.  Every state view is ``_view``: its step's evaluation
+at ``_at_state`` under ``_quiet``, the warning state of ``_drive``.  A BCGD
+step and its state views (``compute_lr``, ``theory.gamma_factor``) share
+``_evaluate``, a BCSGD step and its three ``sgd._evaluate``.  Every runner
+replaces a layer through ``_update`` (into the caller's network too), and
+BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates, but for the layer gradient, which
@@ -278,14 +281,15 @@ def compute_lr(
 ) -> float:
     """The rate ``bcgd_step`` would take and record at the state (``_view``)."""
     _check_policy(policy, lf)
-    return _view(state, net, data, lf, policy)[3]
+    return _view(state, net, data, lf, _evaluate, policy, state.iteration + 1)[3]
 
 
-def _view(state: SweepState, net, data, lf, policy: LrPolicy):
-    """``_evaluate`` at the state's next step (``_at_state``) under
-    ``_quiet``, numbered ``state.iteration + 1``: the BCGD state views."""
+def _view(state: SweepState, net, data, lf, evaluate, *args):
+    """``evaluate(run, ell, A, B X, *args)``, a runner's step evaluation, at
+    the state's next step (``_at_state``) under ``_quiet``: the one entry of
+    every state view (BCGD's ``_evaluate``, BCSGD's ``sgd._evaluate``)."""
     with _quiet():
-        return _evaluate(*_at_state(state, net, data, lf), policy, state.iteration + 1)
+        return evaluate(*_at_state(state, net, data, lf), *args)
 
 
 def _resolve_oracle(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> float:
@@ -537,15 +541,19 @@ def _sweep(net: Network, x: np.ndarray, ordering: str):
     return zip(layers, _suffixes(net), list(_prefixes(net, x))[::-1])
 
 
-def _layerwise(run: _Run, ordering: str, core, *args):
-    """The ``sweep(s)`` that ``_drive`` calls for a layer-wise runner (BCGD,
-    BCSGD): ``core(run, ell, iteration, s, A, B X, *args)`` at each of
-    ``_sweep``'s layers, iterations numbered from ``(s - 1) * depth + 1``."""
+def _layerwise(net, data, lf, oracle_objective, ordering: str, core, *args):
+    """The one entry of the layer-wise runners (BCGD, BCSGD): ``(run, sweep)``,
+    ``_reduce``'s run once *ordering* is checked, and the ``sweep(s)`` that
+    ``_drive`` calls: ``core(run, ell, iteration, s, A, B X, *args)`` at each
+    of ``_sweep``'s layers, iterations numbered from ``(s - 1) * depth + 1``."""
+    _check_ordering(ordering)
+    run = _reduce(net, data, lf, oracle_objective)
+
     def sweep(s):
         steps = enumerate(_sweep(run.work, run.samples.x, ordering), (s - 1) * run.work.depth + 1)
         return [core(run, ell, it, s, a, bx, *args) for it, (ell, a, bx) in steps]
 
-    return sweep
+    return run, sweep
 
 
 def run_bcgd(
@@ -570,10 +578,9 @@ def run_bcgd(
     them (theory_l2 shares them between its rate and its gamma bound).  The
     theory_l2 ranks are taken once per run.
     """
-    _check_ordering(ordering)
+    _check_ordering(ordering)  # an ordering's error comes before the policy's
     _check_policy(policy, lf)
-    run = _reduce(net, data, lf, oracle_objective)
-    sweep = _layerwise(run, ordering, _step_core, policy)
+    run, sweep = _layerwise(net, data, lf, oracle_objective, ordering, _step_core, policy)
     meta = {"ordering": ordering, "policy": policy.kind, **(meta or {})}
     return _drive(run, meta, max_sweeps, sweep, target_dist, on_sweep_end)
 

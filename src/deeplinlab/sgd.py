@@ -10,13 +10,16 @@ can carry: r_x (the numeric rank of X) capped by every width below the
 target layer.  In a chain wider than rank(X) the smallest singular value
 of B X would be rounding noise or 0, and the layer would not train.
 
-``run_bcsgd`` trains on ``optim._reduce``'s exact problem reduction (the
-head chain, and for m > d_in the samples ``(R^T, Y Q)`` of ``X^T = Q R``):
-a step costs O(n^2 d_in + m d_in^2) plus the SVDs of A and the n x d_in
-``C = B R^T`` (``optim._spectra``), or O(n^2 m) uncompressed.  ``bcsgd_step``
-takes that step from a ``SweepState``, and ``sampling_distribution``,
-``bcsgd_lr`` and ``floor_brackets`` see the state as the step does: ``_evaluate``
-of ``optim._at_state``.
+``run_bcsgd`` enters ``optim`` as ``run_bcgd`` does, through ``optim._layerwise``,
+and trains on its exact problem reduction (the head chain, and for m > d_in
+the samples ``(R^T, Y Q)`` of ``X^T = Q R``): a step costs
+O(n^2 d_in + m d_in^2) plus the SVDs of A and the n x d_in ``C = B R^T``
+(``optim._spectra``), or O(n^2 m) uncompressed.  ``bcsgd_step`` takes that
+step from a ``SweepState``, and ``sampling_distribution``, ``bcsgd_lr`` and
+``floor_brackets`` see the state as the step does: ``_evaluate`` through
+``optim._view``, the one entry of every state view, which runs it under the
+steps' numpy warning state, so an overflowing state raises the step's error
+with no numpy warning.
 
 The floors come with the square loss only.  They bound the stationary
 expected squared distance ||W_{L:1} X - W* X||_F^2 between
@@ -49,14 +52,12 @@ from .optim import (
     StepRecord,
     SweepState,
     Trajectory,
-    _at_state,
-    _check_ordering,
     _descend,
     _drive,
     _layerwise,
-    _reduce,
     _single_step,
     _spectra,
+    _view,
 )
 
 __all__ = [
@@ -136,7 +137,7 @@ def _evaluate(run, ell: int, a, bx, eta=None, tracker=None):
 def sampling_distribution(net: Network, data: Dataset, state: SweepState) -> np.ndarray:
     """The importance distribution over examples for the state's next
     update, as its probability vector: the one ``bcsgd_step`` draws from."""
-    weights, mass = _evaluate(*_at_state(state, net, data, l2()))[:2]
+    weights, mass = _view(state, net, data, l2(), _evaluate)[:2]
     return weights / mass
 
 
@@ -145,7 +146,7 @@ def bcsgd_lr(net: Network, data: Dataset, state: SweepState, i: int, eta: float)
     _check_eta(eta)
     if not 0 <= i < data.m:
         raise ValueError(f"sample index {i} out of range")
-    weights, _mass, sa, sb, k = _evaluate(*_at_state(state, net, data, l2()))
+    weights, _mass, sa, sb, k = _view(state, net, data, l2(), _evaluate)
     weight = float(weights[i])
     if weight <= 0.0:
         raise ValueError(f"sampled column {i} has zero weight")
@@ -253,7 +254,7 @@ def floor_brackets(
     _check_eta(eta)
     if tracker is None:
         tracker = BoundsTracker()
-        _evaluate(*_at_state(state, net, data, l2()), eta, tracker)
+        _view(state, net, data, l2(), _evaluate, eta, tracker)
     L = net.depth
     oracle_loss = float(oracle_loss)
     available = (
@@ -359,10 +360,8 @@ def run_bcsgd(
     """
     _require_l2(lf)
     _check_eta(eta)
-    _check_ordering(ordering)
-    run = _reduce(net, data, lf, oracle_objective)
-    rng = np.random.default_rng(seed)
-    tracker = BoundsTracker()
-    sweep = _layerwise(run, ordering, _bcsgd_step_core, eta, rng, tracker)
+    rng, tracker = np.random.default_rng(seed), BoundsTracker()
+    run, sweep = _layerwise(net, data, lf, oracle_objective, ordering,
+                            _bcsgd_step_core, eta, rng, tracker)
     meta = {"ordering": ordering, "policy": f"bcsgd:{eta!r}", "seed": seed, **(meta or {})}
     return _drive(run, meta, sweeps, sweep), tracker

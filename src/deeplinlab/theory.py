@@ -141,7 +141,8 @@ def gamma_factor(net: Network, data: Dataset, state, eta: float) -> float:
     layer and of X (``optim._Run.ranks``).  If either matrix cannot carry
     its rank, the factor degenerates to 1: no contraction through that layer.
     """
-    return optim._view(state, net, data, l2(), optim.LrPolicy("theory_l2", eta))[4]
+    policy = optim.LrPolicy("theory_l2", eta)
+    return optim._view(state, net, data, l2(), optim._evaluate, policy, state.iteration + 1)[4]
 
 
 def _gamma_from_spectra(

@@ -929,7 +929,7 @@ def test_train_divergence_exits_one_with_iteration_and_layer(tmp_path, capsys, r
     pytest.param({"--seeds": "-1"}, "seeds >= 1", id="seeds--1"),
     pytest.param({"--sweeps": "0"}, "sweeps >= 1", id="sweeps-0"),
     pytest.param({"--eta": "2.5"}, "eta must lie in (0, 2)", id="eta-2.5"),
-    pytest.param({"--loss": "lp:4"}, "requires the l2 loss", id="loss-lp:4"),
+    pytest.param({"--loss": "lp:4"}, "bcsgd does not read", id="loss-lp:4"),
 ])
 def test_bcsgd_rejects_empty_runs(tmp_path, capsys, monkeypatch, change, message):
     monkeypatch.setattr(cli, "build_dataset", _no_compute)

@@ -96,13 +96,14 @@ def test_bcsgd_lr_linear_in_eta_and_domain():
     for i in (-1, data.m):
         with pytest.raises(ValueError, match=f"sample index {i} out of range"):
             bcsgd_lr(net, data, state, i, eta=1.0)
-    # a zero column of X (m <= d_in: uncompressed samples) has zero sampling weight at
-    # layer 1: no step samples it
-    net, data = make_instance(m=4, seed=7)
-    x = data.x.copy()
-    x[:, 3] = 0.0
-    with pytest.raises(ValueError, match="sampled column 3 has zero weight"):
-        bcsgd_lr(net, Dataset(x=x, y=data.y), state, 3, eta=1.0)
+    # a zero column of X has zero sampling weight at layer 1, on uncompressed samples
+    # (m <= d_in) and on compressed ones (m > d_in): no step samples it
+    for m in (4, 12):
+        net, data = make_instance(m=m, seed=7)
+        x = data.x.copy()
+        x[:, 3] = 0.0
+        with pytest.raises(ValueError, match="sampled column 3 has zero weight"):
+            bcsgd_lr(net, Dataset(x=x, y=data.y), state, 3, eta=1.0)
 
 
 def test_bcsgd_lr_single_layer_reduces_to_sampled_least_squares():

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deeplinlab import optim, sgd, theory
-from deeplinlab.data import Dataset
+from deeplinlab.data import Dataset, gen_input_gaussian
 from deeplinlab.initializers import InitScheme, initialize
 from deeplinlab.losses import l2, lp
 from deeplinlab.network import Network
@@ -242,6 +242,40 @@ STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "floor_brackets": lambda net, data, state: sgd.floor_brackets(net, data, state, 0.5, 1.0),
     "gamma_factor": lambda net, data, state: theory.gamma_factor(net, data, state, 1.0),
 }
+
+STEP_OF = {  # each state view's step: the step whose evaluation the view reads
+    "compute_lr": "bcgd_step",
+    "gamma_factor": "bcgd_step",
+    "sampling_distribution": "bcsgd_step",
+    "bcsgd_lr": "bcsgd_step",
+    "floor_brackets": "bcsgd_step",
+}
+
+
+def _raised(entry, net, data, state):
+    """The type and message of what *entry* raises at a copy of the state, with
+    every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as info:
+            STATE_ENTRIES[entry](net.copy(), data, replace(state))
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_ENTRIES))
+def test_every_entry_stops_on_an_overflowing_state_without_a_numpy_warning(entry):
+    # layers of 1e200 overflow every product (m > d_in: BCSGD's weights go through the
+    # compression's Q): each entry raises with no numpy warning, and each state view
+    # raises its step's error at that state
+    x = gen_input_gaussian(5, 12, seed=3)
+    data = Dataset(x=x, y=np.random.default_rng(3).uniform(-1, 2, size=(2, 12)))
+    layers = initialize(InitScheme("orth_identity"), (5, 5, 5, 2), seed=4).layers
+    net = Network([1e200 * w for w in layers])
+    state = SweepState(depth=3, position=2)
+    raised = _raised(entry, net, data, state)
+    assert not issubclass(raised[0], Warning)
+    if entry in STEP_OF:
+        assert raised == _raised(STEP_OF[entry], net, data, state)
 
 
 @pytest.mark.parametrize("depth, ordering", [(2, "descending"), (5, "ascending"), (5, "descending")])
