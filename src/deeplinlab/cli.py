@@ -210,8 +210,11 @@ def build_network(cfg: RunConfig) -> Network:
 
 
 def _check_out_dir(out) -> None:
-    """``_make_out_dir``'s ConfigError for an *out* whose nearest existing
-    parent is no directory (a regular file), raised before anything is built."""
+    """The ConfigError of an *out* that names a directory (``""``, ``.`` and
+    ``/`` too), and ``_make_out_dir``'s for one whose nearest existing parent
+    is no directory (a regular file), raised before anything is built."""
+    if Path(out).is_dir():
+        raise ConfigError(f"--out {str(out)!r} names a directory, not a file")
     nearest = next(p for p in Path(out).parents if p.exists())
     if not nearest.is_dir():
         raise ConfigError(f"cannot create the directory of --out {out}: {nearest} is no directory")
@@ -249,22 +252,14 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
     chain = cfg.dimension_chain()
     ordering = _ORDERS[cfg.order]
 
-    snapshot_dir = None
-    on_sweep_end = None
-    if cfg.snapshots > 0:
-        snapshot_dir = Path(str(cfg.out) + ".snapshots")
+    snapshot_dir = Path(str(cfg.out) + ".snapshots")
+    every = max(1, cfg.sweeps // cfg.snapshots) if cfg.snapshots else 0
+    if every:
         snapshot_dir.mkdir(parents=True, exist_ok=True)
-        every = max(1, cfg.sweeps // cfg.snapshots)
 
-        def due(sweep_idx: int) -> bool:
-            return sweep_idx % every == 0 or sweep_idx == cfg.sweeps
-
-        def snapshot(sweep_idx: int, current: Network) -> None:
+    def snapshot(sweep_idx: int, current: Network) -> None:
+        if sweep_idx % every == 0:
             save_network(current, snapshot_dir / f"sweep_{sweep_idx:06d}.net")
-
-        def on_sweep_end(sweep_idx: int, current: Network) -> None:
-            if due(sweep_idx):
-                snapshot(sweep_idx, current)
 
     start = time.perf_counter()
     traj = run_bcgd(
@@ -277,12 +272,12 @@ def run_experiment(cfg: RunConfig) -> Trajectory:
         target_dist=cfg.target,
         oracle_objective=oracle_obj,
         meta={"seed": cfg.seed, "init": cfg.init, "width_ok": width_ok(chain, cfg.d_in, cfg.d_out)},
-        on_sweep_end=on_sweep_end,
+        on_sweep_end=snapshot if every else None,
     )
     elapsed = time.perf_counter() - start
     sweeps_done = traj.records[-1].sweep if traj.records else 0
-    if snapshot_dir is not None and sweeps_done and not due(sweeps_done):  # stopped early
-        snapshot(sweeps_done, net)
+    if every and sweeps_done % every:  # the last sweep run (--sweeps or the stop), off the cadence
+        save_network(net, snapshot_dir / f"sweep_{sweeps_done:06d}.net")
     emit_trajectory_csv(traj, cfg.out)
     final = traj.final_dist()
     print(
@@ -396,6 +391,7 @@ def _meta_float(path, meta: dict, key: str) -> float:
 def _cmd_gen_data(args) -> int:
     cfg = _config_from_args(args, RunConfig(out=None))  # no default path to write
     cfg.validate("gen-data")
+    _check_out_dir(cfg.out)
     _make_out_dir(cfg.out)
     dataset = build_dataset(cfg)
     write_csv(cfg.out, dataset)

@@ -35,6 +35,17 @@ def _sq_fro(a: np.ndarray) -> float:
     return float(v.dot(v))
 
 
+def _square(v: float) -> float:
+    """``v ** 2`` bit for bit, or inf where that overflows (Python's float
+    power raises OverflowError, where numpy would return inf): the one
+    square of a spectral step constant (the theory_l2 and convex_safe
+    denominators, the GD reference rate and the BCSGD bracket tracker)."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 def _all_finite(m: np.ndarray, part: np.ndarray | None = None) -> bool:
     """Whether every entry of *part* (a part of *m*; default *m*) is finite.
     The sum of squares of *m* (``_sq_fro``) decides unless it is not finite;

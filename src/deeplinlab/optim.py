@@ -17,7 +17,12 @@ below, G the layer gradient and C the curvature bound of the loss.
 Trajectories record, per iteration, the tracked objective (for the
 |z-b|^p family: sum |pred - y|^p, the convention in which the optimal
 step's drop identity is exact), the normalized distance to the oracle
-optimum, the rate used, and the contraction bound when one applies.
+optimum, the rate used, and the contraction bound when one applies:
+theory_l2's, which ``_evaluate`` takes beside its rate (``theory`` reads
+it there and ``optim`` imports no ``theory``).  A rate whose denominator
+is below 1e-300 is 0, a skipped step; the spectral denominators and the
+GD reference rate square through ``matcore._square``, so one that
+overflows is inf and its rate 0 too, not an OverflowError.
 
 Every runner (``run_bcgd``, ``run_gd`` and ``sgd.run_bcsgd``) is one
 ``_drive`` loop over the run ``_reduce`` returns: the exact problem
@@ -59,10 +64,9 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, _check_dims, _objective, gradient_from_parts
-from .matcore import _all_finite, _sq_fro, _svals, numeric_rank
+from .matcore import _all_finite, _kappa_r_from_svals, _sq_fro, _square, _svals, numeric_rank
 from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
-from . import theory
 
 __all__ = [
     "LrPolicy",
@@ -246,17 +250,21 @@ def _lr_from_parts(
     predictions (the point the curvature bound is evaluated at); *g2* is
     ``||G||_F^2`` as the step took it (``matcore._sq_fro``), the numerator
     of the optimal, general and lp rates; a denominator below 1e-300 yields
-    rate 0, the skip-step convention for degenerate states.
+    rate 0, the skip-step convention for degenerate states.  The spectral
+    denominators square ``||A||_2`` and ``||B X||_2`` through
+    ``matcore._square``, so one that overflows is inf and its rate
+    ``eta / inf = 0.0``: the same skip.  So is one that is 0 times an
+    overflowed square (NaN), whose exact value is 0.
     """
     kind = policy.kind
     if kind == "constant":
         return float(policy.eta)
     if kind in _SPECTRAL_KINDS:
         a_svals, bx_svals = spectra
-        denom = float(a_svals[0]) ** 2 * float(bx_svals[0]) ** 2
+        denom = _square(float(a_svals[0])) * _square(float(bx_svals[0]))
         if kind == "convex_safe":
             denom *= float(_max(lf.curvature(pred, y), axis=None)) if pred.size else 0.0
-        if denom < _DENOM_FLOOR:
+        if not denom >= _DENOM_FLOOR:  # NaN too: 0 times an overflowed square
             return 0.0
         return (policy.eta if kind == "theory_l2" else 1.0) / denom
     agbx = a.dot(g).dot(bx)
@@ -392,10 +400,27 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
 def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
     """``(pred, G, ||G||_F^2, lr, gamma)`` of BCGD iteration *iteration* at
     layer *ell* of ``run.work`` on ``run.samples``, from its factors: the one
-    evaluation of the BCGD step and its state views.  A theory_l2 step's
-    gamma bound (else None) comes from ``run.ranks`` and the same spectra as
-    the rate, with A taken as ``n_L x n_ell`` and B X as ``n_(ell-1) x m``
-    of the full chain in its rank tolerance.
+    evaluation of the BCGD step and its state views.
+
+    A theory_l2 step's gamma bound (else None) is
+    ``max(1 - eta / (kappa_r^2(A) kappa_rx^2(B X)), eta - 1)``, from the same
+    spectra as the rate, with A taken as ``n_L x n_ell`` and B X as
+    ``n_(ell-1) x m`` of the full chain in its rank tolerance, and
+    ``(r, r_x) = run.ranks``.  A rank outside ``1..min(shape)`` is one the
+    matrix cannot carry: r = 0 (a rank-0 X, or a top layer with no rows) as
+    much as a rank above the smaller side.  Its condition number is infinite
+    (``matcore._kappa_r_from_svals``) and the bound 1.  A step the rate
+    floor skips (lr 0) does not move, so it records 1 too.
+
+    B X is conditioned by its r_x-th singular value, r_x the rank of X,
+    even above a bottleneck narrower than r_x, where B X cannot carry that
+    rank: there the bound is 1, vacuous, as acceptance 9 requires.  The
+    contraction it states, ``dist_after <= dist_before * gamma^2``, rests
+    on B X carrying X's rank; a bound from a capped rank would be finite
+    with no theorem behind it, and ``verify`` would audit runs against it.
+    The BCSGD rate and bracket tracker cap the rank at what B X can carry
+    (``sgd._bx_rank``) for another reason: the rate must train every
+    layer, and the bracket must bound the floor the chain can reach.
 
     The gradient G must be finite, or RuntimeError names the iteration and
     the layer.  ``||G||_F^2`` is taken once per step (``matcore._sq_fro``):
@@ -417,11 +442,11 @@ def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g, g2)
     gamma = None
     if policy.kind == "theory_l2":
-        (a_svals, bx_svals), (r, r_x), layers = spectra, run.ranks, run.net.layers
-        gamma = theory._gamma_from_spectra(
-            a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]),
-            bx_svals, (layers[ell - 1].shape[1], run.data.m), policy.eta, r, r_x,
-        )
+        (a_svals, bx_svals), (r, r_x), layers, eta = spectra, run.ranks, run.net.layers, policy.eta
+        ka = _kappa_r_from_svals(a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]), r)
+        kb = _kappa_r_from_svals(bx_svals, (layers[ell - 1].shape[1], run.data.m), r_x)
+        denom = ka * ka * kb * kb
+        gamma = max(1.0 - eta / denom if lr and math.isfinite(denom) else 1.0, eta - 1.0)
     return pred, g, g2, lr, gamma
 
 
@@ -663,6 +688,8 @@ def run_gd(
 
 def reference_gd_rate(net: Network, data: Dataset) -> float:
     """The literature reference rate n_L / (3 L ||X||^2) for plain GD; 0.0
-    (the skip-step convention) when the denominator is below 1e-300."""
-    denom = 3.0 * net.depth * float(data._x_svals[0]) ** 2
+    (the skip-step convention) when the denominator is below 1e-300 or
+    overflows (``||X||^2`` taken by ``matcore._square``: inf, not an
+    OverflowError)."""
+    denom = 3.0 * net.depth * _square(float(data._x_svals[0]))
     return 0.0 if denom < _DENOM_FLOOR else net.dims[-1] / denom

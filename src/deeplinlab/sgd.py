@@ -46,7 +46,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, l2
-from .matcore import _column_sums, _fro
+from .matcore import _column_sums, _fro, _square
 from .network import Network
 from .optim import (
     StepRecord,
@@ -194,14 +194,6 @@ class BoundsTracker:
 def _sval(s: np.ndarray, r: int) -> float:
     """The r-th singular value; 0 when the matrix cannot carry rank r."""
     return float(s[r - 1]) if 1 <= r <= s.size else 0.0
-
-
-def _square(v: float) -> float:
-    """``v ** 2``, or inf where that overflows (Python's float power raises)."""
-    try:
-        return v**2
-    except OverflowError:
-        return math.inf
 
 
 def _ratio_sq(num: float, den: float) -> float:

@@ -4,7 +4,8 @@ Three groups of machinery:
 
 * the per-step contraction factor ``gamma_factor``, built from the
   condition numbers of the partial products around the updated layer:
-  the bound a theory_l2 step records (``optim._evaluate``);
+  the bound a theory_l2 step records, read from ``optim._evaluate``,
+  where it is taken beside its rate;
 * the basin constants for layer-wise training near the optimum: the
   layer-drift radius R_L, the shape factor h(L), the constant c, and the
   per-sweep rate 1 - eta / (5 kappa^2(X));
@@ -23,11 +24,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import optim  # optim imports theory too: read only at call time
 from .data import Dataset
 from .losses import l2
-from .matcore import _kappa_r_from_svals, numeric_rank, singular_values
+from .matcore import numeric_rank, singular_values
 from .network import Network
+from .optim import LrPolicy, _evaluate, _view
 
 __all__ = [
     "AuditReport",
@@ -139,37 +140,11 @@ def gamma_factor(net: Network, data: Dataset, state, eta: float) -> float:
     A is the product above the layer the state updates next, B X the
     product below applied to the inputs, r and r_x the ranks of the top
     layer and of X (``optim._Run.ranks``).  If either matrix cannot carry
-    its rank, the factor degenerates to 1: no contraction through that layer.
+    its rank, the factor degenerates to 1: no contraction through that layer;
+    so it does where the rate floor skips the step (``optim._evaluate``).
     """
-    policy = optim.LrPolicy("theory_l2", eta)
-    return optim._view(state, net, data, l2(), optim._evaluate, policy, state.iteration + 1)[4]
-
-
-def _gamma_from_spectra(
-    a_svals, a_shape, bx_svals, bx_shape, eta: float, r: int, r_x: int
-) -> float:
-    """``gamma_factor`` from the singular values of A and B X (and their shapes).
-
-    A rank outside ``1..min(shape)`` is one the matrix cannot carry: r = 0
-    (a rank-0 X, or a top layer with no rows) as much as a rank above the
-    smaller side.  Its condition number is infinite
-    (``matcore._kappa_r_from_svals``) and the bound 1.
-
-    B X is conditioned by its r_x-th singular value, r_x the rank of X,
-    even above a bottleneck narrower than r_x, where B X cannot carry that
-    rank: there the bound is 1, vacuous, as acceptance 9 requires.  The
-    contraction it states, ``dist_after <= dist_before * gamma^2``, rests
-    on B X carrying X's rank; a bound from a capped rank would be finite
-    with no theorem behind it, and ``verify`` would audit runs against it.
-    The BCSGD rate and bracket tracker cap the rank at what B X can carry
-    (``sgd._bx_rank``) for another reason: the rate must train every
-    layer, and the bracket must bound the floor the chain can reach.
-    """
-    ka = _kappa_r_from_svals(a_svals, a_shape, r)
-    kb = _kappa_r_from_svals(bx_svals, bx_shape, r_x)
-    denom = ka * ka * kb * kb
-    branch = 1.0 - eta / denom if math.isfinite(denom) else 1.0
-    return max(branch, eta - 1.0)
+    policy = LrPolicy("theory_l2", eta)
+    return _view(state, net, data, l2(), _evaluate, policy, state.iteration + 1)[4]
 
 
 def min_depth_one_sweep(x, w_star, initial_dist: float, eta: float) -> int:

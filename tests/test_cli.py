@@ -161,17 +161,34 @@ def test_out_into_a_missing_directory_creates_it(tmp_path, capsys, command):
     assert written.is_file()
 
 
-@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+BAD_OUTS = {  # --out (under tmp_path, the working directory): its error
+    "blocker": ("afile/run.csv", "cannot create the directory of --out"),
+    "dir": ("adir", "--out '{}' names a directory"),
+    "dot": (".", "--out '.' names a directory"),
+    "empty": ("", "--out '' names a directory"),
+}
+
+
+@pytest.mark.parametrize("command, out", [  # the blocker cases keep their plain command ids
+    pytest.param(command, out, id=command if out == "blocker" else f"{command}-{out}")
+    for command in sorted(WRITING_COMMANDS) for out in BAD_OUTS
+])
 def test_out_under_a_regular_file_exits_two_before_any_compute(
-    tmp_path, capsys, monkeypatch, command
+    tmp_path, capsys, monkeypatch, command, out
 ):
-    blocker = tmp_path / "afile"
+    # an --out under a regular file, or one that names a directory, exits 2 before
+    # the dataset is built, and nothing is written
+    blocker, directory = tmp_path / "afile", tmp_path / "adir"
     blocker.write_text("")
+    directory.mkdir()
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "build_dataset", _no_compute)
-    assert main(_writing_argv(tmp_path, command, blocker / "run.csv")) == 2
-    assert "cannot create the directory of --out" in capsys.readouterr().err
-    assert blocker.read_text() == ""
-    assert set(tmp_path.iterdir()) <= {blocker, tmp_path / "run.cfg"}
+    path, message = BAD_OUTS[out]
+    path = str(tmp_path / path) if out in ("blocker", "dir") else path
+    assert main(_writing_argv(tmp_path, command, path)) == 2
+    assert message.format(path) in capsys.readouterr().err
+    assert blocker.read_text() == "" and not any(directory.iterdir())
+    assert set(tmp_path.iterdir()) <= {blocker, directory, tmp_path / "run.cfg"}
 
 
 FIELD_TEXTS = {  # RunConfig field: (its text as a flag or a config value, parsed)

@@ -5,9 +5,11 @@ deeplinlab itself), imports every deeplinlab module and runs a small
 ``train``.  A refused import made by deeplinlab's own code fails the test
 even where the code would catch it; the stdlib and numpy try optional
 modules of their own (``copy`` tries ``org.python.core``), which are
-refused but not counted.
+refused but not counted.  The package's own modules import each other
+without a cycle.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,3 +67,31 @@ def test_only_the_stdlib_and_numpy_are_imported(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "refused: []" in proc.stdout, proc.stdout
     assert out.read_text().count("\n") > 1
+
+
+def _relative_imports(path):
+    """The deeplinlab modules *path* imports relatively (``from . import m``,
+    ``from .m import x``), read with ``ast``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else (a.name for a in node.names))
+    return names
+
+
+def test_the_package_modules_import_each_other_without_a_cycle():
+    graph = {p.stem: _relative_imports(p) for p in (SRC / "deeplinlab").glob("*.py")}
+    done, path = set(), []
+
+    def visit(module):  # depth-first: a module met again on the current path closes a cycle
+        assert module not in path, " -> ".join(path[path.index(module):] + [module])
+        if module in done:
+            return
+        path.append(module)
+        for dep in sorted(graph.get(module, ())):
+            visit(dep)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

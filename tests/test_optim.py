@@ -118,9 +118,12 @@ def test_zero_gradient_step_is_noop():
 
 
 def test_reference_gd_rate_of_a_zero_x_is_zero():
-    # ||X||_2 = 0: the denominator 3 L ||X||^2 is below the floor, so the step is skipped
-    data = Dataset(x=np.zeros((3, 5)), y=np.ones((2, 5)))
-    assert reference_gd_rate(Network([np.ones((2, 3))]), data) == 0.0
+    # ||X||_2 = 0: the denominator 3 L ||X||^2 is below the floor, so the step is skipped;
+    # ||X||_2 of 1e160 squares past the float range: the denominator is inf, the rate 0
+    x = np.random.default_rng(0).normal(size=(3, 5))
+    for x in (np.zeros((3, 5)), x * 1e160):
+        data = Dataset(x=x, y=np.ones((2, 5)))
+        assert reference_gd_rate(Network([np.ones((2, 3))]), data) == 0.0
 
 
 def test_exact_zero_gradient_skips_the_step():

@@ -231,6 +231,33 @@ def test_bcgd_state_views_raise_the_steps_non_finite_gradient_error():
                 view()
 
 
+@pytest.mark.parametrize("policy", [LrPolicy("theory_l2", eta=1.0), LrPolicy("convex_safe")],
+                         ids=["theory_l2", "convex_safe"])
+def test_an_overflowing_spectral_denominator_skips_the_step(policy):
+    # ||A||_2 ||B X||_2 of about 1e160 at layer 1: its square overflows (the gradient
+    # is finite entry by entry), so the rate is eta / inf = 0.0, the floor's skip; at
+    # layer 2 under a zero top layer, ||A||_2^2 ||B X||_2^2 is 0 times inf, exactly 0
+    rng = np.random.default_rng(0)
+    data = Dataset(x=rng.normal(size=(3, 8)), y=rng.normal(size=(2, 8)))
+    overflow = [rng.normal(size=(3, 3)) * 1e-200, rng.normal(size=(3, 3)) * 1e80,
+                rng.normal(size=(2, 3)) * 1e80]
+    zero_top = [rng.normal(size=(3, 3)) * 1e160, rng.normal(size=(3, 3)), np.zeros((2, 3))]
+    for layers, ell in ((overflow, 1), (zero_top, 2)):
+        net, state = Network([w.copy() for w in layers]), SweepState(depth=3, position=ell)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lr = compute_lr(policy, net, data, l2(), state)
+            gamma = theory.gamma_factor(net, data, state, 1.0)
+            record = bcgd_step(net, data, l2(), state, policy)
+            assert record.lr == 0.0 == lr
+            assert net.layers[ell - 1].tobytes() == layers[ell - 1].tobytes()
+            if policy.kind == "theory_l2":
+                assert gamma == record.gamma_bound == 1.0
+            traj = run_bcgd(Network(layers), data, l2(), policy, max_sweeps=1,
+                            target_dist=-math.inf)
+        assert [r.layer for r in traj.records] == [1, 2, 3] and traj.records[ell - 1].lr == 0.0
+
+
 STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "bcgd_step": lambda net, data, state: bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2")),
     "bcsgd_step": lambda net, data, state: sgd.bcsgd_step(

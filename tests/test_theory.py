@@ -94,6 +94,22 @@ def test_theory_run_on_a_zero_row_top_layer_is_vacuous():
     assert [(r.lr, r.gamma_bound) for r in traj.records] == [(0.0, 1.0)] * 4
 
 
+def test_a_theory_step_the_rate_floor_skips_records_gamma_one():
+    # a top layer of 1e-160 puts ||A||^2 ||B X||^2 below the floor at layers 1 and 2:
+    # those steps take rate 0 and do not move, so their bound is 1, not kappa's 0.73
+    net = initialize(InitScheme("orthogonal"), (3, 3, 3, 2), seed=1)
+    net.layers[-1] = net.layers[-1] * 1e-160
+    data = Dataset(x=gen_input_gaussian(3, 8, seed=0), y=gen_output_uniform(2, 8, seed=1))
+    gammas = [gamma_factor(net, data, SweepState(depth=3, position=k), eta=1.0) for k in (1, 2)]
+    traj = run_bcgd(net, data, l2(), LrPolicy("theory_l2", eta=1.0), max_sweeps=1,
+                    target_dist=-math.inf)
+    assert [(r.lr, r.gamma_bound) for r in traj.records[:2]] == [(0.0, 1.0)] * 2
+    assert gammas == [1.0, 1.0]
+    assert traj.records[2].lr > 0 and traj.records[2].gamma_bound < 1.0
+    report = verify_trajectory(traj)
+    assert report.ok and report.vacuous_steps == 2
+
+
 def test_gamma_factor_eta_two_branch():
     # max(1 - eta / kappa^2, eta - 1) at eta 1.5; eta = 2 (gamma >= 1, vacuous) is
     # outside the theory_l2 rate's domain
