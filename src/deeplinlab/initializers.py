@@ -5,7 +5,9 @@ The first four place structured blocks in the top-left corner of each
 layer and pad with zeros (orth-identity additionally pads the square
 block with an identity, which is what makes intermediate widths inert).
 Balanced factors a seed matrix through its SVD with the 1/L-th power of
-the spectrum in every intermediate layer.
+the spectrum in every intermediate layer.  At widths above
+``max(n_0, n_L)`` the orth-identity, identity and balanced kinds build
+the network compact: its head blocks, without the pad.
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
     Per-layer random draws come from a single stream seeded by *seed*,
     taken in layer order, so a fixed seed reproduces the network and the
     draws do not depend on the widths beyond each block's size.
+
+    A chain with padding (a width above ``max(n_0, n_L)``) under the
+    orth-identity, identity and balanced kinds is built compact
+    (``Network._padded``): only its head blocks ``W_l[:k_l, :k_(l-1)]``,
+    ``k_l = min(n_l, max(n_0, n_L))``, are allocated, the pad they imply a
+    unit diagonal (orth-identity, identity) or zero (balanced).
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -76,24 +84,28 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
     L = len(dims) - 1
     d_cap = max(dims[0], dims[-1])
 
-    if scheme.kind == "balanced":
-        return _balanced(scheme, dims, rng)
-
     if scheme.kind == "random":
         shapes = [(dims[j], dims[j - 1]) for j in range(1, L + 1)]
         return Network([rng.normal(0.0, np.sqrt(1.0 / n), size=(k, n)) for k, n in shapes])
 
-    # Each layer is one zero array with its random orthogonal head block of
-    # size k written in, then a unit diagonal on [k:s, k:s], s = min(n_j,
-    # n_(j-1)): orthogonal draws k = s, orth-identity k = min(s, d_cap),
-    # identity k = 0.
-    sizes = [min(dims[j], dims[j - 1]) for j in range(1, L + 1)]
-    if scheme.kind == "orthogonal":
-        heads = sizes
-    elif scheme.kind == "orth_identity":
-        heads = [min(s, d_cap) for s in sizes]
+    padded = scheme.kind != "orthogonal" and max(dims) > d_cap
+    sizes = [min(d, d_cap) for d in dims] if padded else dims  # each layer's built shape
+    if scheme.kind == "balanced":
+        layers = _balanced(scheme, dims, sizes, rng)
     else:
-        heads = [0] * L
+        layers = _orthogonal_or_identity(scheme.kind, sizes, rng)
+    if padded:
+        return Network._padded(layers, dims, 0.0 if scheme.kind == "balanced" else 1.0)
+    return Network(layers)
+
+
+def _orthogonal_or_identity(kind: str, sizes, rng) -> list:
+    """The layers of the chain *sizes*, each one zero array with its random
+    orthogonal block of size k, its smaller side, written in (orthogonal,
+    orth-identity; an orth-identity pad adds the unit diagonal beyond k),
+    or a unit diagonal (identity, k = 0)."""
+    L = len(sizes) - 1
+    heads = [0 if kind == "identity" else min(sizes[j], sizes[j - 1]) for j in range(1, L + 1)]
     layers = []
     while len(layers) < L:
         j, k = len(layers), heads[len(layers)]
@@ -104,15 +116,17 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
                 count += 1
             blocks = _orthogonal_stack(rng, count, k)
         for i in range(count):
-            w = np.zeros((dims[j + i + 1], dims[j + i]))
+            w = np.zeros((sizes[j + i + 1], sizes[j + i]))
             if k:
                 w[:k, :k] = blocks[i]
-            np.fill_diagonal(w[k : sizes[j + i], k : sizes[j + i]], 1.0)
+            else:
+                np.fill_diagonal(w, 1.0)
             layers.append(w)
-    return Network(layers)
+    return layers
 
 
-def _balanced(scheme: InitScheme, dims, rng) -> Network:
+def _balanced(scheme: InitScheme, dims, sizes, rng) -> list:
+    """The balanced layers of the chain *dims*, each built at its shape in *sizes*."""
     L = len(dims) - 1
     n0, nL = dims[0], dims[-1]
     s0 = min(n0, nL)
@@ -125,12 +139,12 @@ def _balanced(scheme: InitScheme, dims, rng) -> Network:
     else:
         w0 = rng.normal(0.0, np.sqrt(1.0 / n0), size=(nL, n0))
     if L == 1:
-        return Network([w0.copy()])
+        return [w0.copy()]
     u, s, vh = np.linalg.svd(w0, full_matrices=False)
     root = s ** (1.0 / L)  # zero singular values stay zero
-    layers = [np.zeros((dims[j], dims[j - 1])) for j in range(1, L + 1)]
+    layers = [np.zeros((sizes[j], sizes[j - 1])) for j in range(1, L + 1)]
     np.multiply(root[:, None], vh, out=layers[0][:s0])
     for w in layers[1:-1]:
         np.fill_diagonal(w[:s0, :s0], root)
     np.multiply(u, root, out=layers[-1][:, :s0])
-    return Network(layers)
+    return layers

@@ -39,7 +39,8 @@ def _square(v: float) -> float:
     """``v ** 2`` bit for bit, or inf where that overflows (Python's float
     power raises OverflowError, where numpy would return inf): the one
     square of a spectral step constant (the theory_l2 and convex_safe
-    denominators, the GD reference rate and the BCSGD bracket tracker)."""
+    denominators, the GD reference rate and the BCSGD bracket tracker) and
+    of a recorded ``||G||_F`` in the optimal step's drop audit."""
     try:
         return v**2
     except OverflowError:

@@ -8,7 +8,7 @@ partial product ``W_{i:j}`` follows the convention that an empty range
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -28,14 +28,27 @@ __all__ = [
 PAD_TOL = 1e-12
 
 
-@dataclass
 class Network:
-    layers: list = field(default_factory=list)
+    """A chain of layers, ``layers[l - 1]`` the n_l x n_(l-1) matrix of layer l.
 
-    def __post_init__(self):
-        if not self.layers:
+    ``Network(layers)`` holds its layers densely.  A network with padding
+    from ``initializers.initialize`` (``_padded``) holds only its head
+    blocks ``W_l[:k_l, :k_(l-1)]`` (``_head_blocks``) and its dimension
+    chain; its pad, a unit diagonal on ``[k:s, k:s]`` (k the head block's
+    smaller and s the layer's smaller side) or zero, is never allocated.
+    The runners train the head blocks directly, ``save_network`` writes the
+    pad as text, and ``depth``, ``dims`` and ``copy`` read the compact form.
+    ``layers`` stays the public, mutable, full-width view: its first read
+    builds the dense layers once, and from then on the network is a dense one.
+    """
+
+    _heads = None  # a compact network's head blocks; None for a dense one
+
+    def __init__(self, layers):
+        layers = list(layers)
+        if not layers:
             raise ValueError("network needs at least one layer")
-        self.layers = [_contiguous(as_matrix(w, f"layer {i + 1}")) for i, w in enumerate(self.layers)]
+        self.layers = [_contiguous(as_matrix(w, f"layer {i + 1}")) for i, w in enumerate(layers)]
         for i in range(1, len(self.layers)):
             if self.layers[i].shape[1] != self.layers[i - 1].shape[0]:
                 raise ValueError(
@@ -43,17 +56,64 @@ class Network:
                     f"layer {i} has {self.layers[i - 1].shape[0]} rows"
                 )
 
+    @classmethod
+    def _padded(cls, heads: list, dims: tuple, pad: float) -> "Network":
+        """The compact network of the chain *dims* whose layers are
+        block-diagonal around their head blocks *heads* (finite, C-contiguous
+        and owned, of ``_head_blocks``' sizes), its pad diagonal *pad*."""
+        net = cls.__new__(cls)
+        net._heads, net._dims, net._pad = heads, dims, pad
+        return net
+
+    @cached_property
+    def layers(self) -> list:
+        """A compact network's dense layers, built on their first read (each
+        C-contiguous and owned); the network is a dense one from then on."""
+        layers = [self._layer(l) for l in range(1, self.depth + 1)]
+        del self._heads, self._dims, self._pad
+        return layers
+
+    def __setattr__(self, name, value):
+        if name == "layers":  # assigned dense layers replace a compact network's heads
+            for key in ("_heads", "_dims", "_pad"):
+                self.__dict__.pop(key, None)
+        super().__setattr__(name, value)
+
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.layers if self._heads is None else self._heads)
 
     @property
     def dims(self) -> tuple[int, ...]:
         """Dimension chain (n_0, ..., n_L)."""
+        if self._heads is not None:
+            return self._dims
         return (self.layers[0].shape[1],) + tuple(w.shape[0] for w in self.layers)
 
     def copy(self) -> "Network":
+        if self._heads is not None:
+            return Network._padded([h.copy() for h in self._heads], self._dims, self._pad)
         return Network([w.copy() for w in self.layers])
+
+    def _layer(self, l: int) -> np.ndarray:
+        """Layer *l* (1-based), dense: a compact network's is built afresh."""
+        if self._heads is None:
+            return self.layers[l - 1]
+        head = self._heads[l - 1]
+        w = np.zeros((self._dims[l], self._dims[l - 1]))
+        w[: head.shape[0], : head.shape[1]] = head
+        if self._pad:
+            k = min(head.shape)
+            np.fill_diagonal(w[k:, k:], self._pad)
+        return w
+
+    def _set_head(self, l: int, block: np.ndarray) -> None:
+        """Layer *l*'s head block becomes *block*: how a step on the head
+        chain (``optim._update``) reaches this network."""
+        if self._heads is None:
+            self.layers[l - 1][: block.shape[0], : block.shape[1]] = block
+        else:
+            self._heads[l - 1] = block
 
 
 def partial_product(net: Network, i: int, j: int) -> np.ndarray:
@@ -99,7 +159,8 @@ def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndar
 
 
 def _head_blocks(net: Network) -> list | None:
-    """Contiguous copies of the head blocks ``W_l[:k_l, :k_(l-1)]``, or None.
+    """Contiguous copies of the head blocks ``W_l[:k_l, :k_(l-1)]``, or None;
+    a compact network's own head blocks, with no scan.
 
     The head size of dimension l is ``k_l = min(n_l, max(n_0, n_L))``.
     The blocks are returned only when some ``k_l < n_l``, every layer's
@@ -112,6 +173,8 @@ def _head_blocks(net: Network) -> list | None:
     The tail test is ``matcore._all_finite`` of the contiguous rows below
     the head, ``W_l[k_l:]``: one sum of squares unless that is not finite.
     """
+    if net._heads is not None:
+        return net._heads
     dims = net.dims
     cap = max(dims[0], dims[-1])
     heads = [min(n, cap) for n in dims]
@@ -178,11 +241,31 @@ def save_network(net: Network, path) -> None:
     Each entry is written as its ``repr``, exactly (``matcore._float_rows``),
     so finite doubles round-trip exactly.  The entries are formed and written
     in batches of whole rows of at most 4,096 values, so the memory a save
-    holds does not grow with the network.
+    holds does not grow with the network.  A compact network's pad is
+    written as the text of its entries (``_padded_rows``), never formed:
+    the same bytes as its dense layers'.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in net.dims) + "\n")
-        fh.writelines(_float_rows(net.layers, " "))
+        if net._heads is None:
+            fh.writelines(_float_rows(net.layers, " "))
+        else:
+            for l, head in enumerate(net._heads, start=1):
+                fh.writelines(_padded_rows(head, net.dims[l], net.dims[l - 1], net._pad))
+
+
+def _padded_rows(head: np.ndarray, rows: int, cols: int, pad: float):
+    """The ``_float_rows`` text of the rows x cols layer with head block
+    *head* and pad diagonal *pad* (``Network._layer``): the head rows from
+    ``_float_rows``, each followed by its zero columns, then the pad rows,
+    zero but for *pad* on the diagonal, as ``repr`` writes those entries."""
+    kr, kc = head.shape
+    zeros = " 0.0" * (cols - kc) + "\n"
+    for text in _float_rows([head], " "):
+        yield text.replace("\n", zeros)
+    diag, zero_row = repr(float(pad)), "0.0" + " 0.0" * (cols - 1) + "\n"
+    for i in range(kr, rows):
+        yield "0.0 " * i + diag + " 0.0" * (cols - 1 - i) + "\n" if i < cols else zero_row
 
 
 def load_network(path) -> Network:

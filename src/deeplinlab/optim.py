@@ -317,7 +317,7 @@ class _Run:
     ``data.m``), the ranks and the gamma bound's rank tolerances stay on
     them.  The steps train *work* on *samples*: ``_reduce``'s head chain
     and compressed samples, or *net* and *data* where it declines; each
-    step's head block is written through into *net* (``_update``).
+    step's head block becomes *net*'s (``_update``).
     *q* is the compression's Q (m x d_in) or None, *c* the residual every
     recorded objective adds (0.0 uncompressed), *oracle_obj* the optimum's
     objective the distances are measured from and *lf* the loss.
@@ -334,12 +334,13 @@ class _Run:
 
     @cached_property
     def ranks(self) -> tuple[int, int]:
-        """``(r, r_x)``: the numeric ranks of *net*'s top layer (at most n_L)
-        and of *samples*' X (X, or the compressed R^T, its spectrum the cached
+        """``(r, r_x)``: the numeric ranks of *net*'s top layer (at most n_L;
+        ``Network._layer``, of a compact network the one layer built) and of
+        *samples*' X (X, or the compressed R^T, its spectrum the cached
         ``Dataset._x_svals`` that ``_spectra`` reads), ranked at *data*'s X
         shape, that A and B X are conditioned by.  Taken when a run's first
         step reads them, before it moves its layer: before any layer moves."""
-        top, x_svals = self.net.layers[-1], self.samples._x_svals
+        top, x_svals = self.net._layer(self.net.depth), self.samples._x_svals
         return numeric_rank(_svals(top), top.shape), numeric_rank(x_svals, self.data.x.shape)
 
 
@@ -351,7 +352,8 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with some
     ``k_l < n_l`` (``network._head_blocks``; the orth-identity, identity
     and balanced inits at widths above ``max(n_0, n_L)``), ``work`` is the
-    chain of head blocks, else *net* itself.  Every layer gradient
+    chain of head blocks, else *net* itself: a compact network's own head
+    blocks (``Network._padded``), with no scan.  Every layer gradient
     ``A^T D (B X)^T`` and every rank-one BCSGD update lives in the head
     block, so training the head chain is training the full chain, and the
     other blocks stay bitwise as they were.
@@ -380,7 +382,7 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     *target_dist* (never at -inf), so stops fall on sweep boundaries.
     After each sweep ``on_sweep_end(completed_sweeps, run.net)`` (the
     snapshot hook) sees the full chain as the sweep left it, since
-    ``_update`` writes every step through to ``run.net``.  The loop runs
+    ``_update`` hands every step's layer to ``run.net``.  The loop runs
     under ``_quiet``.
     """
     traj = Trajectory(
@@ -427,7 +429,10 @@ def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
     its root is the recorded ``grad_frobenius`` and it is the rate's
     numerator; only when it is not finite does the entrywise
     ``np.isfinite(G).all()`` run, so a finite G whose squared norm
-    overflows passes on to ``_update``'s check.
+    overflows passes on to ``_update``'s check.  A rate that is not finite
+    (inf over an overflowing ``||A G B X||_F^2`` is NaN) raises here the
+    error its update would raise (``_update_error``), so ``compute_lr`` and
+    ``theory.gamma_factor`` raise it too.
     """
     y, lf = run.samples.y, run.lf
     pred = a.dot(run.work.layers[ell - 1]).dot(bx)
@@ -440,11 +445,13 @@ def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
         )
     spectra = _spectra(run, ell, a, bx) if policy.kind in _SPECTRAL_KINDS else None
     lr = _lr_from_parts(policy, lf, spectra, a, bx, pred, y, g, g2)
+    if not lr < math.inf:  # NaN too: no update at this rate is finite
+        raise _update_error(iteration, ell, lr, math.sqrt(g2))
     gamma = None
     if policy.kind == "theory_l2":
-        (a_svals, bx_svals), (r, r_x), layers, eta = spectra, run.ranks, run.net.layers, policy.eta
-        ka = _kappa_r_from_svals(a_svals, (layers[-1].shape[0], layers[ell - 1].shape[0]), r)
-        kb = _kappa_r_from_svals(bx_svals, (layers[ell - 1].shape[1], run.data.m), r_x)
+        (a_svals, bx_svals), (r, r_x), dims, eta = spectra, run.ranks, run.net.dims, policy.eta
+        ka = _kappa_r_from_svals(a_svals, (dims[-1], dims[ell]), r)
+        kb = _kappa_r_from_svals(bx_svals, (dims[ell - 1], run.data.m), r_x)
         denom = ka * ka * kb * kb
         gamma = max(1.0 - eta / denom if lr and math.isfinite(denom) else 1.0, eta - 1.0)
     return pred, g, g2, lr, gamma
@@ -459,18 +466,25 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
 def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
     """The one layer update of every runner: layer *ell* of ``run.work``,
     *w*, becomes ``w - lr * g`` (returned) once that is finite
-    (``matcore._all_finite``); else RuntimeError names the iteration and the layer.
-    A head block is also written into ``run.net``'s layer (``W[:k, :k'] = w``)."""
+    (``matcore._all_finite``); else ``_update_error``.  A head block also
+    becomes ``run.net``'s (``Network._set_head``): a compact network holds
+    it as it is, a dense one writes it into its layer (``W[:k, :k'] = w``)."""
     new_w = run.work.layers[ell - 1] - lr * g
     if not _all_finite(new_w):
-        raise RuntimeError(
-            f"non-finite update at iteration {iteration}, layer {ell} "
-            f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
-        )
+        raise _update_error(iteration, ell, lr, grad_fro)
     run.work.layers[ell - 1] = new_w
     if run.work is not run.net:
-        run.net.layers[ell - 1][: new_w.shape[0], : new_w.shape[1]] = new_w
+        run.net._set_head(ell, new_w)
     return new_w
+
+
+def _update_error(iteration, ell, lr, grad_fro) -> RuntimeError:
+    """The error of an update that is not finite: an overflowing one, or any
+    at a rate that is not finite (``_evaluate`` raises it before the update)."""
+    return RuntimeError(
+        f"non-finite update at iteration {iteration}, layer {ell} "
+        f"(lr {lr:.6g}, |G|_F {grad_fro:.6g})"
+    )
 
 
 def _descend(run, ell, iteration, sweep, a, bx, pred, lr, g, grad_fro, gamma=None,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset
 from .losses import l2
-from .matcore import numeric_rank, singular_values
+from .matcore import _square, numeric_rank, singular_values
 from .network import Network
 from .optim import LrPolicy, _evaluate, _view
 
@@ -271,11 +271,15 @@ def _drop_bounds(rec, atol):
     ``PEAK_SLACK`` times the run's largest finite loss: the identity's rounding
     error scales with the run's loss scale (the cancellation in
     ``pred - y``), not with the current loss, which a noiseless run drives
-    towards 0."""
-    try:
-        expected = rec.loss_before - rec.lr * rec.grad_frobenius ** 2
-    except OverflowError:  # ||G||_F^2 beyond the float range: an infinite drop, none at rate 0
-        expected = rec.loss_before - rec.lr * math.inf if rec.lr else rec.loss_before
+    towards 0.
+
+    ``||G||_F^2`` squares through ``matcore._square``: inf where it overflows
+    (or ``||G||_F`` is inf), an infinite drop at a positive rate.  A rate-0
+    step moves nothing, so there the drop is 0 and the expected loss stays
+    ``loss_before``, not ``0 * inf``, NaN.  A NaN still fails."""
+    g2 = _square(rec.grad_frobenius)
+    drop = 0.0 if rec.lr == 0 and g2 == math.inf else rec.lr * g2
+    expected = rec.loss_before - drop
     limit = DROP_RTOL * abs(rec.loss_before) + atol
     return ((abs(rec.loss_after - expected), limit, {"loss_before": rec.loss_before,
              "loss_after": rec.loss_after, "expected": expected, "limit": limit}),)

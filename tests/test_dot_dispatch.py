@@ -24,7 +24,8 @@ slice ``W[:k, :k']`` of a larger layer is one: on such operands (as the
 right factor of a product, transposed, in a matrix-vector product or in a
 Gram) ``dot`` and ``@`` differ in the last bits for some shapes.  The step
 path never multiplies one: ``network._head_blocks`` copies the head
-blocks, and ``Network`` and ``Dataset`` store every matrix C- or
+blocks (``initialize`` builds a compact network's C-contiguous), and
+``Network`` and ``Dataset`` store every matrix C- or
 F-contiguous, copying a strided view once.  The last two tests pin that:
 every layer, sample matrix and factor a runner trains on is C- or
 F-contiguous, also when the layers and the data are passed in as row-slice

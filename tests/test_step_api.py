@@ -258,6 +258,30 @@ def test_an_overflowing_spectral_denominator_skips_the_step(policy):
         assert [r.layer for r in traj.records] == [1, 2, 3] and traj.records[ell - 1].lr == 0.0
 
 
+def test_a_rate_that_is_not_finite_stops_the_view_where_the_step_stops():
+    # the overflow state above under optimal_l2: at layer 1 both ||G||_F^2 and
+    # ||A G B X||_F^2 overflow, so the rate is inf / inf = NaN.  compute_lr raises the
+    # error of the step's update, with its message and no numpy warning, and neither
+    # moves the layer
+    rng = np.random.default_rng(0)
+    data = Dataset(x=rng.normal(size=(3, 8)), y=rng.normal(size=(2, 8)))
+    layers = [rng.normal(size=(3, 3)) * 1e-200, rng.normal(size=(3, 3)) * 1e80,
+              rng.normal(size=(2, 3)) * 1e80]
+    policy = LrPolicy("optimal_l2")
+    message = r"^non-finite update at iteration 1, layer 1 \(lr nan, \|G\|_F inf\)$"
+    for entry in (
+        lambda net, state: compute_lr(policy, net, data, l2(), state),
+        lambda net, state: bcgd_step(net, data, l2(), state, policy),
+    ):
+        net, state = Network([w.copy() for w in layers]), SweepState(depth=3, ordering="ascending")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=message):
+                entry(net, state)
+        assert net.layers[0].tobytes() == layers[0].tobytes()
+        assert state == SweepState(depth=3, ordering="ascending")
+
+
 STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "bcgd_step": lambda net, data, state: bcgd_step(net, data, l2(), state, LrPolicy("optimal_l2")),
     "bcsgd_step": lambda net, data, state: sgd.bcsgd_step(

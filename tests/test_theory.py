@@ -330,3 +330,19 @@ def test_a_nan_fails_every_audit(policy, fields):
             nan_row = replace(records[row], **{name: math.nan})
             bad = Trajectory(records=[nan_row if i == row else r for i, r in enumerate(records)])
             assert not audit_trajectory(bad, policy, "l2").ok, (name, row)
+
+
+@pytest.mark.parametrize("grad", [1e200, math.inf], ids=["overflowing", "infinite"])
+def test_drop_audit_squares_the_gradient_norm_through_matcore(grad):
+    # ||G||_F^2 is inf either way (matcore._square): at a positive rate the stated
+    # drop is infinite (expected -inf, a violation); at rate 0 there is none, so the
+    # expected loss is loss_before, where 0 * inf would be NaN, and a rate-0 step whose
+    # loss moved fails against it.  A NaN norm at rate 0 still fails.
+    def audit(rec):
+        return audit_trajectory(Trajectory(records=[rec]), "optimal_l2", "l2")
+
+    assert [v["expected"] for v in audit(_record(1, 0.5, 10.0, 9.5, grad)).violations] == [-math.inf]
+    report = audit(_record(1, 0.0, 10.0, 10.0, grad))
+    assert report.ok and report.skipped_steps == 1
+    assert [v["expected"] for v in audit(_record(1, 0.0, 10.0, 9.0, grad)).violations] == [10.0]
+    assert not audit(_record(1, 0.0, 10.0, 10.0, math.nan)).ok
