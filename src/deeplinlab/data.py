@@ -170,7 +170,8 @@ def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:
 
     Each non-constant feature/output row is shifted and scaled to mean 0
     and population variance 1; constant rows are centered to all zeros.
-    Malformed lines raise ValueError naming the 1-based line number.
+    This holds at any finite scale (``_normalize_rows``).  Malformed lines
+    raise ValueError naming the 1-based line number.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,6 +198,12 @@ def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:
 
 
 def _normalize_rows(block: np.ndarray) -> np.ndarray:
+    """Every row of *block* normalized, its statistics taken after the row is
+    divided by a power of two of its largest magnitude (to below 1), so no
+    square overflows or underflows.  The scaling is exact (but for entries
+    below 2^-1021 of the row's largest, which turn subnormal), so a row
+    whose squares neither overflow nor underflow keeps its unscaled bytes."""
+    block = np.ldexp(block, -np.frexp(np.abs(block).max(axis=1, keepdims=True))[1])
     mean = block.mean(axis=1, keepdims=True)
     std = block.std(axis=1, keepdims=True)  # population variance
     centered = block - mean

@@ -127,7 +127,11 @@ def gradient_from_parts(a: np.ndarray, bx: np.ndarray, d: np.ndarray) -> np.ndar
 
 
 def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> np.ndarray:
-    """Gradient of the total loss with respect to layer *ell* (1-based)."""
+    """Gradient of the total loss with respect to layer *ell* (1-based).
+
+    It reads ``net.layers``, so a compact network's dense layers are built
+    (the network is a dense one from then on); ``predictions``,
+    ``total_loss`` and ``residual_objective`` leave it compact."""
     _check_dims(net, data)
     if not 1 <= ell <= net.depth:
         raise ValueError(f"layer {ell} out of range 1..{net.depth}")

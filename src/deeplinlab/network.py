@@ -31,18 +31,20 @@ PAD_TOL = 1e-12
 class Network:
     """A chain of layers, ``layers[l - 1]`` the n_l x n_(l-1) matrix of layer l.
 
-    ``Network(layers)`` holds its layers densely.  A network with padding
-    from ``initializers.initialize`` (``_padded``) holds only its head
-    blocks ``W_l[:k_l, :k_(l-1)]`` (``_head_blocks``) and its dimension
-    chain; its pad, a unit diagonal on ``[k:s, k:s]`` (k the head block's
-    smaller and s the layer's smaller side) or zero, is never allocated.
-    The runners train the head blocks directly, ``save_network`` writes the
-    pad as text, and ``depth``, ``dims`` and ``copy`` read the compact form.
-    ``layers`` stays the public, mutable, full-width view: its first read
-    builds the dense layers once, and from then on the network is a dense one.
+    ``Network(layers)`` holds its layers densely.  A compact network, a chain
+    with padding from ``initializers.initialize`` (``_padded``), holds only
+    its head chain: the dense ``Network`` of its head blocks
+    ``W_l[:k_l, :k_(l-1)]`` (``_head_blocks``), beside its dimension chain
+    and its pad, a unit diagonal on ``[k:s, k:s]`` (k the head block's
+    smaller and s the layer's smaller side) or zero, never allocated.  The
+    runners train the head chain in place; ``save_network``, ``depth``,
+    ``dims``, ``copy`` and every product (``partial_product``, one dense
+    layer at a time through ``_layer``) read the compact form.  ``layers``
+    stays the public, mutable, full-width view: its first read builds the
+    dense layers once, and from then on the network is a dense one.
     """
 
-    _heads = None  # a compact network's head blocks; None for a dense one
+    _chain = None  # a compact network's head chain; None for a dense one
 
     def __init__(self, layers):
         layers = list(layers)
@@ -60,9 +62,10 @@ class Network:
     def _padded(cls, heads: list, dims: tuple, pad: float) -> "Network":
         """The compact network of the chain *dims* whose layers are
         block-diagonal around their head blocks *heads* (finite, C-contiguous
-        and owned, of ``_head_blocks``' sizes), its pad diagonal *pad*."""
+        and owned, of ``_head_blocks``' sizes), its pad diagonal *pad*; the
+        blocks are held as its head chain ``Network(heads)``."""
         net = cls.__new__(cls)
-        net._heads, net._dims, net._pad = heads, dims, pad
+        net._chain, net._dims, net._pad = Network(heads), dims, pad
         return net
 
     @cached_property
@@ -70,50 +73,41 @@ class Network:
         """A compact network's dense layers, built on their first read (each
         C-contiguous and owned); the network is a dense one from then on."""
         layers = [self._layer(l) for l in range(1, self.depth + 1)]
-        del self._heads, self._dims, self._pad
+        del self._chain
         return layers
 
     def __setattr__(self, name, value):
-        if name == "layers":  # assigned dense layers replace a compact network's heads
-            for key in ("_heads", "_dims", "_pad"):
-                self.__dict__.pop(key, None)
+        if name == "layers":  # assigned dense layers replace a compact network's head chain
+            self.__dict__.pop("_chain", None)
         super().__setattr__(name, value)
 
     @property
     def depth(self) -> int:
-        return len(self.layers if self._heads is None else self._heads)
+        return len(self.layers if self._chain is None else self._chain.layers)
 
     @property
     def dims(self) -> tuple[int, ...]:
         """Dimension chain (n_0, ..., n_L)."""
-        if self._heads is not None:
+        if self._chain is not None:
             return self._dims
         return (self.layers[0].shape[1],) + tuple(w.shape[0] for w in self.layers)
 
     def copy(self) -> "Network":
-        if self._heads is not None:
-            return Network._padded([h.copy() for h in self._heads], self._dims, self._pad)
+        if self._chain is not None:
+            return Network._padded([h.copy() for h in self._chain.layers], self._dims, self._pad)
         return Network([w.copy() for w in self.layers])
 
     def _layer(self, l: int) -> np.ndarray:
         """Layer *l* (1-based), dense: a compact network's is built afresh."""
-        if self._heads is None:
+        if self._chain is None:
             return self.layers[l - 1]
-        head = self._heads[l - 1]
+        head = self._chain.layers[l - 1]
         w = np.zeros((self._dims[l], self._dims[l - 1]))
         w[: head.shape[0], : head.shape[1]] = head
         if self._pad:
             k = min(head.shape)
             np.fill_diagonal(w[k:, k:], self._pad)
         return w
-
-    def _set_head(self, l: int, block: np.ndarray) -> None:
-        """Layer *l*'s head block becomes *block*: how a step on the head
-        chain (``optim._update``) reaches this network."""
-        if self._heads is None:
-            self.layers[l - 1][: block.shape[0], : block.shape[1]] = block
-        else:
-            self._heads[l - 1] = block
 
 
 def partial_product(net: Network, i: int, j: int) -> np.ndarray:
@@ -123,9 +117,9 @@ def partial_product(net: Network, i: int, j: int) -> np.ndarray:
         raise ValueError(f"indices ({i}, {j}) outside the 0..{L + 1} window")
     if i < j:
         return np.eye(net.dims[j - 1])
-    prod = net.layers[j - 1]
-    for t in range(j, i):
-        prod = net.layers[t] @ prod
+    prod = net._layer(j)
+    for t in range(j + 1, i + 1):
+        prod = net._layer(t) @ prod
     return prod
 
 
@@ -158,12 +152,13 @@ def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndar
     return next(above), next(below)
 
 
-def _head_blocks(net: Network) -> list | None:
-    """Contiguous copies of the head blocks ``W_l[:k_l, :k_(l-1)]``, or None;
-    a compact network's own head blocks, with no scan.
+def _head_blocks(net: Network) -> Network | None:
+    """The head chain, the ``Network`` of the head blocks
+    ``W_l[:k_l, :k_(l-1)]``, or None: a compact network's own, with no scan,
+    else one of contiguous copies.
 
     The head size of dimension l is ``k_l = min(n_l, max(n_0, n_L))``.
-    The blocks are returned only when some ``k_l < n_l``, every layer's
+    The chain is returned only when some ``k_l < n_l``, every layer's
     off-diagonal blocks ``W_l[k_l:, :k_(l-1)]`` and ``W_l[:k_l, k_(l-1):]``
     are exactly zero, every tail block ``W_l[k_l:, k_(l-1):]`` is finite
     and every layer is writeable (``optim._update`` writes each trained
@@ -173,8 +168,8 @@ def _head_blocks(net: Network) -> list | None:
     The tail test is ``matcore._all_finite`` of the contiguous rows below
     the head, ``W_l[k_l:]``: one sum of squares unless that is not finite.
     """
-    if net._heads is not None:
-        return net._heads
+    if net._chain is not None:
+        return net._chain
     dims = net.dims
     cap = max(dims[0], dims[-1])
     heads = [min(n, cap) for n in dims]
@@ -189,7 +184,7 @@ def _head_blocks(net: Network) -> list | None:
             if not w.flags.writeable:
                 return None
             blocks.append(w[:k, :kp].copy())
-    return blocks
+    return Network(blocks)
 
 
 def end_to_end(net: Network) -> np.ndarray:
@@ -247,10 +242,10 @@ def save_network(net: Network, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in net.dims) + "\n")
-        if net._heads is None:
+        if net._chain is None:
             fh.writelines(_float_rows(net.layers, " "))
         else:
-            for l, head in enumerate(net._heads, start=1):
+            for l, head in enumerate(net._chain.layers, start=1):
                 fh.writelines(_padded_rows(head, net.dims[l], net.dims[l - 1], net._pad))
 
 

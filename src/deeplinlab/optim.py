@@ -41,8 +41,8 @@ records bit for bit.  Every state view is ``_view``: its step's evaluation
 at ``_at_state`` under ``_quiet``, the warning state of ``_drive``.  A BCGD
 step and its state views (``compute_lr``, ``theory.gamma_factor``) share
 ``_evaluate``, a BCSGD step and its three ``sgd._evaluate``.  Every runner
-replaces a layer through ``_update`` (into the caller's network too), and
-BCGD and BCSGD steps end in ``_descend``.
+replaces a layer through ``_update`` (in the caller's network too where the
+head chain is a copy), and BCGD and BCSGD steps end in ``_descend``.
 
 Every matrix product on a step's path is written ``a.dot(b)``, left to
 right as ``a @ b @ c`` associates, but for the layer gradient, which
@@ -316,8 +316,10 @@ class _Run:
     trajectory's ``dims``, the snapshots, the distances (divided by
     ``data.m``), the ranks and the gamma bound's rank tolerances stay on
     them.  The steps train *work* on *samples*: ``_reduce``'s head chain
-    and compressed samples, or *net* and *data* where it declines; each
-    step's head block becomes *net*'s (``_update``).
+    and compressed samples, or *net* and *data* where it declines.  A
+    compact *net*'s *work* is its own head chain, trained in place; any
+    other head chain is a copy, whose every trained block ``_update``
+    writes into *net*.
     *q* is the compression's Q (m x d_in) or None, *c* the residual every
     recorded objective adds (0.0 uncompressed), *oracle_obj* the optimum's
     objective the distances are measured from and *lf* the loss.
@@ -350,10 +352,11 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
 
     Width part: when every layer is block-diagonal around its head block
     ``W_l[:k_l, :k_(l-1)]``, ``k_l = min(n_l, max(n_0, n_L))``, with some
-    ``k_l < n_l`` (``network._head_blocks``; the orth-identity, identity
-    and balanced inits at widths above ``max(n_0, n_L)``), ``work`` is the
-    chain of head blocks, else *net* itself: a compact network's own head
-    blocks (``Network._padded``), with no scan.  Every layer gradient
+    ``k_l < n_l`` (``network._head_blocks``, the one width decision; the
+    orth-identity, identity and balanced inits at widths above
+    ``max(n_0, n_L)``), ``work`` is the head chain, else *net* itself.  A
+    compact network's head chain is its own, handed over as it is: no scan,
+    no copy, and the steps train it in place.  Every layer gradient
     ``A^T D (B X)^T`` and every rank-one BCSGD update lives in the head
     block, so training the head chain is training the full chain, and the
     other blocks stay bitwise as they were.
@@ -362,14 +365,17 @@ def _reduce(net: Network, data: Dataset, lf: LossFunction, oracle_objective) -> 
     ``Dataset._compressed`` gives ``samples`` = ``(R^T, Y Q)``, the constant
     c every objective adds and Q (m x d_in), so every run on one dataset
     shares one QR; else ``samples`` is *data*, c is 0.0 and q is None.
-    The widths of *net* must match *data*'s (``losses._check_dims``).
+    The widths of *net* must match *data*'s (``losses._check_dims``).  The
+    reduction runs under ``_quiet``, as the steps do: a reference or a
+    compression that overflows leaves its non-finite numbers to the steps'
+    checks, with no numpy warning.
     """
-    _check_dims(net, data)
-    oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
-    blocks = _head_blocks(net)
-    samples, c, q = data._compressed if lf.power == 2 and data.m > data.d_in else (data, 0.0, None)
-    work = net if blocks is None else Network(blocks)
-    return _Run(net, work, samples, data, q, c, oracle_obj, lf)
+    with _quiet():
+        _check_dims(net, data)
+        oracle_obj = _resolve_oracle(net, data, lf, oracle_objective)
+        chain = _head_blocks(net)
+        samples, c, q = data._compressed if lf.power == 2 and data.m > data.d_in else (data, 0.0, None)
+        return _Run(net, net if chain is None else chain, samples, data, q, c, oracle_obj, lf)
 
 
 def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_sweep_end=None):
@@ -382,7 +388,7 @@ def _drive(run: _Run, meta: dict, sweeps: int, sweep, target_dist=-math.inf, on_
     *target_dist* (never at -inf), so stops fall on sweep boundaries.
     After each sweep ``on_sweep_end(completed_sweeps, run.net)`` (the
     snapshot hook) sees the full chain as the sweep left it, since
-    ``_update`` hands every step's layer to ``run.net``.  The loop runs
+    ``run.net`` holds every block ``_update`` trains.  The loop runs
     under ``_quiet``.
     """
     traj = Trajectory(
@@ -466,15 +472,16 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
 def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
     """The one layer update of every runner: layer *ell* of ``run.work``,
     *w*, becomes ``w - lr * g`` (returned) once that is finite
-    (``matcore._all_finite``); else ``_update_error``.  A head block also
-    becomes ``run.net``'s (``Network._set_head``): a compact network holds
-    it as it is, a dense one writes it into its layer (``W[:k, :k'] = w``)."""
+    (``matcore._all_finite``); else ``_update_error``.  A compact network's
+    own head chain needs no other write; a head chain that is a copy (of a
+    network built dense, or of a compact one whose ``layers`` were read
+    mid-run) writes the block into ``run.net``'s layer (``W[:k, :k'] = w``)."""
     new_w = run.work.layers[ell - 1] - lr * g
     if not _all_finite(new_w):
         raise _update_error(iteration, ell, lr, grad_fro)
     run.work.layers[ell - 1] = new_w
-    if run.work is not run.net:
-        run.net._set_head(ell, new_w)
+    if run.work is not run.net and run.work is not run.net._chain:
+        run.net.layers[ell - 1][: new_w.shape[0], : new_w.shape[1]] = new_w
     return new_w
 
 

@@ -3,11 +3,12 @@
 ``initializers.initialize`` builds the orth-identity, identity and balanced
 inits of a chain wider than ``max(d_in, d_out)`` compact
 (``network.Network._padded``): it allocates only the head blocks, and every
-runner trains them directly.  These tests pin that the compact network and
-its dense copy ``Network([w.copy() for w in net.layers])`` are one network to
-every runner, snapshot and reader, that the first read of ``layers`` builds
-the dense layers (from then on the network is a dense one), and that setup
-and a run never pay for the padding.
+runner trains them in place, as the network's own head chain.  These tests
+pin that the compact network and its dense copy
+``Network([w.copy() for w in net.layers])`` are one network to every runner,
+snapshot and reader, that the first read of ``layers`` builds the dense
+layers (from then on the network is a dense one), and that setup, a run and
+the loss readers never pay for the padding.
 """
 
 import math
@@ -17,14 +18,17 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deeplinlab import sgd
+from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
-from deeplinlab.losses import l2
-from deeplinlab.network import Network, save_network
-from deeplinlab.optim import ORDERINGS, LrPolicy, reference_gd_rate, run_bcgd, run_gd
+from deeplinlab.losses import l2, residual_objective, total_loss
+from deeplinlab.network import Network, end_to_end, save_network
+from deeplinlab.optim import (
+    ORDERINGS, LrPolicy, SweepState, bcgd_step, gd_step, reference_gd_rate, run_bcgd, run_gd,
+)
 
 MiB = 2**20
 WIDE = (128,) + (512,) * 49 + (10,)  # the width-irrelevance recipe's chain
@@ -59,6 +63,14 @@ def test_a_wide_chain_is_built_and_trained_without_its_padding():
         on_sweep_end=lambda done, current: saved.append(save_network(current, os.devnull)),
     )
     assert len(traj) == 50 and len(saved) == 1 and _compact(net)
+    # the loss readers form one dense layer at a time: 2 MiB each, against 97.4 MiB for all
+    tracemalloc.start()
+    try:
+        residual_objective(net, data, l2())
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read < 16 * MiB and _compact(net)
 
 
 def _outcome(run):
@@ -91,6 +103,15 @@ def _train(runner, net, data, ordering, seed, folder: Path):
     return _outcome(run)
 
 
+def _reads(net, data):
+    """The bytes of *net*'s product and the two losses read from it, *net*
+    left as compact as it was."""
+    compact = _compact(net)
+    reads = end_to_end(net).tobytes(), total_loss(net, data, l2()), residual_objective(net, data, l2())
+    assert _compact(net) == compact
+    return reads
+
+
 @st.composite
 def padded_chains(draw):
     """Chains of depth 1-5 whose hidden widths reach up to 3 times max(d_in, d_out),
@@ -116,6 +137,7 @@ def test_a_compact_chain_trains_as_its_dense_copy(dims, kind, m, seed, ordering,
     assert net.dims == dense.dims == dims and net.depth == dense.depth
     rng = np.random.default_rng(seed)
     data = Dataset(x=rng.normal(size=(dims[0], m)), y=rng.uniform(-1, 2, size=(dims[-1], m)))
+    assert _reads(net, data) == _reads(dense, data)
     with tempfile.TemporaryDirectory() as tmp:
         got = _train(runner, net, data, ordering, seed, Path(tmp, "compact"))
         want = _train(runner, dense, data, ordering, seed, Path(tmp, "dense"))
@@ -124,6 +146,8 @@ def test_a_compact_chain_trains_as_its_dense_copy(dims, kind, m, seed, ordering,
         assert sorted(p.name for p in Path(tmp, "compact").iterdir()) == files
         for name in files:
             assert Path(tmp, "compact", name).read_bytes() == Path(tmp, "dense", name).read_bytes()
+    if not isinstance(got, tuple):  # a run that raised may leave an overflowing chain
+        assert _reads(net, data) == _reads(dense, data)
     assert _compact(net) == (len(dims) > 2)
     for w, v in zip(net.layers, dense.layers):  # the first read builds net's dense layers
         assert w.tobytes() == v.tobytes() and w.shape == v.shape
@@ -155,3 +179,60 @@ def test_the_first_layers_read_makes_the_network_dense_for_every_later_run():
     other = initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=5)
     other.layers = [w.copy() for w in dense.layers[:2]] + [np.ones((3, 12))]
     assert not _compact(other) and other.dims == (6, 12, 12, 3) and other.depth == 3
+
+
+def _width_12(seed):
+    """The width-12 orth-identity chain (head 6), compact, on m 40 > d_in 6 samples."""
+    rng = np.random.default_rng(seed)
+    data = Dataset(x=rng.normal(size=(6, 40)), y=rng.uniform(-1, 2, size=(3, 40)))
+    return initialize(InitScheme("orth_identity"), (6, 12, 12, 12, 3), seed=seed + 1), data
+
+
+@pytest.mark.parametrize("runner", ["bcgd", "bcsgd", "gd", "bcgd_step", "gd_step"])
+def test_a_compact_chain_is_its_own_work_and_one_list_moves_per_step(monkeypatch, runner):
+    # run.work is the network's own head chain (no copy, no scan), and each update
+    # replaces the one entry of its one list of layers: nothing else is written
+    net, data = _width_12(7)
+    chain, update, moves = net._chain, optim._update, []
+
+    def checked(run, ell, *args):
+        assert run.net is net and run.work is chain and run.work.layers is chain.layers
+        before = list(chain.layers)
+        new_w = update(run, ell, *args)
+        assert [w is v for w, v in zip(chain.layers, before)] == [l != ell for l in range(1, 5)]
+        assert chain.layers[ell - 1] is new_w and _compact(net)
+        moves.append(ell)
+        return new_w
+
+    monkeypatch.setattr(optim, "_update", checked)
+    state, policy = SweepState(depth=4), LrPolicy("optimal_l2")
+    if runner == "bcgd":
+        run_bcgd(net, data, l2(), policy, max_sweeps=2, target_dist=-math.inf)
+    elif runner == "bcsgd":
+        sgd.run_bcsgd(net, data, l2(), 0.5, 2, seed=3)
+    elif runner == "gd":
+        run_gd(net, data, l2(), reference_gd_rate(net, data), max_iters=2, target_dist=-math.inf)
+    elif runner == "bcgd_step":
+        for _ in range(8):
+            bcgd_step(net, data, l2(), state, policy)
+    else:
+        for _ in range(2):
+            gd_step(net, data, l2(), reference_gd_rate(net, data), state=state)
+    assert len(moves) == 8 and net._chain is chain and _compact(net)
+
+
+def test_layers_read_mid_run_still_receive_every_trained_block():
+    # the snapshot hook reads layers after sweep 1: from then on the network is dense
+    # and the run's head chain a copy, whose every later block is written through
+    net, data = _width_12(9)
+    dense = Network([w.copy() for w in net.copy().layers])
+    policy, seen = LrPolicy("optimal_l2"), []
+
+    def hook(done, current):
+        if done == 1:
+            seen.append(current.layers)
+
+    got = run_bcgd(net, data, l2(), policy, max_sweeps=3, target_dist=-math.inf, on_sweep_end=hook)
+    want = run_bcgd(dense, data, l2(), policy, max_sweeps=3, target_dist=-math.inf)
+    assert got.records == want.records and not _compact(net) and net.layers is seen[0]
+    assert all(w.tobytes() == v.tobytes() for w, v in zip(net.layers, dense.layers))

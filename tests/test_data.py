@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,26 @@ def test_normalize_stats(tmp_path):
     assert np.max(np.abs(ds.x.mean(axis=1))) < 1e-10
     assert np.max(np.abs(ds.x.var(axis=1) - 1.0)) < 1e-8
     assert np.max(np.abs(ds.y.var(axis=1) - 1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600, 1e200], ids=["2^600", "2^-600", "1e200"])
+def test_normalize_holds_at_any_finite_scale(tmp_path, scale):
+    # a table whose squares overflow (2^600, 1e200) or underflow (2^-600) normalizes as
+    # the unscaled one, with no numpy warning: to the byte when scaled by a power of two
+    # (each row's statistics are taken after an exact power-of-two scaling), within
+    # 1e-12 otherwise (1e200 times an entry rounds)
+    rng = np.random.default_rng(3)
+    raw = Dataset(x=rng.normal(2.0, 3.0, size=(5, 80)), y=rng.uniform(size=(2, 80)))
+    write_csv(tmp_path / "raw.csv", raw)
+    write_csv(tmp_path / "scaled.csv", Dataset(x=raw.x * scale, y=raw.y * scale))
+    want = load_normalize_csv(tmp_path / "raw.csv", d_in=5, d_out=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = load_normalize_csv(tmp_path / "scaled.csv", d_in=5, d_out=2)
+    if math.frexp(scale)[0] == 0.5:
+        assert got.x.tobytes() == want.x.tobytes() and got.y.tobytes() == want.y.tobytes()
+    else:
+        assert np.max(np.abs(got.x - want.x)) <= 1e-12 and np.max(np.abs(got.y - want.y)) <= 1e-12
 
 
 def test_write_csv_writes_each_fields_repr(tmp_path):

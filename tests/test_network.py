@@ -185,7 +185,7 @@ def test_load_accepts_trailing_blank_lines(tmp_path):
 def test_head_blocks_conditions():
     dims = (3, 7, 7, 2)  # head sizes 3, 3, 3, 2
     net = initialize(InitScheme("orth_identity"), dims, seed=13)
-    blocks = _head_blocks(net)
+    blocks = _head_blocks(net).layers
     assert [b.shape for b in blocks] == [(3, 3), (3, 3), (2, 3)]
     for w, b in zip(net.layers, blocks):
         assert np.array_equal(w[: b.shape[0], : b.shape[1]], b)

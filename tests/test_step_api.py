@@ -294,6 +294,13 @@ STATE_ENTRIES = {  # every entry that reads a SweepState, on a depth-3 chain
     "gamma_factor": lambda net, data, state: theory.gamma_factor(net, data, state, 1.0),
 }
 
+RUNNERS = {  # the three runners, each from a run's start (they read no state)
+    "run_bcgd": lambda net, data, state: run_bcgd(net, data, l2(), LrPolicy("optimal_l2")),
+    "run_bcsgd": lambda net, data, state: sgd.run_bcsgd(net, data, l2(), 0.5, 1, seed=0),
+    "run_gd": lambda net, data, state: run_gd(net, data, l2(), 0.1, 3),
+}
+ENTRIES = {**STATE_ENTRIES, **RUNNERS}
+
 STEP_OF = {  # each state view's step: the step whose evaluation the view reads
     "compute_lr": "bcgd_step",
     "gamma_factor": "bcgd_step",
@@ -309,11 +316,11 @@ def _raised(entry, net, data, state):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Exception) as info:
-            STATE_ENTRIES[entry](net.copy(), data, replace(state))
+            ENTRIES[entry](net.copy(), data, replace(state))
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("entry", sorted(STATE_ENTRIES))
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_every_entry_stops_on_an_overflowing_state_without_a_numpy_warning(entry):
     # layers of 1e200 overflow every product (m > d_in: BCSGD's weights go through the
     # compression's Q): each entry raises with no numpy warning, and each state view
@@ -327,6 +334,40 @@ def test_every_entry_stops_on_an_overflowing_state_without_a_numpy_warning(entry
     assert not issubclass(raised[0], Warning)
     if entry in STEP_OF:
         assert raised == _raised(STEP_OF[entry], net, data, state)
+
+
+def _outputs_of_1e200():
+    """X 3 x 12 Gaussian and Y of about 1e200, whose reference optimum's norm
+    overflows; a fresh dataset, since ``Dataset._references`` keeps the reference."""
+    x = gen_input_gaussian(3, 12, seed=3)
+    return Dataset(x=x, y=1e200 * np.random.default_rng(3).uniform(-1, 2, size=(2, 12)))
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_an_overflowing_reference_escapes_no_entry_as_a_numpy_warning(entry):
+    # the reference (oracle.rank_constrained_solution, through optim._reduce) and the
+    # compression (m > d_in) see Y of about 1e200: every step and runner stops with its
+    # step's RuntimeError, and a state view returns or raises its step's error, with no
+    # numpy warning
+    net = initialize(InitScheme("orth_identity"), (3, 3, 3, 2), seed=4)
+    state = SweepState(depth=3)
+
+    def outcome(name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                ENTRIES[name](net.copy(), _outputs_of_1e200(), replace(state))
+            except RuntimeError as exc:
+                return str(exc)
+        return None
+
+    got = outcome(entry)
+    if entry in STEP_OF:
+        assert got is None or got == outcome(STEP_OF[entry])
+    else:
+        assert got is not None and got.startswith("non-finite ")
+    if entry in ("run_bcgd", "bcgd_step", "compute_lr"):
+        assert got == "non-finite update at iteration 1, layer 1 (lr nan, |G|_F inf)"
 
 
 @pytest.mark.parametrize("depth, ordering", [(2, "descending"), (5, "ascending"), (5, "descending")])

@@ -380,7 +380,8 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, run
     cap = max(dims[0], dims[-1])
     heads = [min(n, cap) for n in dims]
     square_wide_middle = any(dims[l] == dims[l - 1] > cap for l in range(2, len(dims) - 1))
-    blocks = network._head_blocks(net)
+    chain = network._head_blocks(net)
+    blocks = None if chain is None else chain.layers
     if heads == dims or scheme == "random" or (scheme == "orthogonal" and square_wide_middle):
         assert blocks is None
     if blocks is None:
@@ -389,7 +390,7 @@ def test_width_fast_path_matches_full_width(dims, scheme, m, seed, ordering, run
 
     gd_eta = reference_gd_rate(net, data)
     initial, full = net.copy(), net.copy()
-    narrow = Network(blocks)  # the head chain, trained on its own below
+    narrow = chain.copy()  # the head chain, trained on its own below
     fast = _train(runner, net, data, ordering, gd_eta, seed)
     figures = []
     with pytest.MonkeyPatch.context() as mp:
