@@ -320,9 +320,9 @@ def read_trajectory_csv(path) -> Trajectory:
 
     ``meta`` holds each ``# key=value`` line's value parsed back from its
     ``repr`` (the raw text when it is no Python literal, such as ``nan``).
-    A malformed file raises ValueError naming *path* (and, for a field that
-    is no number, the 1-based line number; for an ``initial_loss`` or
-    ``initial_dist`` that is none, the key).
+    A malformed file raises ValueError naming *path* (and, for a row of the
+    wrong length or a field that is no number, the 1-based line number; for
+    an ``initial_loss`` or ``initial_dist`` that is none, the key).
     """
     meta: dict = {}
     records = []
@@ -351,7 +351,7 @@ def read_trajectory_csv(path) -> Trajectory:
                 continue
             parts = line.split(",")
             if len(parts) != len(CSV_COLUMNS):
-                raise ValueError(f"{path}: bad row {line!r}")
+                raise ValueError(f"{path}:{lineno}: bad row {line!r}")
             try:
                 rec = StepRecord(
                     iteration=int(parts[0]),

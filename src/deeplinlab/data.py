@@ -11,6 +11,7 @@ so identical seeds reproduce identical matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,9 +170,11 @@ def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:
     """Load a CSV of examples and normalize every row of X and Y.
 
     Each non-constant feature/output row is shifted and scaled to mean 0
-    and population variance 1; constant rows are centered to all zeros.
-    This holds at any finite scale (``_normalize_rows``).  Malformed lines
-    raise ValueError naming the 1-based line number.
+    and population variance 1; constant rows (every entry equal) become
+    all zeros.  This holds at any finite scale (``_normalize_rows``).
+    Malformed lines, and fields that are not finite (``inf``, ``nan``),
+    raise ValueError naming the 1-based line number, before anything is
+    normalized.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -186,9 +189,12 @@ def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:
                     f"got {len(fields)}"
                 )
             try:
-                rows.append([float(f) for f in fields])
+                row = [float(f) for f in fields]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}:{lineno}: non-finite field")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.asarray(rows, dtype=np.float64).T  # (d_in + d_out) x m
@@ -198,14 +204,14 @@ def load_normalize_csv(path, d_in: int, d_out: int) -> Dataset:
 
 
 def _normalize_rows(block: np.ndarray) -> np.ndarray:
-    """Every row of *block* normalized, its statistics taken after the row is
-    divided by a power of two of its largest magnitude (to below 1), so no
-    square overflows or underflows.  The scaling is exact (but for entries
-    below 2^-1021 of the row's largest, which turn subnormal), so a row
-    whose squares neither overflow nor underflow keeps its unscaled bytes."""
+    """Every row of the finite *block* normalized, its statistics taken after
+    the row is divided by a power of two of its largest magnitude (to below
+    1), so no square overflows or underflows.  The scaling is exact (but for
+    entries below 2^-1021 of the row's largest, which turn subnormal), so a
+    row whose squares neither overflow nor underflow keeps its unscaled
+    bytes.  A row is constant when its own entries are (max equals min): it
+    becomes zeros, whatever its mean rounds to."""
     block = np.ldexp(block, -np.frexp(np.abs(block).max(axis=1, keepdims=True))[1])
-    mean = block.mean(axis=1, keepdims=True)
-    std = block.std(axis=1, keepdims=True)  # population variance
-    centered = block - mean
-    safe = np.where(std > 0, std, 1.0)
-    return centered / safe
+    spread = block.max(axis=1, keepdims=True) > block.min(axis=1, keepdims=True)
+    centered = np.where(spread, block - block.mean(axis=1, keepdims=True), 0.0)
+    return centered / np.where(spread, block.std(axis=1, keepdims=True), 1.0)  # population variance

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import as_matrix
-from .network import Network
+from .network import Network, _head_sizes
 
 __all__ = ["InitScheme", "KINDS", "initialize", "random_orthogonal"]
 
@@ -74,27 +74,26 @@ def initialize(scheme: InitScheme, dims, seed: int = 0) -> Network:
     A chain with padding (a width above ``max(n_0, n_L)``) under the
     orth-identity, identity and balanced kinds is built compact
     (``Network._padded``): only its head blocks ``W_l[:k_l, :k_(l-1)]``,
-    ``k_l = min(n_l, max(n_0, n_L))``, are allocated, the pad they imply a
-    unit diagonal (orth-identity, identity) or zero (balanced).
+    ``k_l = min(n_l, max(n_0, n_L))`` (``network._head_sizes``), are
+    allocated, the pad they imply a unit diagonal (orth-identity, identity)
+    or zero (balanced).
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"bad dimension chain {dims}")
     rng = np.random.default_rng(seed)
     L = len(dims) - 1
-    d_cap = max(dims[0], dims[-1])
 
     if scheme.kind == "random":
         shapes = [(dims[j], dims[j - 1]) for j in range(1, L + 1)]
         return Network([rng.normal(0.0, np.sqrt(1.0 / n), size=(k, n)) for k, n in shapes])
 
-    padded = scheme.kind != "orthogonal" and max(dims) > d_cap
-    sizes = [min(d, d_cap) for d in dims] if padded else dims  # each layer's built shape
+    sizes = dims if scheme.kind == "orthogonal" else _head_sizes(dims)  # each layer's built shape
     if scheme.kind == "balanced":
         layers = _balanced(scheme, dims, sizes, rng)
     else:
         layers = _orthogonal_or_identity(scheme.kind, sizes, rng)
-    if padded:
+    if sizes != dims:
         return Network._padded(layers, dims, 0.0 if scheme.kind == "balanced" else 1.0)
     return Network(layers)
 

@@ -129,13 +129,14 @@ def gradient_from_parts(a: np.ndarray, bx: np.ndarray, d: np.ndarray) -> np.ndar
 def layer_gradient(net: Network, data: Dataset, lf: LossFunction, ell: int) -> np.ndarray:
     """Gradient of the total loss with respect to layer *ell* (1-based).
 
-    It reads ``net.layers``, so a compact network's dense layers are built
-    (the network is a dense one from then on); ``predictions``,
-    ``total_loss`` and ``residual_objective`` leave it compact."""
+    Every layer is read through ``Network._layer`` (``network._factors``),
+    so a compact network stays compact, as under ``predictions``,
+    ``total_loss`` and ``residual_objective``, and its gradient has its
+    dense copy's bits."""
     _check_dims(net, data)
     if not 1 <= ell <= net.depth:
         raise ValueError(f"layer {ell} out of range 1..{net.depth}")
     a, bx = _factors(net, data.x, ell)
-    d = lf.deriv(a @ net.layers[ell - 1] @ bx, data.y)
+    d = lf.deriv(a @ net._layer(ell) @ bx, data.y)
     return gradient_from_parts(a, bx, d)
 

@@ -9,7 +9,6 @@ partial product ``W_{i:j}`` follows the convention that an empty range
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -31,20 +30,21 @@ PAD_TOL = 1e-12
 class Network:
     """A chain of layers, ``layers[l - 1]`` the n_l x n_(l-1) matrix of layer l.
 
-    ``Network(layers)`` holds its layers densely.  A compact network, a chain
-    with padding from ``initializers.initialize`` (``_padded``), holds only
-    its head chain: the dense ``Network`` of its head blocks
-    ``W_l[:k_l, :k_(l-1)]`` (``_head_blocks``), beside its dimension chain
+    A network is dense exactly when ``layers`` is in its instance
+    ``__dict__``, the one record of its form that every reader tests:
+    ``Network(layers)`` holds its layers densely.  A compact network, a
+    chain with padding from ``initializers.initialize`` (``_padded``),
+    holds only its head chain: the dense ``Network`` of its head blocks
+    ``W_l[:k_l, :k_(l-1)]`` (``_head_sizes``), beside its dimension chain
     and its pad, a unit diagonal on ``[k:s, k:s]`` (k the head block's
     smaller and s the layer's smaller side) or zero, never allocated.  The
     runners train the head chain in place; ``save_network``, ``depth``,
-    ``dims``, ``copy`` and every product (``partial_product``, one dense
-    layer at a time through ``_layer``) read the compact form.  ``layers``
-    stays the public, mutable, full-width view: its first read builds the
-    dense layers once, and from then on the network is a dense one.
+    ``dims``, ``copy``, every product (``partial_product``, one dense layer
+    at a time through ``_layer``) and ``losses.layer_gradient`` read the
+    compact form.  ``layers`` stays the public, mutable, full-width view:
+    only its read or its assignment makes the network dense, the first read
+    building the dense layers once.
     """
-
-    _chain = None  # a compact network's head chain; None for a dense one
 
     def __init__(self, layers):
         layers = list(layers)
@@ -62,7 +62,7 @@ class Network:
     def _padded(cls, heads: list, dims: tuple, pad: float) -> "Network":
         """The compact network of the chain *dims* whose layers are
         block-diagonal around their head blocks *heads* (finite, C-contiguous
-        and owned, of ``_head_blocks``' sizes), its pad diagonal *pad*; the
+        and owned, of ``_head_sizes``' sizes), its pad diagonal *pad*; the
         blocks are held as its head chain ``Network(heads)``."""
         net = cls.__new__(cls)
         net._chain, net._dims, net._pad = Network(heads), dims, pad
@@ -71,35 +71,29 @@ class Network:
     @cached_property
     def layers(self) -> list:
         """A compact network's dense layers, built on their first read (each
-        C-contiguous and owned); the network is a dense one from then on."""
-        layers = [self._layer(l) for l in range(1, self.depth + 1)]
-        del self._chain
-        return layers
-
-    def __setattr__(self, name, value):
-        if name == "layers":  # assigned dense layers replace a compact network's head chain
-            self.__dict__.pop("_chain", None)
-        super().__setattr__(name, value)
+        C-contiguous and owned) and kept in ``__dict__``: the network is a
+        dense one from then on."""
+        return [self._layer(l) for l in range(1, self.depth + 1)]
 
     @property
     def depth(self) -> int:
-        return len(self.layers if self._chain is None else self._chain.layers)
+        return len(self.layers if "layers" in self.__dict__ else self._chain.layers)
 
     @property
     def dims(self) -> tuple[int, ...]:
         """Dimension chain (n_0, ..., n_L)."""
-        if self._chain is not None:
+        if "layers" not in self.__dict__:
             return self._dims
         return (self.layers[0].shape[1],) + tuple(w.shape[0] for w in self.layers)
 
     def copy(self) -> "Network":
-        if self._chain is not None:
+        if "layers" not in self.__dict__:
             return Network._padded([h.copy() for h in self._chain.layers], self._dims, self._pad)
         return Network([w.copy() for w in self.layers])
 
     def _layer(self, l: int) -> np.ndarray:
         """Layer *l* (1-based), dense: a compact network's is built afresh."""
-        if self._chain is None:
+        if "layers" in self.__dict__:
             return self.layers[l - 1]
         head = self._chain.layers[l - 1]
         w = np.zeros((self._dims[l], self._dims[l - 1]))
@@ -108,6 +102,15 @@ class Network:
             k = min(head.shape)
             np.fill_diagonal(w[k:, k:], self._pad)
         return w
+
+
+def _head_sizes(dims: tuple) -> tuple:
+    """The head size of each dimension of the chain *dims*,
+    ``k_l = min(n_l, max(n_0, n_L))``: the widths the inputs and the outputs
+    can reach, and the one width rule of ``initializers.initialize`` and
+    ``_head_blocks``."""
+    cap = max(dims[0], dims[-1])
+    return tuple([min(n, cap) for n in dims])  # one comprehension call, not one per dimension
 
 
 def partial_product(net: Network, i: int, j: int) -> np.ndarray:
@@ -145,35 +148,43 @@ def _prefixes(net: Network, x: np.ndarray):
 
 
 def _factors(net: Network, x: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, B X)`` around layer *ell*, ``W_{L:(ell+1)}`` and ``W_{(ell-1):1} X``:
-    ``_suffixes`` and ``_prefixes`` stopped at *ell*, as ``optim._sweep`` forms them."""
-    above = islice(_suffixes(net), net.depth - ell, None)
-    below = islice(_prefixes(net, x), ell - 1, None)
-    return next(above), next(below)
+    """``(A, B X)`` around layer *ell*, ``W_{L:(ell+1)}`` and ``W_{(ell-1):1} X``,
+    associated as ``_suffixes`` and ``_prefixes`` (and ``optim._sweep``) form
+    them, each layer read through ``Network._layer``: a compact network
+    stays compact, and gives its dense copy's bits."""
+    a = np.eye(net.dims[-1])
+    for l in range(net.depth, ell, -1):
+        a = a.dot(net._layer(l))
+    bx = x
+    for l in range(1, ell):
+        bx = net._layer(l).dot(bx)
+    return a, bx
 
 
 def _head_blocks(net: Network) -> Network | None:
     """The head chain, the ``Network`` of the head blocks
-    ``W_l[:k_l, :k_(l-1)]``, or None: a compact network's own, with no scan,
-    else one of contiguous copies.
+    ``W_l[:k_l, :k_(l-1)]`` (``_head_sizes``), or None: a compact network's
+    own, with no scan, else one of contiguous copies of a dense network's.
 
-    The head size of dimension l is ``k_l = min(n_l, max(n_0, n_L))``.
-    The chain is returned only when some ``k_l < n_l``, every layer's
-    off-diagonal blocks ``W_l[k_l:, :k_(l-1)]`` and ``W_l[:k_l, k_(l-1):]``
-    are exactly zero, every tail block ``W_l[k_l:, k_(l-1):]`` is finite
-    and every layer is writeable (``optim._update`` writes each trained
-    block in place).  Then the inputs reach only head rows and ``W_L``
-    reads only head columns, so every layer gradient lives in the head
-    block: BCGD on the head chain is BCGD on the full chain.
-    The tail test is ``matcore._all_finite`` of the contiguous rows below
-    the head, ``W_l[k_l:]``: one sum of squares unless that is not finite.
+    A dense network's chain is returned only when some ``k_l < n_l``, every
+    layer's off-diagonal blocks ``W_l[k_l:, :k_(l-1)]`` and
+    ``W_l[:k_l, k_(l-1):]`` are exactly zero, every tail block
+    ``W_l[k_l:, k_(l-1):]`` is finite and every layer is writeable
+    (``optim._update`` writes each trained block through).  Then the inputs
+    reach only head rows and ``W_L`` reads only head columns, so every layer
+    gradient lives in the head block: BCGD on the head chain is BCGD on the
+    full chain.  The tail test is ``matcore._all_finite`` of the contiguous
+    rows below the head, ``W_l[k_l:]``: one sum of squares unless that is
+    not finite.  This scan is the one fast path of a network built dense
+    (``load_network``, ``Network(layers)``) or made dense; it stays, since
+    the head chain's products round otherwise than the full chain's, so
+    training the full width would change the bits of a run.
     """
-    if net._chain is not None:
+    if "layers" not in net.__dict__:
         return net._chain
     dims = net.dims
-    cap = max(dims[0], dims[-1])
-    heads = [min(n, cap) for n in dims]
-    if heads == list(dims):
+    heads = _head_sizes(dims)
+    if heads == dims:
         return None
     blocks = []
     with np.errstate(over="ignore"):
@@ -242,7 +253,7 @@ def save_network(net: Network, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(" ".join(str(d) for d in net.dims) + "\n")
-        if net._chain is None:
+        if "layers" in net.__dict__:
             fh.writelines(_float_rows(net.layers, " "))
         else:
             for l, head in enumerate(net._chain.layers, start=1):

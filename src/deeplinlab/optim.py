@@ -472,15 +472,17 @@ def _step_core(run: _Run, ell, iteration, sweep, a, bx, policy: LrPolicy) -> Ste
 def _update(run: _Run, ell, iteration, lr, g, grad_fro) -> np.ndarray:
     """The one layer update of every runner: layer *ell* of ``run.work``,
     *w*, becomes ``w - lr * g`` (returned) once that is finite
-    (``matcore._all_finite``); else ``_update_error``.  A compact network's
-    own head chain needs no other write; a head chain that is a copy (of a
-    network built dense, or of a compact one whose ``layers`` were read
-    mid-run) writes the block into ``run.net``'s layer (``W[:k, :k'] = w``)."""
+    (``matcore._all_finite``); else ``_update_error``.  A head chain that is
+    not ``run.net`` writes the block into ``run.net``'s layer
+    (``W[:k, :k'] = w``) when ``run.net`` is dense (``Network``'s one test
+    of its form): a network built dense, or a compact one whose ``layers``
+    were read or assigned mid-run.  A compact network's own head chain
+    needs no other write."""
     new_w = run.work.layers[ell - 1] - lr * g
     if not _all_finite(new_w):
         raise _update_error(iteration, ell, lr, grad_fro)
     run.work.layers[ell - 1] = new_w
-    if run.work is not run.net and run.work is not run.net._chain:
+    if run.work is not run.net and "layers" in run.net.__dict__:
         run.net.layers[ell - 1][: new_w.shape[0], : new_w.shape[1]] = new_w
     return new_w
 

@@ -398,16 +398,21 @@ def test_oracle_rank_below_its_range_exits_two_before_any_compute(tmp_path, caps
 
 
 @pytest.mark.parametrize("command", ["train", "gd", "bcsgd"])
-@pytest.mark.parametrize("case", ["balanced-width-1", "missing-csv", "short-csv-line"])
+@pytest.mark.parametrize(
+    "case", ["balanced-width-1", "missing-csv", "short-csv-line", "inf-csv-field"]
+)
 def test_inputs_that_cannot_be_built_exit_two_and_create_no_directory(tmp_path, capsys, command, case):
     # the dataset and the network are built before the --out directory is made
     short = tmp_path / "short.csv"
     short.write_text("1,2,3\n")  # 3 fields where d_in + d_out = 5
+    inf = tmp_path / "inf.csv"
+    inf.write_text("1,2,3,4,5\n1,inf,3,4,5\n")
     extra, message = {
         "balanced-width-1": (["--m", "8", "--depth", "3", "--width", "1", "--init", "balanced"],
                              "balanced initialization needs every width"),
         "missing-csv": (["--csv", str(tmp_path / "missing.csv")], "missing.csv"),
         "short-csv-line": (["--csv", str(short)], "short.csv:1: expected 5 fields, got 3"),
+        "inf-csv-field": (["--csv", str(inf)], "inf.csv:2: non-finite field"),
     }[case]
     argv = [command, "--d-in", "3", "--d-out", "2", *extra, "--out", str(tmp_path / "newdir" / "run.csv")]
     if command == "bcsgd":
@@ -652,6 +657,7 @@ def test_verify_names_the_path_of_a_malformed_trajectory(tmp_path, capsys, case,
         lines = lines[:h]
     elif case == "short_row":
         lines[h + 1] = lines[h + 1].rsplit(",", 1)[0]
+        where = f":{h + 2}"  # 1-based line number of the row
     elif case.startswith("initial_"):
         k = next(i for i, line in enumerate(lines) if line.startswith(f"# {case}="))
         lines[k] = f"# {case}=abc"

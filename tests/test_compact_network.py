@@ -6,9 +6,9 @@ inits of a chain wider than ``max(d_in, d_out)`` compact
 runner trains them in place, as the network's own head chain.  These tests
 pin that the compact network and its dense copy
 ``Network([w.copy() for w in net.layers])`` are one network to every runner,
-snapshot and reader, that the first read of ``layers`` builds the dense
-layers (from then on the network is a dense one), and that setup, a run and
-the loss readers never pay for the padding.
+snapshot and reader, that only a read or an assignment of ``layers`` makes
+the network dense (the first read builds the dense layers), and that setup,
+a run, the loss readers and ``layer_gradient`` never pay for the padding.
 """
 
 import math
@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 from deeplinlab import optim, sgd
 from deeplinlab.data import Dataset, gen_input_gaussian, gen_output_uniform
 from deeplinlab.initializers import InitScheme, initialize
-from deeplinlab.losses import l2, residual_objective, total_loss
+from deeplinlab.losses import l2, layer_gradient, residual_objective, total_loss
 from deeplinlab.network import Network, end_to_end, save_network
 from deeplinlab.optim import (
     ORDERINGS, LrPolicy, SweepState, bcgd_step, gd_step, reference_gd_rate, run_bcgd, run_gd,
@@ -104,10 +104,13 @@ def _train(runner, net, data, ordering, seed, folder: Path):
 
 
 def _reads(net, data):
-    """The bytes of *net*'s product and the two losses read from it, *net*
-    left as compact as it was."""
+    """The bytes of *net*'s product, the two losses and every layer gradient
+    read from it, *net* left as compact as it was."""
     compact = _compact(net)
-    reads = end_to_end(net).tobytes(), total_loss(net, data, l2()), residual_objective(net, data, l2())
+    reads = (
+        end_to_end(net).tobytes(), total_loss(net, data, l2()), residual_objective(net, data, l2()),
+        [layer_gradient(net, data, l2(), ell).tobytes() for ell in range(1, net.depth + 1)],
+    )
     assert _compact(net) == compact
     return reads
 

@@ -154,6 +154,28 @@ def test_normalize_constant_column(tmp_path):
     assert np.all(ds.x == 0.0)
 
 
+def test_a_constant_column_whose_mean_rounds_normalizes_to_zeros(tmp_path):
+    # 0.1 + 0.1 + 0.1 is 0.30000000000000004, so the mean is not 0.1; the row is
+    # constant by its own entries, and the other rows keep their bytes
+    path = tmp_path / "const.csv"
+    path.write_text("1,0.1,5\n2,0.1,6\n3,0.1,8\n")
+    ds = load_normalize_csv(path, d_in=2, d_out=1)
+    assert ds.x[1].tobytes() == np.zeros(3).tobytes()
+    x0 = np.array([1.0, 2.0, 3.0]) / 4
+    want = (x0 - x0.mean()) / x0.std()
+    assert ds.x[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("field", ["inf", "-inf", "nan"])
+def test_a_non_finite_csv_field_names_its_line_before_normalizing(tmp_path, field):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# d_in=2 d_out=1\n1,2,3\n2,{field},4\n3,1,5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite field$"):
+            load_normalize_csv(path, d_in=2, d_out=1)
+
+
 def test_normalize_stats(tmp_path):
     rng = np.random.default_rng(3)
     raw = Dataset(x=rng.normal(2.0, 3.0, size=(5, 80)), y=rng.uniform(size=(2, 80)))
