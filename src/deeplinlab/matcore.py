@@ -5,7 +5,10 @@ The linear-algebra routines operate on 2-D float64 numpy arrays and reject
 non-finite entries on the way in.  Rank decisions use the standard
 numerical-rank convention ``sigma <= max(rows, cols) * sigma_max * eps``.
 The condition number of a rank-deficient matrix comes back as
-``math.inf``; downstream formulas rely on ``eta / inf == 0``.
+``math.inf``; downstream formulas rely on ``eta / inf == 0``.  A BCGD
+step's spectra (``_gram_svals``) come from the Gram matrix of the factor's
+short side, with a bound on their error, and fall back to the SVD where that
+bound is too loose; every rank decision stays on the SVD.
 """
 
 from __future__ import annotations
@@ -89,6 +92,59 @@ def _svals(a: np.ndarray) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False) if a.size else np.zeros(1)
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+_HALF_MAX = float(np.finfo(np.float64).max) / 2
+_SUBNORMAL = 5e-324  # the smallest subnormal: the most an underflowing product rounds by
+_EIGVALSH_C = 4.0  # c of eigvalsh's backward error, c k eps ||G||_2
+# ``_gram_svals`` takes a factor's spectrum from its Gram only when the Gram's
+# smallest eigenvalue is at least this many times the bound e on every
+# eigenvalue's absolute error: each sigma_i^2 then lies within 1e-4 of its
+# own size, and sigma_min at least sqrt(1e4 e) >= 1e2 sqrt(n eps) sigma_1,
+# far above ``rank_tolerance``.
+_GRAM_MARGIN = 1e4
+
+
+def _gram_svals(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(s, e)``: the singular values *s* of a step factor *a*,
+    nonincreasing, and a bound *e* on the absolute error of each ``s_i^2``,
+    from the Gram matrix of the short side.
+
+    S is *a* or its transpose, whichever has fewer rows (k x n, k <= n);
+    ``s = sqrt(eigvalsh(S S^T))`` in descending order.  By Weyl's inequality
+    each computed eigenvalue is within e of sigma_i^2, where e sums
+    - the Gram's rounding, ``gamma_n ||S||_F^2`` (gamma_n = n eps / (1 - n
+      eps), twice the classical bound, which also covers the rounding of
+      ``||S||_F^2`` itself, taken by ``_sq_fro``),
+    - eigvalsh's backward error, ``c k eps lambda_1`` (``_EIGVALSH_C``),
+      which also covers the square root's last rounding,
+    - and ``k n`` times the smallest subnormal for products that underflow.
+
+    Falls back to ``_svals`` (the bits of ``np.linalg.svd``) with e = 0
+    unless the Gram is finite, lambda_1 is a normal float and
+    ``lambda_min >= _GRAM_MARGIN * e``.  So a rank-deficient factor, whose
+    Gram eigenvalues near 0 are noise of about eps lambda_1 (sigma about
+    1e-8 sigma_1, far above ``rank_tolerance``), keeps its SVD, as do
+    entries of about 1e154 or more (the Gram overflows) and of about
+    1e-154 or less (it underflows).  Both are told before the Gram is
+    formed: ``||S||_F^2`` at most half the largest float bounds every
+    partial sum of every Gram entry (Cauchy-Schwarz), and lambda_1 is at
+    most ``||S||_F^2``, so below the smallest normal float when that is.
+    e > 0 exactly when the Gram's values are returned.  Runs under the
+    steps' warning state (``optim._quiet``), where a Gram that overflows
+    raises no numpy warning.
+    """
+    s = a if a.shape[0] <= a.shape[1] else a.T
+    k, n = s.shape
+    fro2 = _sq_fro(s)
+    if _TINY <= fro2 <= _HALF_MAX:  # False for an empty *a*, inf and NaN
+        lam = np.linalg.eigvalsh(s.dot(s.T))[::-1]
+        lam1 = float(lam[0])
+        e = n * _EPS / (1.0 - n * _EPS) * fro2 + _EIGVALSH_C * k * _EPS * lam1 + k * n * _SUBNORMAL
+        if lam1 >= _TINY and float(lam[-1]) >= _GRAM_MARGIN * e:
+            return np.sqrt(lam), e
+    return _svals(a), 0.0
+
+
 def _column_sums(a: np.ndarray) -> np.ndarray:
     """``np.add.reduce(a, axis=1)`` of a 2-D *a* of at most 8 columns, bit
     for bit, in a few ufuncs over its columns instead of one numpy inner
@@ -159,16 +215,21 @@ def pseudo_inverse(a) -> np.ndarray:
     return (v / s) @ u.T
 
 
-def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int) -> float:
+def _kappa_r_from_svals(s: np.ndarray, shape: tuple[int, int], r: int, err: float = 0.0) -> float:
     """sigma_max / sigma_r of a *shape* matrix whose spectrum *s* is given.
 
     ``inf`` when sigma_r is numerically zero or *r* lies outside
-    1..min(shape): a rank the matrix cannot carry.
+    1..min(shape): a rank the matrix cannot carry.  *err* bounds the
+    absolute error of each ``s_i^2`` (``_gram_svals``' e): then sigma_max is
+    taken as ``sqrt(s_1^2 + err)`` and sigma_r as ``sqrt(s_r^2 - err)``, the
+    ends of their intervals, so the ratio bounds the exact one from above.
     """
     if not 1 <= r <= min(shape):
         return math.inf
     smax = float(s[0])
     sr = float(s[r - 1])
+    if err:
+        smax, sr = math.sqrt(smax * smax + err), math.sqrt(max(sr * sr - err, 0.0))
     return math.inf if sr <= rank_tolerance(shape, smax) else smax / sr
 
 

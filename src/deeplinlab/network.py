@@ -72,8 +72,11 @@ class Network:
     def layers(self) -> list:
         """A compact network's dense layers, built on their first read (each
         C-contiguous and owned) and kept in ``__dict__``: the network is a
-        dense one from then on."""
-        return [self._layer(l) for l in range(1, self.depth + 1)]
+        dense one from then on, and drops its head chain, dimensions and pad
+        (a run that holds the chain keeps its own reference)."""
+        layers = [self._layer(l) for l in range(1, self.depth + 1)]
+        del self._chain, self._dims, self._pad
+        return layers
 
     @property
     def depth(self) -> int:

@@ -64,7 +64,9 @@ import numpy as np
 
 from .data import Dataset
 from .losses import LossFunction, _check_dims, _objective, gradient_from_parts
-from .matcore import _all_finite, _kappa_r_from_svals, _sq_fro, _square, _svals, numeric_rank
+from .matcore import (
+    _all_finite, _gram_svals, _kappa_r_from_svals, _sq_fro, _square, _svals, numeric_rank,
+)
 from .network import Network, _factors, _head_blocks, _prefixes, _suffixes, end_to_end
 from .oracle import reference_objective
 
@@ -222,15 +224,30 @@ class Trajectory:
         return self.records[-1].dist_after if self.records else math.nan
 
 
-def _spectra(run: _Run, ell: int, a: np.ndarray, bx: np.ndarray):
-    """The one place a layer-wise step takes singular values: those of A and
-    of B X around layer *ell* of ``run.work``.  Both ends of the chain are
-    known without an SVD: at the top layer A is the identity on n_L
-    (``network._suffixes``), whose singular values are all 1 (an empty A
-    keeps ``_svals``' ``[0.0]``), and at layer 1 B X is ``run.samples``' X
-    itself, whose spectrum ``Dataset._x_svals`` caches once per dataset."""
-    a_svals = np.ones(len(a)) if ell == run.work.depth and a.size else _svals(a)
-    return a_svals, run.samples._x_svals if ell == 1 else _svals(bx)
+def _spectra(run: _Run, ell: int, a: np.ndarray, bx: np.ndarray, gram: bool = True):
+    """The one place a layer-wise step takes singular values: ``((s_A, e_A),
+    (s_BX, e_BX))``, those of A and of B X around layer *ell* of
+    ``run.work``, each with the bound e on the absolute error of its squares.
+    Both ends of the chain are known exactly, with e = 0: at the top layer A
+    is the identity on n_L (``network._suffixes``), whose singular values
+    are all 1 (an empty A keeps ``_svals``' ``[0.0]``), and at layer 1 B X
+    is ``run.samples``' X itself, whose spectrum ``Dataset._x_svals`` caches
+    once per dataset.
+
+    A BCGD step (*gram*) takes every other spectrum from the Gram of the
+    short side (``matcore._gram_svals``, the SVD with e = 0 where its bound
+    is too loose): its rates read only sigma_1, whose relative error is at
+    most about ``k n eps``, and theory_l2's gamma bound reads the ends of the
+    intervals.  A BCSGD step takes the SVD (e = 0): its rate and bracket
+    tracker read sigma_k, the smallest singular value B X carries, as a
+    point value, which the Gram gives only to about ``eps kappa^2``
+    relative, against the SVD's ``eps kappa``."""
+
+    def spectrum(m):
+        return _gram_svals(m) if gram else (_svals(m), 0.0)
+
+    a_spec = (np.ones(len(a)), 0.0) if ell == run.work.depth and a.size else spectrum(a)
+    return a_spec, (run.samples._x_svals, 0.0) if ell == 1 else spectrum(bx)
 
 
 def _lr_from_parts(
@@ -260,7 +277,7 @@ def _lr_from_parts(
     if kind == "constant":
         return float(policy.eta)
     if kind in _SPECTRAL_KINDS:
-        a_svals, bx_svals = spectra
+        (a_svals, _), (bx_svals, _) = spectra
         denom = _square(float(a_svals[0])) * _square(float(bx_svals[0]))
         if kind == "convex_safe":
             denom *= float(_max(lf.curvature(pred, y), axis=None)) if pred.size else 0.0
@@ -414,11 +431,15 @@ def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
     ``max(1 - eta / (kappa_r^2(A) kappa_rx^2(B X)), eta - 1)``, from the same
     spectra as the rate, with A taken as ``n_L x n_ell`` and B X as
     ``n_(ell-1) x m`` of the full chain in its rank tolerance, and
-    ``(r, r_x) = run.ranks``.  A rank outside ``1..min(shape)`` is one the
-    matrix cannot carry: r = 0 (a rank-0 X, or a top layer with no rows) as
-    much as a rank above the smaller side.  Its condition number is infinite
-    (``matcore._kappa_r_from_svals``) and the bound 1.  A step the rate
-    floor skips (lr 0) does not move, so it records 1 too.
+    ``(r, r_x) = run.ranks``.  Where a spectrum came from the Gram
+    (``_spectra``), each condition number takes sigma_1 from the top and
+    sigma_r from the bottom of its error interval, so the bound stays a
+    bound; the rate reads the point values.  A rank outside
+    ``1..min(shape)`` is one the matrix cannot carry: r = 0 (a rank-0 X, or
+    a top layer with no rows) as much as a rank above the smaller side.
+    Its condition number is infinite (``matcore._kappa_r_from_svals``) and
+    the bound 1.  A step the rate floor skips (lr 0) does not move, so it
+    records 1 too.
 
     B X is conditioned by its r_x-th singular value, r_x the rank of X,
     even above a bottleneck narrower than r_x, where B X cannot carry that
@@ -455,9 +476,10 @@ def _evaluate(run: _Run, ell, a, bx, policy: LrPolicy, iteration):
         raise _update_error(iteration, ell, lr, math.sqrt(g2))
     gamma = None
     if policy.kind == "theory_l2":
-        (a_svals, bx_svals), (r, r_x), dims, eta = spectra, run.ranks, run.net.dims, policy.eta
-        ka = _kappa_r_from_svals(a_svals, (dims[-1], dims[ell]), r)
-        kb = _kappa_r_from_svals(bx_svals, (dims[ell - 1], run.data.m), r_x)
+        ((a_svals, a_err), (bx_svals, bx_err)), (r, r_x) = spectra, run.ranks
+        dims, eta = run.net.dims, policy.eta
+        ka = _kappa_r_from_svals(a_svals, (dims[-1], dims[ell]), r, a_err)
+        kb = _kappa_r_from_svals(bx_svals, (dims[ell - 1], run.data.m), r_x, bx_err)
         denom = ka * ka * kb * kb
         gamma = max(1.0 - eta / denom if lr and math.isfinite(denom) else 1.0, eta - 1.0)
     return pred, g, g2, lr, gamma

@@ -120,13 +120,13 @@ def _evaluate(run, ell: int, a, bx, eta=None, tracker=None):
     """``(weights, mass, sa, sb, k)`` of a BCSGD step at layer *ell* of
     ``run.work`` on ``run.samples``: the weights, their sum (ValueError
     unless positive and finite), the singular values of A and B X
-    (``optim._spectra``) and ``k = _bx_rank``, with (r, r_x) the run's
-    ``ranks``; a *tracker* folds in the step's constants."""
+    (``optim._spectra``, their SVDs) and ``k = _bx_rank``, with (r, r_x) the
+    run's ``ranks``; a *tracker* folds in the step's constants."""
     weights = _bx_column_weights(bx, run.q)
     mass = float(weights.sum())
     if not 0.0 < mass < math.inf:
         raise ValueError(f"degenerate state at layer {ell}: sampling mass {mass!r}")
-    sa, sb = _spectra(run, ell, a, bx)
+    (sa, _), (sb, _) = _spectra(run, ell, a, bx, gram=False)
     r, r_x = run.ranks
     k = _bx_rank(run.work, ell, r_x)
     if tracker is not None:

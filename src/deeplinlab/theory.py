@@ -46,6 +46,13 @@ DROP_RTOL = 1e-8  # acceptance 3: |drop - lr ||G||_F^2| <= 1e-8 loss_before
 # Slack of the gamma and monotone bounds: REL_SLACK |base| (dist_before, the cumulative
 # bound or loss_before) plus PEAK_SLACK times the run's largest finite dist_before or loss_before;
 # the drop bound adds the same PEAK_SLACK term, on losses.
+# A step whose spectra come from the Gram (matcore._gram_svals, error e in sigma^2)
+# records gamma from the ends of their intervals, sigma_1 from above and sigma_r from
+# below, so it bounds the gamma of the exact spectra and needs no slack of its own.  Its
+# rate reads the point values, so it can exceed eta / (||A||^2 ||B X||^2) by a relative
+# e_A / sigma_1^2(A) + e_BX / sigma_1^2(B X) <= 2 (k n + 4 k) eps (about 7.5e-12 on
+# k x n = 128 x 128 factors), an eta at most that much larger: gamma's eta - 1 branch
+# then grows gamma^2 by about twice that, inside REL_SLACK.
 REL_SLACK = 1e-10
 PEAK_SLACK = 1e-14
 

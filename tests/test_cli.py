@@ -716,6 +716,25 @@ def test_theory_run_on_a_rank_zero_x_is_vacuous(tmp_path, capsys):
     )
 
 
+def test_theory_run_above_a_bottleneck_keeps_its_vacuous_bound(tmp_path, capsys):
+    # dims 6,3,6,2 on a rank-6 X: B X cannot carry rank 6 above the width-3 layer, so
+    # every layer-2 and layer-3 bound is exactly 1.  At layer 3, B X (6 x 6 compressed)
+    # has rank 3: its Gram's eigenvalues near 0 are noise, so its spectrum is the SVD's
+    out = tmp_path / "run.csv"
+    assert main([
+        "train", "--d-in", "6", "--d-out", "2", "--m", "20", "--data-seed", "3",
+        "--dims", "6,3,6,2", "--policy", "theory:1", "--order", "asc", "--sweeps", "3",
+        "--target=-inf", "--out", str(out),
+    ]) == 0
+    assert main(["verify", "--trajectory", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "audit over 9 step(s): OK, 6 vacuous (gamma >= 1)"
+    )
+    rows = read_trajectory_csv(out).records
+    assert [r.layer for r in rows] == [1, 2, 3] * 3
+    assert all((r.gamma_bound == 1.0) == (r.layer > 1) for r in rows)
+
+
 def test_gd_default_rate_on_a_rank_zero_x_skips_every_step(tmp_path, capsys):
     # ||X||_2 = 0 floors the reference rate to 0, the skip-step convention
     csv = tmp_path / "c.csv"

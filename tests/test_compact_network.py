@@ -184,6 +184,18 @@ def test_the_first_layers_read_makes_the_network_dense_for_every_later_run():
     assert not _compact(other) and other.dims == (6, 12, 12, 3) and other.depth == 3
 
 
+def test_the_first_layers_read_drops_the_head_chain():
+    # dense exactly when layers is in __dict__: the compact form's chain, dimensions
+    # and pad go with the first read (of the width-irrelevance chain, 6.1 MiB of blocks)
+    net, _data = _width_12(11)
+    chain = net._chain
+    layers = net.layers
+    assert set(vars(net)) == {"layers"} and net.layers is layers
+    assert net.dims == (6, 12, 12, 12, 3) and net.depth == 4
+    assert all(w[: h.shape[0], : h.shape[1]].tobytes() == h.tobytes()
+               for w, h in zip(layers, chain.layers))
+
+
 def _width_12(seed):
     """The width-12 orth-identity chain (head 6), compact, on m 40 > d_in 6 samples."""
     rng = np.random.default_rng(seed)

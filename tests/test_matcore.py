@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deeplinlab.matcore import (
+    _GRAM_MARGIN,
     _column_sums,
+    _gram_svals,
     _kappa_r_from_svals,
     as_matrix,
     compact_svd,
@@ -14,6 +16,7 @@ from deeplinlab.matcore import (
     singular_values,
 )
 from deeplinlab.network import Network
+from deeplinlab.optim import _quiet
 
 
 def test_compact_svd_identity():
@@ -125,6 +128,63 @@ def test_spectral_summary_consistency():
     assert numeric_rank(s, a.shape) == 2
     assert s[0] == pytest.approx(np.linalg.norm(a, 2))
     assert np.linalg.norm(a, "fro") ** 2 == pytest.approx(np.sum(s**2), rel=1e-10)
+
+
+def _gram_spectrum(a):
+    """``matcore._gram_svals(a)`` under the steps' warning state
+    (``optim._quiet``), where an overflowing Gram is not warned about."""
+    with _quiet():
+        return _gram_svals(a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    cols=st.integers(1, 40),
+    exponent=st.integers(-300, 300),
+    form=st.sampled_from(["full", "rank_deficient", "duplicated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gram_spectra_are_svds_within_their_own_bound(rows, cols, exponent, form, seed):
+    # each s_i^2 lies within e of the SVD's; where the Gram path declines (e = 0) the
+    # values are the SVD's bytes
+    rng = np.random.default_rng(seed)
+    if form == "rank_deficient":
+        inner = int(rng.integers(0, min(rows, cols)))
+        a = rng.normal(size=(rows, inner)).dot(rng.normal(size=(inner, cols)))
+    else:
+        a = rng.normal(size=(rows, cols))
+        if form == "duplicated":
+            a[int(rng.integers(rows))] = a[0]
+    a *= 10.0**exponent
+    s, e = _gram_spectrum(a)
+    want = np.linalg.svd(a, compute_uv=False)
+    if e == 0.0:
+        assert s.tobytes() == want.tobytes()
+    else:
+        assert e > 0.0 and s.shape == want.shape
+        assert np.all(np.abs(s * s - want * want) <= e)
+        assert s[-1] ** 2 >= _GRAM_MARGIN * e * (1 - 1e-12)
+
+
+def test_gram_spectra_decline_where_the_bound_is_too_loose():
+    rng = np.random.default_rng(21)
+    a = rng.normal(size=(6, 30))
+    assert _gram_spectrum(a)[1] > 0.0 and _gram_spectrum(a.T)[1] > 0.0
+    # rank-deficient (rank 3 of 6), entries of 1e160 (the Gram overflows) and of 1e-160
+    # (it underflows), and an empty matrix: the SVD's bits, with e = 0
+    low_rank = rng.normal(size=(6, 3)).dot(rng.normal(size=(3, 30)))
+    for m in (low_rank, a * 1e160, a * 1e-160, np.zeros((0, 4))):
+        s, e = _gram_spectrum(m)
+        want = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+        assert e == 0.0 and s.tobytes() == want.tobytes()
+
+
+def test_kappa_r_takes_the_ends_of_the_error_intervals():
+    # sigma_1 from sqrt(s_1^2 + e) and sigma_r from sqrt(s_r^2 - e): an upper bound
+    s = np.array([2.0, 1.0])
+    assert _kappa_r_from_svals(s, (2, 5), 2, 0.75) == math.sqrt(4.75) / math.sqrt(0.25)
+    assert _kappa_r_from_svals(s, (2, 5), 2) == 2.0
 
 
 def kappa_r(a, r):

@@ -401,12 +401,18 @@ def test_layerwise_runs_take_no_svd_at_either_end_of_the_chain(monkeypatch, runn
     data = make_data(d_in=5, d_out=2, m=4, seed=42)  # fresh, so X's spectrum is not cached yet
     net = initialize(InitScheme("random"), dims, seed=43)
     top = net.layers[-1]
-    svds, real = [], np.linalg.svd
+    spectra, svds, real_gram, real_svd = [], [], optim._gram_svals, np.linalg.svd
+
+    def recording_gram(a):
+        s, e = real_gram(a)
+        spectra.append((a, e))
+        return s, e
 
     def recording(a, *args, **kwargs):
         svds.append(a)
-        return real(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
+    monkeypatch.setattr(optim, "_gram_svals", recording_gram)
     monkeypatch.setattr(np.linalg, "svd", recording)
     if runner == "bcsgd":
         sgd.run_bcsgd(net, data, l2(), 0.5, 2, seed=0, ordering=ordering, oracle_objective=0.0)
@@ -416,12 +422,52 @@ def test_layerwise_runs_take_no_svd_at_either_end_of_the_chain(monkeypatch, runn
         run_bcgd(net, data, l2(), policy, ordering=ordering, max_sweeps=2,
                  target_dist=-math.inf, oracle_objective=0.0)
     # the top layer's A is the identity and layer 1's B X is X, whose spectrum is cached:
-    # per sweep, A at layers 1..L-1 and B X at layers 2..L; then X's once
-    assert not any(s.shape[0] == s.shape[1] and np.array_equal(s, np.eye(len(s))) for s in svds)
+    # per sweep, a step spectrum of A at layers 1..L-1 and of B X at layers 2..L, from the
+    # Gram (matcore._gram_svals) in BCGD and by SVD in BCSGD; other SVDs only for X's
+    # once, the ranks and the spectra the Gram path declines
+    factors = [s for s, _ in spectra] + svds
+    assert not any(s.shape[0] == s.shape[1] and np.array_equal(s, np.eye(len(s))) for s in factors)
     ranked = runner in ("theory:1", "bcsgd")  # the ranks (r, r_x): the top layer's once per run
     assert sum(s is top for s in svds) == ranked
     steps = 2 * 2 * (len(dims) - 2)
-    assert len(svds) == (0 if runner == "optimal" else steps + 1 + ranked)
+    gram = runner in ("theory:1", "convex")
+    assert len(spectra) == (steps if gram else 0)
+    declined = sum(e == 0.0 for _, e in spectra)  # each one SVD of its factor
+    step_svds = declined if gram else steps if runner == "bcsgd" else 0
+    assert len(svds) == (0 if runner == "optimal" else 1 + ranked + step_svds)
+
+
+@pytest.mark.parametrize("runner", ["theory:1", "convex"])
+def test_step_spectra_come_from_the_gram_within_its_bound(monkeypatch, runner):
+    # width 64, orth-identity, on m 100 > d_in 64 (compressed samples), ascending: every
+    # step spectrum comes from the Gram and lies within its own e of the SVD of the same
+    # factor in each sigma_i^2, so np.linalg.svd runs only for the ranks (the top
+    # layer's, for theory:1) and for the samples' X, whose spectrum is cached
+    data = make_data(d_in=64, d_out=4, m=100, seed=44)
+    net = initialize(InitScheme("orth_identity"), (64,) * 5 + (4,), seed=45)
+    top = net.layers[-1]
+    errors, svds, real_gram, real_svd = [], [], optim._gram_svals, np.linalg.svd
+
+    def checked(a):
+        s, e = real_gram(a)
+        want = real_svd(a, compute_uv=False)
+        assert s.shape == want.shape and np.all(np.abs(s * s - want * want) <= e)
+        errors.append(e)
+        return s, e
+
+    def recording(a, *args, **kwargs):
+        svds.append(a)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(optim, "_gram_svals", checked)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    policy = LrPolicy("theory_l2", eta=1.0) if runner == "theory:1" else LrPolicy("convex_safe")
+    run_bcgd(net, data, l2(), policy, ordering="ascending", max_sweeps=2,
+             target_dist=-math.inf, oracle_objective=0.0)
+    assert len(errors) == 2 * 2 * 4 and all(e > 0.0 for e in errors)
+    ranked = runner == "theory:1"
+    assert sorted(s.shape for s in svds) == [(4, 64)] * ranked + [(64, 64)]
+    assert sum(s is top for s in svds) == ranked
 
 
 CORES = {"bcgd": (optim, "_step_core"), "gd": (optim, "_gd_step_core"), "bcsgd": (sgd, "_bcsgd_step_core")}

@@ -78,11 +78,12 @@ def _assert_live_factors(net, data, ell, a, bx):
 
 def _assert_layer_one_spectrum(run, ell, a, bx):
     """At layer 1, B X is the samples' X itself (R^T when compressed), and the
-    step's spectra give its own singular values bit for bit from the cache."""
+    step's spectra give its own singular values bit for bit from the cache,
+    exact (error bound 0)."""
     if ell == 1:
         assert bx is run.samples.x
-        got = optim._spectra(run, 1, a, bx)[1]
-        assert got.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
+        got, err = optim._spectra(run, 1, a, bx)[1]
+        assert err == 0.0 and got.tobytes() == np.linalg.svd(bx, compute_uv=False).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
